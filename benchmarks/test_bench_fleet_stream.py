@@ -18,9 +18,9 @@ scenario sweep — the CI smoke gate runs that scale; the nightly big
 bench runs the full one (see ``.github/workflows/ci.yml``).
 
 The companion tests pin the correctness contracts the bench rests on:
-``test_fleet_stream_equivalence`` checks the streamed aggregate is
-byte-identical to the materialized reference fold across both worker
-stream modes, and ``test_fleet_checkpoint_kill_resume`` kills a
+``test_fleet_stream_equivalence`` checks the materialized report and
+the in-process and sharded streamed aggregates fold byte-identically
+to the CDCL reference enumeration, and ``test_fleet_checkpoint_kill_resume`` kills a
 checkpointed sweep partway through and proves the resumed run
 reproduces the uninterrupted result byte for byte
 (``docs/streaming.md``).
@@ -33,6 +33,7 @@ import pytest
 from repro.epa import EpaError, ScenarioAggregate
 from repro.observability.metrics import record_peak_rss
 from repro.security.fleet import FleetSpec, fleet_engine
+from tests.cdcl_reference import cdcl_reference, rag1
 
 #: the headline workload: C(108, <=3) = 210,043 scenarios, >100x the
 #: 1,794-scenario water-tank parallel bench
@@ -94,20 +95,16 @@ def test_bench_fleet_stream_aggregate(benchmark):
 def test_fleet_stream_equivalence():
     spec = SMALL_SPEC
     engine = fleet_engine(spec)
-    report = engine.analyze(max_faults=spec.max_faults)
-    magnitudes = {r.name: r.magnitude for r in engine.requirements}
-    reference = ScenarioAggregate.from_report(report, magnitudes)
-    assert reference.scenarios == spec.scenario_count()
-    # sequential streaming, and both sharded stream modes, must all
-    # reproduce the materialized fold byte for byte
+    reference = cdcl_reference(engine, max_faults=spec.max_faults)
+    assert ScenarioAggregate.loads(reference).scenarios == spec.scenario_count()
+    # the materialized report and the in-process and sharded streamed
+    # sweeps must all reproduce the CDCL reference fold byte for byte
+    assert rag1(engine, engine.analyze(max_faults=spec.max_faults)) == reference
     assert fleet_engine(spec).aggregate(
         max_faults=spec.max_faults
-    ).dumps() == reference.dumps()
-    for stream_mode in ("aggregate", "models"):
-        sharded = fleet_engine(spec, workers=2).aggregate(
-            max_faults=spec.max_faults, stream_mode=stream_mode
-        )
-        assert sharded.dumps() == reference.dumps()
+    ).dumps() == reference
+    sharded = fleet_engine(spec, workers=2).aggregate(max_faults=spec.max_faults)
+    assert sharded.dumps() == reference
 
 
 def test_fleet_checkpoint_kill_resume(tmp_path, monkeypatch):

@@ -1,16 +1,15 @@
 """Benchmarks of the parallel solve paths (cube sweep + portfolio).
 
-``test_bench_parallel_analyze_4_workers`` times a 4-worker
-cube-and-conquer sweep of the water-tank scenario space at
-``max_faults=3`` (1794 scenarios) and asserts the output is identical
-to a sequential sweep.  ``run_bench.py`` compares the median against
-the recorded *sequential fresh-path* baseline, so the speedup column in
-``BENCH_asp.json`` is the wall-clock effect of the parallel rebuild —
-ground-once serialization, occurrence-ordered cubes, propagation-driven
-projected enumeration in the workers — on the machine that ran the
-suite.  The gain is algorithmic first and multi-core second: the cube
-path beats the sequential baseline by >3x even on a single core, and
-``--check`` gates the speedup at >=2.0 (see ``docs/parallelism.md``).
+``test_bench_serial_analyze`` times the default ``EpaEngine.analyze``
+— the cube sweep run in-process by one worker — on the water-tank
+scenario space at ``max_faults=3`` (1794 scenarios), and
+``test_bench_parallel_analyze_4_workers`` times the same sweep sharded
+over 4 worker processes.  Both assert their output equals the CDCL
+reference enumeration.  ``run_bench.py`` reports the 4-worker speedup
+against the serial median of the same run, so that column measures
+parallelism alone and reads about 1x on a 2-core host; ``--check``
+gates both medians against ``BENCH_asp.json`` (see
+``docs/parallelism.md``).
 
 ``test_bench_portfolio_first_model`` times the portfolio race on a
 single-answer query: four heuristic configurations of the stable-model
@@ -20,43 +19,50 @@ search racing for the first model of a pinned worst-case scenario.
 from repro.casestudy import build_system_model, static_requirements
 from repro.epa import EpaEngine
 from repro.observability import ProgressTracker
+from tests.cdcl_reference import cdcl_reference, rag1
 
 MAX_FAULTS = 3
 #: C(22,0..3) fault combinations of the 22 water-tank fault pairs
 EXPECTED_SCENARIOS = 1794
 
 
-def _outcome_vector(report):
-    return [
-        (o.key(), tuple(sorted(o.violated)), o.severity_rank)
-        for o in report.outcomes
-    ]
-
-
-def test_bench_parallel_analyze_4_workers(benchmark):
-    # the tracker rides inside the timed region on purpose: the
-    # SPEEDUP_FLOORS gate in run_bench.py --check is what keeps the
-    # progress/heartbeat overhead honest
-    def sweep():
-        engine = EpaEngine(
-            build_system_model(),
-            static_requirements(),
-            workers=4,
-            progress=ProgressTracker(),
-        )
-        return engine, engine.analyze(max_faults=MAX_FAULTS)
-
-    engine, report = benchmark.pedantic(sweep, rounds=3, iterations=1)
+def _check_sweep(engine, report, workers):
     assert len(report) == EXPECTED_SCENARIOS
     stats = engine.statistics
     assert stats["epa"]["parallel"]["shards"] >= 4
-    assert stats["epa"]["parallel"]["workers"] == 4
-    # the sharded sweep must be identical to the sequential one —
-    # same scenarios, same verdicts, same order
-    sequential = EpaEngine(build_system_model(), static_requirements())
-    assert _outcome_vector(report) == _outcome_vector(
-        sequential.analyze(max_faults=MAX_FAULTS)
+    assert stats["epa"]["parallel"]["workers"] == workers
+    # same scenarios, same verdicts as the CDCL reference enumeration
+    reference = EpaEngine(build_system_model(), static_requirements())
+    assert rag1(engine, report) == cdcl_reference(
+        reference, max_faults=MAX_FAULTS
     )
+
+
+def _sweep(workers):
+    # the tracker rides inside the timed region on purpose: the
+    # regression gate in run_bench.py --check is what keeps the
+    # progress/heartbeat overhead honest
+    engine = EpaEngine(
+        build_system_model(),
+        static_requirements(),
+        workers=workers,
+        progress=ProgressTracker(),
+    )
+    return engine, engine.analyze(max_faults=MAX_FAULTS)
+
+
+def test_bench_serial_analyze(benchmark):
+    engine, report = benchmark.pedantic(
+        _sweep, args=(None,), rounds=3, iterations=1
+    )
+    _check_sweep(engine, report, workers=1)
+
+
+def test_bench_parallel_analyze_4_workers(benchmark):
+    engine, report = benchmark.pedantic(
+        _sweep, args=(4,), rounds=3, iterations=1
+    )
+    _check_sweep(engine, report, workers=4)
 
 
 def test_bench_portfolio_first_model(benchmark):

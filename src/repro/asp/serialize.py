@@ -35,7 +35,7 @@ origins reference non-ground AST nodes that this codec deliberately does
 not know how to encode, and provenance runs are never sharded.
 
 Exports: :func:`dumps_ground`, :func:`loads_ground`, :func:`publish`,
-:func:`shared_program`, :func:`clear_shared_programs`.
+:func:`shared_program`, :func:`unpublish`, :func:`clear_shared_programs`.
 """
 
 from __future__ import annotations
@@ -452,6 +452,11 @@ def shared_program(digest: str, blob: Optional[bytes] = None) -> GroundProgram:
     return program
 
 
+def unpublish(digest: str) -> None:
+    """Drop one :func:`publish`-ed program once no worker needs it."""
+    _SHARED.pop(digest, None)
+
+
 def clear_shared_programs() -> None:
     """Drop all cached programs (test isolation hook)."""
     _SHARED.clear()
@@ -465,4 +470,5 @@ __all__ = [
     "loads_ground",
     "publish",
     "shared_program",
+    "unpublish",
 ]

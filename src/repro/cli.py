@@ -319,7 +319,6 @@ def _analyze_config(args: argparse.Namespace) -> Dict[str, Any]:
         "requirements": _requirement_config(args.requirement),
         "max_faults": args.max_faults,
         "stream": bool(args.stream or args.checkpoint),
-        "stream_mode": args.stream_mode,
     }
 
 
@@ -344,7 +343,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             if args.stream or args.checkpoint:
                 aggregate = engine.aggregate(
                     max_faults=args.max_faults,
-                    stream_mode=args.stream_mode,
                     checkpoint=args.checkpoint,
                 )
                 run.result_digest = _digest_bytes(aggregate.dumps())
@@ -855,13 +853,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="make the streamed sweep resumable: periodically write a "
         "compact resume token to FILE (implies --stream)",
-    )
-    analyze.add_argument(
-        "--stream-mode",
-        choices=("aggregate", "models"),
-        default="aggregate",
-        help="what sharded workers ship back: pre-folded partial "
-        "aggregates (default) or the scenario outcomes themselves",
     )
 
     explain = subparsers.add_parser(

@@ -34,8 +34,9 @@ provenance (proof-backed explainability, see :mod:`repro.provenance`)
     the mitigations a violation-free result rests on;
 streaming sweeps (bounded memory; ``docs/streaming.md``)
     :class:`ScenarioAggregate` — the on-the-fly fold behind
-    :meth:`EpaEngine.analyze_stream` / :meth:`EpaEngine.aggregate` —
-    plus the checkpoint codec (:class:`CheckpointState`,
+    :meth:`EpaEngine.aggregate` (:meth:`EpaEngine.analyze_stream` is
+    the lazy CDCL enumeration it is tested against) — plus the
+    checkpoint codec (:class:`CheckpointState`,
     :func:`read_checkpoint`, :func:`write_checkpoint`).
 """
 

@@ -13,25 +13,33 @@ issues into one :class:`~repro.observability.SolveStats`, exposed as
 section).  Pass ``trace=`` a sink to stream grounder/solver events plus
 ``epa.analyze`` summaries.
 
-Incremental solving: by default the engine keeps one persistent
-multi-shot :class:`~repro.asp.Control` per scenario-choice shape,
-declaring mitigation deployments (``active_mitigation``) and fault
-restrictions (``allowed_fault`` behind an ``epa_restrict`` guard) as
-external atoms — what-if sweeps flip assumptions instead of rebuilding
-and regrounding program text (``incremental=False`` restores the
-fresh-control-per-call path, which differential tests pin against).
-Parallel solving: ``workers=N`` shards :meth:`EpaEngine.analyze` over
-occurrence-ordered cubes of the fault-choice space (see
-:mod:`repro.asp.cubes`) evaluated in a work-stealing process pool
-(:class:`~repro.parallel.WorkStealingPool`).  The parent grounds once,
-builds one solver template and publishes both in a module-level context
-that fork-started workers inherit copy-on-write; each worker then runs
+Enumeration: every full sweep — :meth:`EpaEngine.analyze` and
+:meth:`EpaEngine.aggregate`, serial or sharded — runs through one cube
+sweep.  The parent grounds once, splits the fault-choice space into
+occurrence-ordered cubes (see :mod:`repro.asp.cubes`), publishes the
+ground program plus a solver template and probe tables in a
+module-level context that fork-started workers inherit copy-on-write,
+and maps one worker function over the cubes on a
+:class:`~repro.parallel.WorkStealingPool` (with one worker the pool runs
+in-process, so serial is simply the one-worker case).  Each cube runs
 the propagation-driven projected enumeration
-(:meth:`~repro.asp.solver.StableModelSolver.project_models`) over its
-cubes and ships back extracted outcomes, not raw models.  Cube shards
-partition the scenario space, so the merged report is identical to a
-sequential run (see ``docs/parallelism.md`` for the full architecture
-and tuning guide).
+(:meth:`~repro.asp.solver.StableModelSolver.project_models`) and reads
+outcomes straight off the assignment through the probe tables; a cube
+whose leaves propagation cannot settle (:class:`ProjectionIncomplete`)
+is redone on the CDCL enumerator.  The parent folds the shipped chunks
+into the outcome list of an :class:`EpaReport` (``analyze``) or into a
+:class:`~repro.epa.aggregate.ScenarioAggregate` (``aggregate``).  Cubes
+partition the scenario space, so the result is the same for every
+worker count (see ``docs/parallelism.md``).
+:meth:`EpaEngine.analyze_stream` enumerates the same space lazily with
+the CDCL enumerator alone — the independent reference the differential
+tests compare the sweep against.
+
+Point queries: by default :meth:`EpaEngine.analyze_scenario` keeps one
+persistent multi-shot :class:`~repro.asp.Control` that declares the
+mitigation deployments (``active_mitigation``) as external atoms, so
+what-if queries flip assumptions instead of regrounding program text
+(``incremental=False`` builds a fresh control per query).
 """
 
 from __future__ import annotations
@@ -39,25 +47,20 @@ from __future__ import annotations
 import hashlib
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import networkx as nx
 
 from ..asp import Control, Model, atom
-from ..asp.cubes import (
-    generate_cubes,
-    linear_cubes,
-    order_by_occurrence,
-    resolve_cube_factor,
-)
+from ..asp.cubes import linear_cubes, order_by_occurrence, resolve_cube_factor
 from ..asp.sat import TRUE
-from ..asp.serialize import publish, shared_program
+from ..asp.serialize import publish, shared_program, unpublish
 from ..asp.solver import ProjectionIncomplete, StableModelSolver
 from ..asp.syntax import Atom, Program
-from ..asp.terms import Number, Symbol
+from ..asp.terms import Number
 from ..observability import (
-    MemoryTraceSink,
     NULL_SINK,
     SolveStats,
     Tracer,
@@ -68,13 +71,7 @@ from ..observability.metrics import get_registry, record_peak_rss
 from ..observability.progress import ProgressTracker
 from ..modeling.model import SystemModel
 from ..modeling.to_asp import to_asp_program
-from ..parallel import (
-    ParallelError,
-    WorkStealingPool,
-    emit_partial,
-    parallel_map,
-    split_cubes,
-)
+from ..parallel import ParallelError, WorkStealingPool, emit_partial
 from ..provenance import minimize_core
 from ..security.mapping import CandidateMutation
 from .aggregate import (
@@ -83,7 +80,7 @@ from .aggregate import (
     read_checkpoint,
     write_checkpoint,
 )
-from .faults import FaultRef, error_kind
+from .faults import FaultRef
 from .results import EpaReport, PropagationStep, ScenarioOutcome
 from .rules import epa_rule_base, scenario_choice
 
@@ -133,26 +130,27 @@ class EpaEngine:
         (the paper's ``mitigation(F, M)``); ``component_mitigations``
         maps (component, fault) -> mitigation ids; ``trace`` is an
         optional :class:`~repro.observability.TraceSink` threaded into
-        every solve the engine issues.  ``incremental=False`` rebuilds a
-        fresh control per call instead of reusing persistent multi-shot
-        controls; ``workers`` sets the default process-pool width for
-        :meth:`analyze` (``None``/``1`` = sequential).  ``parallel_mode``
-        selects how those workers are used: ``"auto"`` shards
-        enumerations over cubes *and* races single-answer queries over a
-        solver portfolio, ``"cube"`` only shards enumerations,
-        ``"portfolio"`` only races single-answer queries (enumerations
-        stay sequential).  ``cube_factor`` overrides the cube
-        oversubscription factor (default: ``REPRO_CUBE_FACTOR`` or 4;
-        see :func:`repro.asp.cubes.resolve_cube_factor`).
+        every solve the engine issues.  ``incremental`` governs point
+        queries only: by default :meth:`analyze_scenario` reuses one
+        persistent multi-shot control, ``incremental=False`` builds a
+        fresh control per query (full sweeps always take the cube
+        sweep).  ``workers`` sets the default process-pool width of the
+        sweeps (``None``/``1`` = in-process).  ``parallel_mode``
+        selects how those workers are used: ``"auto"`` shards sweeps
+        over cubes *and* races single-answer queries over a solver
+        portfolio, ``"cube"`` only shards sweeps, ``"portfolio"`` only
+        races single-answer queries (sweeps stay in-process).
+        ``cube_factor`` overrides the cube oversubscription factor
+        (default: ``REPRO_CUBE_FACTOR`` or 4; see
+        :func:`repro.asp.cubes.resolve_cube_factor`).
         ``share_clauses`` lets parallel solves exchange glue learnt
-        clauses — portfolio racers over a queue channel, cube workers
-        as dispatch-time warm starts (see ``docs/parallelism.md``);
-        sharing changes latency only, never any verdict or report.
-        ``progress`` attaches a
-        :class:`~repro.observability.ProgressTracker` fed from the
-        streaming hooks (per folded model sequentially, per partial and
-        per completed cube on sharded sweeps) — results are identical
-        with or without it."""
+        clauses — portfolio racers over a queue channel, cubes that fall
+        back to the CDCL enumerator as dispatch-time warm starts (see
+        ``docs/parallelism.md``); sharing changes latency only, never
+        any verdict or report.  ``progress`` attaches a
+        :class:`~repro.observability.ProgressTracker` fed per shipped
+        chunk and per completed cube — results are identical with or
+        without it."""
         names = [r.name for r in requirements]
         if len(set(names)) != len(names):
             raise EpaError("duplicate requirement names")
@@ -181,11 +179,14 @@ class EpaEngine:
         self._cube_factor = cube_factor
         self._share_clauses = share_clauses
         self._progress = progress
+        #: ASP requirement symbol -> declared requirement name
+        self._requirement_names = {
+            _requirement_symbol(r.name): r.name for r in self.requirements
+        }
         self._base_program: Optional[Program] = None
-        self._controls: Dict[int, Control] = {}
+        self._point_control: Optional[Control] = None
         # separate multi-shot controls for unsat-core queries: they
-        # carry extra blocking machinery the analysis controls must not
-        # see (differential tests pin analysis output byte-identical)
+        # carry extra blocking machinery point queries must not see
         self._core_controls: Dict[int, Control] = {}
 
     @property
@@ -197,8 +198,8 @@ class EpaEngine:
         cumulative trees alongside the per-call aggregate."""
         merged = SolveStats()
         merged.merge(self._stats)
-        for control in self._controls.values():
-            merged.merge(control.statistics)
+        if self._point_control is not None:
+            merged.merge(self._point_control.statistics)
         for control in self._core_controls.values():
             merged.merge(control.statistics)
         # lbd_avg is a derived quotient, not a summable counter: the
@@ -301,29 +302,36 @@ class EpaEngine:
                 )
         return control
 
-    def _incremental_control(self, max_faults: int) -> Control:
-        """The persistent multi-shot control for one choice shape.
+    def _scenario_space(
+        self,
+        deployment: Mapping[str, Sequence[str]],
+        max_faults: int,
+        restrict: Optional[Sequence[FaultRef]],
+    ) -> Control:
+        """A fresh control whose stable models are one sweep's scenarios."""
+        control = self._base_control(deployment)
+        control.add(scenario_choice(max_faults))
+        if restrict is not None:
+            for fault in restrict:
+                control.add_fact("allowed_fault", fault.component, fault.fault)
+            control.add(":- active_fault(C, F), not allowed_fault(C, F).")
+        return control
 
-        Mitigation deployments and fault restrictions are declared as
-        externals, so later calls only flip assumptions: one grounding,
-        one SAT encoding, learnt clauses shared across the sweep.
+    def _incremental_control(self) -> Control:
+        """The persistent multi-shot control for point queries.
+
+        Mitigation deployments are declared as externals, so later
+        queries only flip assumptions: one grounding, one SAT encoding,
+        learnt clauses shared across the session.
         """
-        control = self._controls.get(max_faults)
-        if control is None:
+        if self._point_control is None:
             control = Control(trace=self._trace, multishot=True)
             control._program.extend(self._assemble_base_program())
-            control.add(scenario_choice(max_faults))
-            # restriction machinery: inert while epa_restrict is false
-            control.add(
-                ":- active_fault(C, F), not allowed_fault(C, F), epa_restrict."
-            )
-            control.add_external("epa_restrict")
-            for ref in self._fault_pairs():
-                control.add_external("allowed_fault", ref.component, ref.fault)
+            control.add(scenario_choice(0))
             for component, mitigation in self._relevant_mitigation_pairs():
                 control.add_external("active_mitigation", component, mitigation)
-            self._controls[max_faults] = control
-        return control
+            self._point_control = control
+        return self._point_control
 
     def _fault_pairs(self) -> List[FaultRef]:
         """Every declared (component, fault-mode) pair, model order."""
@@ -370,11 +378,7 @@ class EpaEngine:
         """Python mirror of the ASP suppression logic: the fault pairs
         not suppressed by the given deployment (= the scenario-choice
         space the solver sees)."""
-        active = {
-            (component, _mitigation_symbol(mitigation))
-            for component, mitigations in dict(active_mitigations).items()
-            for mitigation in mitigations
-        }
+        active = _active_pairs(active_mitigations)
         potential: List[FaultRef] = []
         for ref in self._fault_pairs():
             covering = {
@@ -391,37 +395,21 @@ class EpaEngine:
                 potential.append(ref)
         return potential
 
-    def _assign_externals(
-        self,
-        control: Control,
-        deployment: Mapping[str, Sequence[str]],
-        restrict: Optional[Sequence[FaultRef]],
+    def _assign_mitigations(
+        self, control: Control, pairs: Iterable[Tuple[str, str]]
     ) -> None:
-        """Pin every external for one call (no free externals: models
-        must match the fresh-control path exactly)."""
-        active = {
-            (component, _mitigation_symbol(mitigation))
-            for component, mitigations in deployment.items()
-            for mitigation in mitigations
-        }
+        """Pin every ``active_mitigation`` external: true for ``pairs``,
+        false otherwise — assignments persist on multi-shot controls,
+        so a mitigation dropped since the last call must be actively
+        flipped back (and no external may stay free: models must match
+        a fresh control's exactly)."""
+        chosen = set(pairs)
         for component, mitigation in self._relevant_mitigation_pairs():
             control.assign_external(
                 "active_mitigation",
                 component,
                 mitigation,
-                value=(component, mitigation) in active,
-            )
-        restricted = restrict is not None
-        control.assign_external("epa_restrict", value=restricted)
-        allowed = (
-            {(f.component, f.fault) for f in restrict} if restricted else set()
-        )
-        for ref in self._fault_pairs():
-            control.assign_external(
-                "allowed_fault",
-                ref.component,
-                ref.fault,
-                value=restricted and (ref.component, ref.fault) in allowed,
+                value=(component, mitigation) in chosen,
             )
 
     # ------------------------------------------------------------------
@@ -433,7 +421,6 @@ class EpaEngine:
         max_faults: int = 0,
         restrict_faults: Optional[Iterable[FaultRef]] = None,
         with_paths: bool = False,
-        limit: Optional[int] = None,
         workers: Optional[int] = None,
     ) -> EpaReport:
         """Enumerate and evaluate the scenario space.
@@ -442,41 +429,21 @@ class EpaEngine:
         ``max_faults`` bounds simultaneous fault activations (0 =
         unbounded); ``restrict_faults`` limits the scenario space to a
         subset of fault refs (used for targeted what-if queries).
-        ``workers`` (default: the engine's) shards the enumeration over
-        a process pool; sharding kicks in only for full enumerations
-        (``limit=None``).  With a trace sink attached, worker events are
+        ``workers`` (default: the engine's) shards the sweep over a
+        process pool.  With a trace sink attached, worker events are
         shipped back in the result envelopes and re-emitted on the
         parent's sink tagged ``worker=<i>``, so ``--trace`` composes
         with ``--workers N``.
         """
-        deployment = {
-            component: tuple(ms)
-            for component, ms in dict(active_mitigations or {}).items()
-        }
-        restrict = (
-            list(restrict_faults) if restrict_faults is not None else None
-        )
-        if workers is None:
-            workers = self._workers
+        deployment = _deployment(active_mitigations)
         with self._tracer.span("epa.analyze", max_faults=max_faults) as span:
-            if (
-                workers
-                and workers > 1
-                and limit is None
-                and self._parallel_mode in ("auto", "cube")
-            ):
-                report = self._analyze_parallel(
-                    deployment, max_faults, restrict, with_paths, workers
-                )
-            elif self._incremental:
-                report = self._analyze_incremental(
-                    deployment, max_faults, restrict, with_paths, limit
-                )
-            else:
-                report = self._analyze_fresh(
-                    deployment, max_faults, restrict, with_paths, limit
-                )
-            outcomes = report.outcomes
+            outcomes = self._sweep(
+                deployment, max_faults, restrict_faults, self._sweep_width(workers)
+            )
+            if with_paths:
+                # paths need the topology graph, not the solver: the
+                # parent attaches them after the fold
+                outcomes = [self._with_paths(outcome) for outcome in outcomes]
             span.update(
                 scenarios=len(outcomes),
                 violating=sum(1 for o in outcomes if o.violated),
@@ -485,250 +452,48 @@ class EpaEngine:
         # fold — record it on every analyze, not only on aggregate()
         record_peak_rss()
         self._progress_finish()
-        return report
-
-    def _analyze_incremental(
-        self,
-        deployment: Mapping[str, Sequence[str]],
-        max_faults: int,
-        restrict: Optional[Sequence[FaultRef]],
-        with_paths: bool,
-        limit: Optional[int],
-    ) -> EpaReport:
-        control = self._incremental_control(max_faults)
-        self._assign_externals(control, deployment, restrict)
-        outcomes = [
-            self._extract(model, with_paths)
-            for model in control.solve(limit=limit)
-        ]
-        self._note_analysis(scenarios=len(outcomes))
-        self._progress_scenarios(len(outcomes))
         return self._report(outcomes, deployment)
 
-    def _analyze_fresh(
-        self,
-        deployment: Mapping[str, Sequence[str]],
-        max_faults: int,
-        restrict: Optional[Sequence[FaultRef]],
-        with_paths: bool,
-        limit: Optional[int],
-        cube: Sequence[Tuple[Tuple[str, str], bool]] = (),
-    ) -> EpaReport:
-        control = self._base_control(deployment)
-        control.add(scenario_choice(max_faults))
-        if restrict is not None:
-            for fault in restrict:
-                control.add_fact("allowed_fault", fault.component, fault.fault)
-            control.add(
-                ":- active_fault(C, F), not allowed_fault(C, F)."
-            )
-        for (component, fault), value in cube:
-            if value:
-                control.add(":- not active_fault(%s, %s)." % (component, fault))
-            else:
-                control.add(":- active_fault(%s, %s)." % (component, fault))
-        # the only choice rule is the fault activation, so the choice
-        # atoms functionally determine every model: project the
-        # enumeration's blocking clauses onto them
-        project = [
-            atom("active_fault", ref.component, ref.fault)
-            for ref in self._potential_faults(deployment)
-        ]
-        outcomes = [
-            self._extract(model, with_paths)
-            for model in control.solve(limit=limit, project=project)
-        ]
-        self._fold_statistics(control, scenarios=len(outcomes))
-        self._progress_scenarios(len(outcomes))
-        return self._report(outcomes, deployment)
-
-    def _analyze_parallel(
-        self,
-        deployment: Mapping[str, Sequence[str]],
-        max_faults: int,
-        restrict: Optional[Sequence[FaultRef]],
-        with_paths: bool,
-        workers: int,
-    ) -> EpaReport:
-        """Shard the enumeration over occurrence-ordered cubes in a
-        work-stealing pool.
-
-        Ground once, ship compact: the parent grounds the program,
-        builds one solver template plus the predicate probe tables, and
-        publishes everything in a module-level context that fork-started
-        workers inherit copy-on-write (spawn-started workers rebuild it
-        from the serialized program blob in the payload).  Workers run
-        the propagation-driven projected enumeration per cube and ship
-        back fully extracted :class:`ScenarioOutcome` lists.  The cubes
-        partition the fault-choice space, so every scenario is
-        enumerated by exactly one worker and the merged (canonically
-        sorted) report equals the sequential one; propagation paths are
-        attached by the parent afterwards, since they need the topology
-        graph, not the solver.
-        """
-        control = self._base_control(deployment)
-        control.add(scenario_choice(max_faults))
-        if restrict is not None:
-            for fault in restrict:
-                control.add_fact("allowed_fault", fault.component, fault.fault)
-            control.add(":- active_fault(C, F), not allowed_fault(C, F).")
-        ground = control.ground()
-        choices = self._potential_faults(deployment)
-        project = [
-            atom("active_fault", ref.component, ref.fault) for ref in choices
-        ]
-        cube_atoms = project
-        if restrict is not None:
-            allowed = {(f.component, f.fault) for f in restrict}
-            cube_atoms = [
-                atom("active_fault", ref.component, ref.fault)
-                for ref in choices
-                if (ref.component, ref.fault) in allowed
-            ]
-        cubes = generate_cubes(
-            ground, cube_atoms, workers, oversubscribe=self._cube_factor
-        )
-        requirement_names = {
-            _requirement_symbol(r.name): r.name for r in self.requirements
-        }
-        digest, blob = _publish_cube_context(
-            ground, project, requirement_names
-        )
-        pool = WorkStealingPool(workers)
-        traced = self._trace is not NULL_SINK
-        forked = pool.start_method == "fork"
-        payloads = [
-            {
-                "digest": digest,
-                # fork workers inherit the published context; only spawn
-                # workers need the blob to rebuild it
-                "blob": None if forked else blob,
-                "project": project,
-                "requirement_names": requirement_names,
-                "cube": cube,
-                "index": index,
-                "traced": traced,
-                "share_clauses": self._share_clauses,
-            }
-            for index, cube in enumerate(cubes)
-        ]
-        collect_glue, decorate = self._glue_channel()
-
-        def on_glue(_position: int, value) -> None:
-            if value and value[0] == "glue":
-                collect_glue(value[1])
-
-        if self._progress is not None:
-            self._progress.set_total_cubes(len(cubes))
-
-        def on_shard(_position: int, envelope) -> None:
-            self._progress_cube_done()
-            self._progress_scenarios(len(envelope[0]))
-
-        try:
-            shards = pool.map(
-                _cube_worker,
-                payloads,
-                on_partial=on_glue if collect_glue is not None else None,
-                on_result=on_shard if self._progress is not None else None,
-                decorate=decorate,
-            )
-        except ParallelError as error:
-            raise EpaError(
-                "parallel EPA analysis failed: %s" % error
-            ) from error
-        registry = get_registry()
-        lanes = pool.last_assignments
-        outcomes = []
-        for index, (shard, shard_stats, events, metrics) in enumerate(shards):
-            outcomes.extend(shard)
-            self._stats.merge(shard_stats)
-            # replay the shard's trace stream on the parent sink, tagged
-            # with the worker lane it actually ran in
-            for name, _seconds, event_payload in events:
-                payload = dict(event_payload)
-                payload.setdefault("worker", lanes.get(index, index))
-                self._trace.emit(name, **payload)
-            if metrics:
-                registry.merge(metrics)
-        if with_paths:
-            outcomes = [
-                replace(
-                    outcome,
-                    paths=self._paths(
-                        set(outcome.active_faults), set(outcome.violated)
-                    ),
-                )
-                for outcome in outcomes
-            ]
-        self._stats.merge(control.statistics)
-        self._stats.incr("epa.parallel.shards", len(cubes))
-        self._stats.set("epa.parallel.workers", workers)
-        self._note_analysis(scenarios=len(outcomes))
-        return self._report(outcomes, deployment)
-
-    # ------------------------------------------------------------------
-    # streaming analysis (bounded memory; see docs/streaming.md)
-    # ------------------------------------------------------------------
     def analyze_stream(
         self,
         active_mitigations: Mapping[str, Sequence[str]] = (),
         max_faults: int = 0,
         restrict_faults: Optional[Iterable[FaultRef]] = None,
         with_paths: bool = False,
-        limit: Optional[int] = None,
     ) -> Iterator[ScenarioOutcome]:
-        """Lazily yield scenario outcomes as models are found.
+        """Lazily yield scenario outcomes as the CDCL enumerator finds them.
 
-        The streaming counterpart of :meth:`analyze`: same scenario
-        space, same extraction, but models are folded into
-        :class:`ScenarioOutcome` one at a time and never collected —
-        closing the iterator early stops the search.  Memory stays
-        bounded by one model, regardless of how many scenarios the
-        sweep visits; callers who want totals without the list feed
-        the outcomes to a
-        :class:`~repro.epa.aggregate.ScenarioAggregate` (or call
-        :meth:`aggregate`, which also shards and checkpoints).
+        Same scenario space and outcomes as :meth:`analyze`, reached by
+        a different search: a fresh control enumerates with conflict-
+        driven search and projected blocking clauses, and each outcome
+        is read off the full :class:`~repro.asp.Model` — which makes
+        this the independent reference the differential tests compare
+        the cube sweep against.  Outcomes are yielded one at a time and
+        never collected — closing the iterator early stops the search —
+        so memory stays bounded by one model.  Fleet-scale totals are
+        faster through :meth:`aggregate`.
         """
-        deployment = {
-            component: tuple(ms)
-            for component, ms in dict(active_mitigations or {}).items()
-        }
-        restrict = (
-            list(restrict_faults) if restrict_faults is not None else None
-        )
-        count = 0
-        if self._incremental:
-            control = self._incremental_control(max_faults)
-            self._assign_externals(control, deployment, restrict)
-            models = control.solve_iter(limit=limit)
-        else:
-            control = self._base_control(deployment)
-            control.add(scenario_choice(max_faults))
-            if restrict is not None:
-                for fault in restrict:
-                    control.add_fact(
-                        "allowed_fault", fault.component, fault.fault
-                    )
-                control.add(
-                    ":- active_fault(C, F), not allowed_fault(C, F)."
-                )
-            project = [
+        deployment = _deployment(active_mitigations)
+        restrict = list(restrict_faults) if restrict_faults is not None else None
+        control = self._scenario_space(deployment, max_faults, restrict)
+        # the only choice rule is the fault activation, so the choice
+        # atoms functionally determine every model: project the
+        # enumeration's blocking clauses onto them
+        models = control.solve_iter(
+            project=[
                 atom("active_fault", ref.component, ref.fault)
                 for ref in self._potential_faults(deployment)
             ]
-            models = control.solve_iter(limit=limit, project=project)
+        )
+        count = 0
         try:
             for model in models:
                 count += 1
                 self._progress_scenarios(1)
-                yield self._extract(model, with_paths)
+                yield self._outcome(model, with_paths)
         finally:
             models.close()
-            if self._incremental:
-                self._note_analysis(scenarios=count)
-            else:
-                self._fold_statistics(control, scenarios=count)
+            self._fold_statistics(control, scenarios=count)
             self._progress_finish()
 
     def aggregate(
@@ -737,7 +502,6 @@ class EpaEngine:
         max_faults: int = 0,
         restrict_faults: Optional[Iterable[FaultRef]] = None,
         workers: Optional[int] = None,
-        stream_mode: str = "aggregate",
         checkpoint: Optional[str] = None,
         checkpoint_every: int = 8,
         chunk_size: int = 512,
@@ -745,17 +509,12 @@ class EpaEngine:
     ) -> ScenarioAggregate:
         """Sweep the scenario space into a bounded-memory aggregate.
 
-        The full-sweep engine for fleet-scale workloads: enumerates the
-        same scenario space as :meth:`analyze` but folds every model
-        into a :class:`~repro.epa.aggregate.ScenarioAggregate` on the
-        fly — the model list never exists.  With ``workers > 1`` (or a
-        ``checkpoint``) the sweep shards over occurrence-ordered cubes;
-        ``stream_mode`` picks what workers ship on the pool's result
-        channel: ``"aggregate"`` (default) sends pre-folded partial
-        aggregates every ``chunk_size`` scenarios, ``"models"`` sends
-        the extracted outcomes themselves (heavier traffic, parent-side
-        folding).  Both merge cube-ordered and byte-identically to the
-        sequential path.
+        The full-sweep engine for fleet-scale workloads: the same cube
+        sweep as :meth:`analyze`, but workers fold their models into
+        :class:`~repro.epa.aggregate.ScenarioAggregate` chunks of
+        ``chunk_size`` scenarios and ship those (RAG1 blobs), so the
+        model list never exists.  The parent merges them cube-ordered,
+        byte-identically to folding the materialized report.
 
         ``checkpoint`` names a file that periodically (every
         ``checkpoint_every`` completed cubes) receives a compact resume
@@ -764,42 +523,25 @@ class EpaEngine:
         same configuration and the same path.  A checkpoint written by
         a different sweep configuration is refused.
         """
-        if stream_mode not in ("aggregate", "models"):
-            raise EpaError(
-                "stream_mode must be 'aggregate' or 'models', not %r"
-                % (stream_mode,)
-            )
-        deployment = {
-            component: tuple(ms)
-            for component, ms in dict(active_mitigations or {}).items()
-        }
-        restrict = (
-            list(restrict_faults) if restrict_faults is not None else None
-        )
-        if workers is None:
-            workers = self._workers or 1
-        sharded = (
-            workers > 1 and self._parallel_mode in ("auto", "cube")
-        ) or checkpoint is not None
+        deployment = _deployment(active_mitigations)
+        workers = self._sweep_width(workers)
         with self._tracer.span(
             "epa.aggregate", max_faults=max_faults, workers=workers
         ) as span:
-            if sharded:
-                result = self._aggregate_cubes(
-                    deployment,
-                    max_faults,
-                    restrict,
-                    workers,
-                    stream_mode,
-                    checkpoint,
-                    checkpoint_every,
-                    chunk_size,
+            result = self._sweep(
+                deployment,
+                max_faults,
+                restrict_faults,
+                workers,
+                into=ScenarioAggregate(
+                    [r.name for r in self.requirements],
+                    {r.name: r.magnitude for r in self.requirements},
                     max_minimal_sets,
-                )
-            else:
-                result = self._aggregate_sequential(
-                    deployment, max_faults, restrict, max_minimal_sets
-                )
+                ),
+                checkpoint=checkpoint,
+                checkpoint_every=checkpoint_every,
+                chunk_size=chunk_size,
+            )
             span.update(
                 scenarios=result.scenarios, violating=result.violating
             )
@@ -807,85 +549,46 @@ class EpaEngine:
         self._progress_finish()
         return result
 
-    def _aggregate_names(self) -> Tuple[List[str], Dict[str, str]]:
-        names = [r.name for r in self.requirements]
-        magnitudes = {r.name: r.magnitude for r in self.requirements}
-        return names, magnitudes
+    def _sweep_width(self, workers: Optional[int]) -> int:
+        """The pool width of a sweep: the call's ``workers``, else the
+        engine's; 1 (in-process) unless cube sharding is enabled."""
+        if workers is None:
+            workers = self._workers
+        if not workers or self._parallel_mode == "portfolio":
+            return 1
+        return workers
 
-    def _aggregate_sequential(
+    def _sweep(
         self,
         deployment: Mapping[str, Sequence[str]],
         max_faults: int,
-        restrict: Optional[Sequence[FaultRef]],
-        max_minimal_sets: int,
-    ) -> ScenarioAggregate:
-        """One-process streaming sweep on the probe fast path."""
-        control = self._base_control(deployment)
-        control.add(scenario_choice(max_faults))
-        if restrict is not None:
-            for fault in restrict:
-                control.add_fact("allowed_fault", fault.component, fault.fault)
-            control.add(":- active_fault(C, F), not allowed_fault(C, F).")
-        ground = control.ground()
-        project = [
-            atom("active_fault", ref.component, ref.fault)
-            for ref in self._potential_faults(deployment)
-        ]
-        requirement_names = {
-            _requirement_symbol(r.name): r.name for r in self.requirements
-        }
-        names, magnitudes = self._aggregate_names()
-        solver = StableModelSolver(ground)
-        probes = _build_probes(solver, ground.possible_atoms, requirement_names)
-        result = ScenarioAggregate(names, magnitudes, max_minimal_sets)
-
-        def on_model(assignment: Sequence[int]) -> None:
-            result.add(_probe_extract(assignment, probes))
-            self._progress_scenarios(1)
-
-        try:
-            solver.project_models(project, on_model)
-        except ProjectionIncomplete:
-            # discard the partial fold (progress rolls back with it)
-            # and redo on the reference path
-            self._progress_scenarios(-result.scenarios)
-            result = ScenarioAggregate(names, magnitudes, max_minimal_sets)
-            for model in control.solve_iter(project=project):
-                result.add(_model_extract(model, requirement_names))
-                self._progress_scenarios(1)
-        self._fold_statistics(control, scenarios=result.scenarios)
-        return result
-
-    def _aggregate_cubes(
-        self,
-        deployment: Mapping[str, Sequence[str]],
-        max_faults: int,
-        restrict: Optional[Sequence[FaultRef]],
+        restrict_faults: Optional[Iterable[FaultRef]],
         workers: int,
-        stream_mode: str,
-        checkpoint: Optional[str],
-        checkpoint_every: int,
-        chunk_size: int,
-        max_minimal_sets: int,
-    ) -> ScenarioAggregate:
-        """Cube-sharded streaming sweep with optional checkpoints.
+        into: Optional[ScenarioAggregate] = None,
+        checkpoint: Optional[str] = None,
+        checkpoint_every: int = 8,
+        chunk_size: int = 512,
+    ) -> Union[List[ScenarioOutcome], ScenarioAggregate]:
+        """The one enumeration path: a cube sweep on a work-stealing pool.
 
-        The cube layout matches :meth:`_analyze_parallel` exactly for
-        ``workers > 1`` and still splits the space for a single worker
-        (a sequential sweep needs cube granularity to checkpoint).
-        Workers ship partials on the pool's result channel; the parent
-        keeps an in-progress buffer per cube, promotes it to a
-        completed part when the cube's envelope arrives, and assembles
-        snapshots by merging completed parts in cube order on top of
-        the resumed aggregate — crash-retried cubes discard their
-        buffered partials, so nothing is ever double counted.
+        Grounds once, splits the fault-choice space into
+        ``max(2, workers × cube factor)`` occurrence-ordered linear
+        cubes and publishes the worker context (see
+        :func:`_published_context`); :func:`_sweep_worker` then
+        enumerates each cube and ships chunks on the pool's result
+        channel.  Without ``into`` the chunks are outcome lists and the
+        sweep returns every outcome; with ``into`` (an empty aggregate
+        fixing the requirement order, magnitudes and antichain cap) they
+        are pre-folded aggregates and the sweep returns ``into`` with
+        every chunk merged.  The parent keeps an in-progress buffer per
+        cube, promotes it to a completed part when the cube's envelope
+        arrives, and assembles results by merging completed parts in
+        cube order on top of the resumed checkpoint — crash-retried and
+        fallen-back cubes discard their buffered partials, so nothing
+        is ever double counted.
         """
-        control = self._base_control(deployment)
-        control.add(scenario_choice(max_faults))
-        if restrict is not None:
-            for fault in restrict:
-                control.add_fact("allowed_fault", fault.component, fault.fault)
-            control.add(":- active_fault(C, F), not allowed_fault(C, F).")
+        restrict = list(restrict_faults) if restrict_faults is not None else None
+        control = self._scenario_space(deployment, max_faults, restrict)
         ground = control.ground()
         choices = self._potential_faults(deployment)
         project = [
@@ -895,165 +598,157 @@ class EpaEngine:
         if restrict is not None:
             allowed = {(f.component, f.fault) for f in restrict}
             cube_atoms = [
-                atom("active_fault", ref.component, ref.fault)
-                for ref in choices
+                choice_atom
+                for ref, choice_atom in zip(choices, project)
                 if (ref.component, ref.fault) in allowed
             ]
         factor = resolve_cube_factor(self._cube_factor)
-        ordered = order_by_occurrence(ground, cube_atoms)
-        cubes = linear_cubes(ordered, max(2, max(1, workers) * factor))
-        requirement_names = {
-            _requirement_symbol(r.name): r.name for r in self.requirements
-        }
-        names, magnitudes = self._aggregate_names()
-        digest, blob = _publish_cube_context(ground, project, requirement_names)
-        config_digest = _sweep_digest(
-            digest, cubes, max_faults, max_minimal_sets, deployment, restrict
+        cubes = linear_cubes(
+            order_by_occurrence(ground, cube_atoms), max(2, workers * factor)
         )
-
-        resumed = ScenarioAggregate(names, magnitudes, max_minimal_sets)
-        completed: Set[int] = set()
-        if checkpoint is not None and os.path.exists(checkpoint):
-            with self._tracer.span(
-                "epa.checkpoint", path=checkpoint, mode="read"
-            ):
-                state = read_checkpoint(checkpoint)
-            if state.digest != config_digest:
-                raise EpaError(
-                    "checkpoint %s was written by a different sweep "
-                    "configuration (model, deployment, cube layout, "
-                    "max_faults and cube factor must match to resume)"
-                    % checkpoint
+        with _published_context(
+            ground, project, self._requirement_names
+        ) as (digest, blob):
+            completed: Set[int] = set()
+            if checkpoint is not None:
+                config_digest = _sweep_digest(
+                    digest, cubes, max_faults, into.max_minimal_sets,
+                    deployment, restrict,
                 )
-            completed = set(state.completed)
-            resumed = ScenarioAggregate.loads(state.aggregate)
-            self._stats.incr("epa.aggregate.resumed_cubes", len(completed))
-        pending = [
-            index for index in range(len(cubes)) if index not in completed
-        ]
-        if self._progress is not None:
-            self._progress.set_total_cubes(len(cubes), done=len(completed))
-            if resumed.scenarios:
-                self._progress.preseed_scenarios(resumed.scenarios)
+                if os.path.exists(checkpoint):
+                    completed, into = self._resume(checkpoint, config_digest)
+            resumed = into.scenarios if into is not None else 0
+            pending = [
+                index for index in range(len(cubes)) if index not in completed
+            ]
+            if self._progress is not None:
+                self._progress.set_total_cubes(len(cubes), done=len(completed))
+                if resumed:
+                    self._progress.preseed_scenarios(resumed)
 
-        pool = WorkStealingPool(workers, on_stall=self._on_stall)
-        traced = self._trace is not NULL_SINK
-        forked = pool.start_method == "fork"
-        subprocess_mode = workers > 1 and len(pending) > 1
-        payloads = [
-            {
-                "digest": digest,
-                "blob": None if (forked or not subprocess_mode) else blob,
-                "project": project,
-                "requirement_names": requirement_names,
-                "cube": cubes[cube_id],
-                "index": cube_id,
-                "traced": traced,
-                "stream_mode": stream_mode,
-                "chunk": max(1, chunk_size),
-                "aggregate_requirements": names,
-                "magnitudes": magnitudes,
-                "max_minimal_sets": max_minimal_sets,
-                "subprocess": subprocess_mode,
-                "share_clauses": self._share_clauses,
-            }
-            for cube_id in pending
-        ]
-        collect_glue, decorate = self._glue_channel()
+            pool = WorkStealingPool(workers, on_stall=self._on_stall)
+            subprocess_mode = workers > 1 and len(pending) > 1
+            # fork workers inherit the published context; only spawn
+            # workers need the blob to rebuild it
+            shipped_blob = (
+                blob if subprocess_mode and pool.start_method != "fork" else None
+            )
+            fold = (
+                None
+                if into is None
+                else (into.requirements, into.magnitudes, into.max_minimal_sets)
+            )
+            traced = self._trace is not NULL_SINK
+            payloads = [
+                {
+                    "digest": digest,
+                    "blob": shipped_blob,
+                    "project": project,
+                    "requirement_names": self._requirement_names,
+                    "cube": cubes[cube_id],
+                    "index": cube_id,
+                    "traced": traced,
+                    "fold": fold,
+                    "chunk": max(1, chunk_size),
+                    "subprocess": subprocess_mode,
+                    "share_clauses": self._share_clauses,
+                }
+                for cube_id in pending
+            ]
+            collect_glue, decorate = self._glue_channel()
 
-        parts: Dict[int, ScenarioAggregate] = {}
-        buffers: Dict[int, ScenarioAggregate] = {}
-        finished = [0]
+            parts: Dict[int, object] = {}
+            buffers: Dict[int, object] = {}
+            finished = 0
 
-        def assemble() -> ScenarioAggregate:
-            total = resumed.copy()
-            for cube_id in sorted(parts):
-                total.merge(parts[cube_id])
-            return total
+            def assemble():
+                chunks = [parts[cube_id] for cube_id in sorted(parts)]
+                if into is None:
+                    return [outcome for chunk in chunks for outcome in chunk]
+                total = into.copy()
+                for chunk in chunks:
+                    total.merge(chunk)
+                return total
 
-        def snapshot() -> None:
-            if checkpoint is None:
-                return
-            with self._tracer.span(
-                "epa.checkpoint",
-                path=checkpoint,
-                mode="write",
-                cubes=len(completed),
-                total=len(cubes),
-            ):
-                write_checkpoint(
-                    checkpoint, config_digest, completed, assemble().dumps()
-                )
-
-        def on_partial(position: int, value: Tuple[str, object]) -> None:
-            cube_id = pending[position]
-            kind = value[0]
-            if kind == "reset":
-                # the worker fell back to the reference enumeration and
-                # will re-stream the whole cube
-                held = buffers.pop(cube_id, None)
-                if held is not None:
-                    self._progress_scenarios(-held.scenarios)
-            elif kind == "glue":
-                # shared learnt clauses, not cube results: fold into the
-                # warm-start pool for cubes still waiting to dispatch
-                if collect_glue is not None:
-                    collect_glue(value[1])
-            elif kind == "agg":
-                part = ScenarioAggregate.loads(value[1])
-                held = buffers.get(cube_id)
-                if held is None:
-                    buffers[cube_id] = part
-                else:
-                    held.merge(part)
-                self._progress_scenarios(part.scenarios)
-            else:  # "outcomes"
-                held = buffers.get(cube_id)
-                if held is None:
-                    held = ScenarioAggregate(
-                        names, magnitudes, max_minimal_sets
+            def snapshot() -> None:
+                with self._tracer.span(
+                    "epa.checkpoint",
+                    path=checkpoint,
+                    mode="write",
+                    cubes=len(completed),
+                    total=len(cubes),
+                ):
+                    write_checkpoint(
+                        checkpoint, config_digest, completed, assemble().dumps()
                     )
-                    buffers[cube_id] = held
-                for outcome in value[1]:
-                    held.add(outcome)
-                self._progress_scenarios(len(value[1]))
 
-        def on_retry(position: int) -> None:
-            held = buffers.pop(pending[position], None)
-            if held is not None:
-                self._progress_scenarios(-held.scenarios)
+            def drop(cube_id: int) -> None:
+                part = buffers.pop(cube_id, None)
+                if part is not None:
+                    self._progress_scenarios(
+                        -(len(part) if into is None else part.scenarios)
+                    )
 
-        def on_result(position: int, _envelope: object) -> None:
-            cube_id = pending[position]
-            parts[cube_id] = buffers.pop(
-                cube_id,
-                ScenarioAggregate(names, magnitudes, max_minimal_sets),
-            )
-            completed.add(cube_id)
-            finished[0] += 1
-            self._progress_cube_done()
-            if checkpoint_every > 0 and finished[0] % checkpoint_every == 0:
-                snapshot()
+            def on_partial(position: int, value: Tuple[str, object]) -> None:
+                cube_id = pending[position]
+                kind = value[0]
+                if kind == "reset":
+                    # the worker fell back to the CDCL enumeration and
+                    # will re-stream the whole cube
+                    drop(cube_id)
+                elif kind == "glue":
+                    # shared learnt clauses, not cube results: fold into
+                    # the warm-start pool for cubes still waiting
+                    if collect_glue is not None:
+                        collect_glue(value[1])
+                elif kind == "agg":
+                    chunk = ScenarioAggregate.loads(value[1])
+                    if cube_id in buffers:
+                        buffers[cube_id].merge(chunk)
+                    else:
+                        buffers[cube_id] = chunk
+                    self._progress_scenarios(chunk.scenarios)
+                else:  # "outcomes"
+                    buffers.setdefault(cube_id, []).extend(value[1])
+                    self._progress_scenarios(len(value[1]))
 
-        try:
-            envelopes = pool.map(
-                _stream_cube_worker,
-                payloads,
-                on_partial=on_partial,
-                on_retry=on_retry,
-                on_result=on_result,
-                decorate=decorate,
-            )
-        except ParallelError as error:
-            raise EpaError(
-                "streaming EPA aggregation failed: %s" % error
-            ) from error
+            def on_retry(position: int) -> None:
+                drop(pending[position])
+
+            def on_result(position: int, _envelope: object) -> None:
+                nonlocal finished
+                cube_id = pending[position]
+                if cube_id in buffers:
+                    parts[cube_id] = buffers.pop(cube_id)
+                completed.add(cube_id)
+                finished += 1
+                self._progress_cube_done()
+                if (
+                    checkpoint is not None
+                    and checkpoint_every > 0
+                    and finished % checkpoint_every == 0
+                ):
+                    snapshot()
+
+            started = time.perf_counter()
+            try:
+                envelopes = pool.map(
+                    _sweep_worker,
+                    payloads,
+                    on_partial=on_partial,
+                    on_retry=on_retry,
+                    on_result=on_result,
+                    decorate=decorate,
+                )
+            except ParallelError as error:
+                raise EpaError("EPA sweep failed: %s" % error) from error
+            searched_s = time.perf_counter() - started
         registry = get_registry()
         lanes = pool.last_assignments
-        for position, (_none, shard_stats, events, metrics) in enumerate(
-            envelopes
-        ):
+        for position, (shard_stats, events, metrics) in enumerate(envelopes):
             self._stats.merge(shard_stats)
+            # replay the cube's trace stream on the parent sink, tagged
+            # with the worker lane it actually ran in
             for name, _seconds, event_payload in events:
                 payload = dict(event_payload)
                 payload.setdefault("worker", lanes.get(position, position))
@@ -1061,12 +756,33 @@ class EpaEngine:
             if metrics:
                 registry.merge(metrics)
         result = assemble()
-        snapshot()
-        self._stats.merge(control.statistics)
-        self._stats.incr("epa.aggregate.cubes", len(pending))
+        if checkpoint is not None:
+            snapshot()
+        scenarios = len(result) if into is None else result.scenarios - resumed
+        self._stats.incr("epa.parallel.shards", len(pending))
         self._stats.set("epa.parallel.workers", workers)
-        self._note_analysis(scenarios=result.scenarios - resumed.scenarios)
+        self._stats.incr("summary.models.enumerated", scenarios)
+        self._stats.add_time("summary.times.solve", searched_s)
+        self._stats.add_time("summary.times.total", searched_s)
+        self._fold_statistics(control, scenarios)
         return result
+
+    def _resume(
+        self, checkpoint: str, config_digest: str
+    ) -> Tuple[Set[int], ScenarioAggregate]:
+        """The completed cube ids and partial aggregate of a checkpoint,
+        refused unless the same sweep configuration wrote it."""
+        with self._tracer.span("epa.checkpoint", path=checkpoint, mode="read"):
+            state = read_checkpoint(checkpoint)
+        if state.digest != config_digest:
+            raise EpaError(
+                "checkpoint %s was written by a different sweep "
+                "configuration (model, deployment, cube layout, "
+                "max_faults and cube factor must match to resume)"
+                % checkpoint
+            )
+        self._stats.incr("epa.aggregate.resumed_cubes", len(state.completed))
+        return set(state.completed), ScenarioAggregate.loads(state.aggregate)
 
     def analyze_scenario(
         self,
@@ -1080,13 +796,10 @@ class EpaEngine:
         mirroring the paper's workflow where activating a mitigation
         "allows excluding this specific scenario from the evaluation".
         """
-        deployment = {
-            component: tuple(ms)
-            for component, ms in dict(active_mitigations or {}).items()
-        }
+        deployment = _deployment(active_mitigations)
         if self._incremental:
-            control = self._incremental_control(0)
-            self._assign_externals(control, deployment, None)
+            control = self._incremental_control()
+            self._assign_mitigations(control, _active_pairs(deployment))
             requested = {(f.component, f.fault) for f in faults}
             assumptions = [
                 (
@@ -1120,7 +833,7 @@ class EpaEngine:
             self._fold_statistics(control, scenarios=len(models))
         if not models:
             raise EpaError("scenario program unexpectedly unsatisfiable")
-        return self._extract(models[0], with_paths)
+        return self._outcome(models[0], with_paths)
 
     # ------------------------------------------------------------------
     # provenance / explanation
@@ -1128,12 +841,12 @@ class EpaEngine:
     def _core_control(self, max_faults: int) -> Control:
         """The persistent control for blocking-core queries.
 
-        Same shape as :meth:`_incremental_control` minus the
-        restriction machinery, plus an ``epa_require_violation``
-        external that, when assumed true, makes the program
-        unsatisfiable exactly when the active deployment blocks every
-        violating scenario — the resulting unsat core names the
-        mitigations that did the blocking.
+        Same shape as :meth:`_incremental_control` for the given fault
+        bound, plus an ``epa_require_violation`` external that, when
+        assumed true, makes the program unsatisfiable exactly when the
+        active deployment blocks every violating scenario — the
+        resulting unsat core names the mitigations that did the
+        blocking.
         """
         control = self._core_controls.get(max_faults)
         if control is None:
@@ -1166,30 +879,17 @@ class EpaEngine:
         scenario).
         """
         control = self._core_control(max_faults)
-        universe = self._relevant_mitigation_pairs()
-        active = {
-            (component, _mitigation_symbol(mitigation))
-            for component, mitigations in dict(active_mitigations or {}).items()
-            for mitigation in mitigations
-        }
+        active = _active_pairs(active_mitigations)
 
         def is_blocking(pairs: Iterable[Tuple[str, str]]) -> bool:
-            # assign *every* mitigation external each trial —
-            # assignments persist on multi-shot controls, so a dropped
-            # element must be actively flipped back to false
-            chosen = set(pairs)
-            for component, mitigation in universe:
-                control.assign_external(
-                    "active_mitigation",
-                    component,
-                    mitigation,
-                    value=(component, mitigation) in chosen,
-                )
+            self._assign_mitigations(control, pairs)
             control.assign_external("epa_require_violation", value=True)
             return not control.is_satisfiable()
 
         self._stats.incr("epa.blocking_core_calls")
-        deployed = [pair for pair in universe if pair in active]
+        deployed = [
+            pair for pair in self._relevant_mitigation_pairs() if pair in active
+        ]
         if not is_blocking(deployed):
             return None
         core = [
@@ -1245,8 +945,8 @@ class EpaEngine:
         )
 
     def _note_analysis(self, scenarios: int) -> None:
-        """Count one incremental/parallel analysis (solver statistics
-        live on the persistent controls / worker shards)."""
+        """Count one sweep or point query (solver statistics live on
+        the persistent controls / worker envelopes)."""
         self._stats.incr("epa.analyze_calls")
         self._stats.incr("epa.scenarios", scenarios)
 
@@ -1281,51 +981,23 @@ class EpaEngine:
     def _fold_statistics(self, control: Control, scenarios: int) -> None:
         """Merge one solve's stats into the engine-level aggregate."""
         self._stats.merge(control.statistics)
-        self._stats.incr("epa.analyze_calls")
-        self._stats.incr("epa.scenarios", scenarios)
+        self._note_analysis(scenarios)
 
     # ------------------------------------------------------------------
     # extraction
     # ------------------------------------------------------------------
-    def _extract(self, model: Model, with_paths: bool) -> ScenarioOutcome:
-        active: Set[FaultRef] = set()
-        violated: Set[str] = set()
-        erroneous: Dict[str, Set[str]] = {}
-        detected: Set[str] = set()
-        severity = 0
-        requirement_names = {
-            _requirement_symbol(r.name): r.name for r in self.requirements
-        }
-        for model_atom in model.atoms:
-            if model_atom.predicate == "active_fault":
-                component, fault = model_atom.arguments
-                active.add(FaultRef(str(component), str(fault)))
-            elif model_atom.predicate == "violated":
-                name = str(model_atom.arguments[0])
-                violated.add(requirement_names.get(name, name))
-            elif model_atom.predicate == "err":
-                component, kind = model_atom.arguments
-                erroneous.setdefault(str(component), set()).add(str(kind))
-            elif model_atom.predicate == "detected":
-                detected.add(str(model_atom.arguments[0]))
-            elif model_atom.predicate == "scenario_severity":
-                value = model_atom.arguments[0]
-                if isinstance(value, Number):
-                    severity = value.value
-        paths: Dict[str, Tuple[PropagationStep, ...]] = {}
-        if with_paths:
-            paths = self._paths(active, violated)
-        return ScenarioOutcome(
-            frozenset(active),
-            frozenset(violated),
-            {c: frozenset(kinds) for c, kinds in erroneous.items()},
-            frozenset(detected),
-            paths,
-            severity,
+    def _outcome(self, model: Model, with_paths: bool) -> ScenarioOutcome:
+        """One solved :class:`Model` as a scenario outcome."""
+        outcome = _model_extract(model, self._requirement_names)
+        return self._with_paths(outcome) if with_paths else outcome
+
+    def _with_paths(self, outcome: ScenarioOutcome) -> ScenarioOutcome:
+        return replace(
+            outcome, paths=self._paths(outcome.active_faults, outcome.violated)
         )
 
     def _paths(
-        self, active: Set[FaultRef], violated: Set[str]
+        self, active: Iterable[FaultRef], violated: Iterable[str]
     ) -> Dict[str, Tuple[PropagationStep, ...]]:
         paths: Dict[str, Tuple[PropagationStep, ...]] = {}
         focus_by_requirement = {
@@ -1336,7 +1008,9 @@ class EpaEngine:
             if not focus:
                 continue
             best: Optional[List[str]] = None
-            for fault in active:
+            # name order breaks ties between equally short paths, so the
+            # choice does not depend on set iteration order
+            for fault in sorted(active, key=str):
                 try:
                     candidate = nx.shortest_path(
                         self._graph, fault.component, focus
@@ -1352,8 +1026,8 @@ class EpaEngine:
         return paths
 
 
-#: cube-worker context published by the parent before forking:
-#: ``digest -> (solver template, probe tables, project atoms)``
+#: sweep worker context published by the parent for the duration of one
+#: sweep: ``digest -> (solver template, probe tables, project atoms)``
 _CUBE_CONTEXTS: Dict[str, Tuple[StableModelSolver, Dict[str, list], List[Atom]]] = {}
 
 
@@ -1406,26 +1080,60 @@ def _build_probes(
     return probes
 
 
-def _publish_cube_context(
+def _cube_context_for(
+    program, project: Sequence[Atom], requirement_names: Mapping[str, str]
+) -> Tuple[StableModelSolver, Dict[str, list], List[Atom]]:
+    """The solver template, probe tables and projection of one program."""
+    solver = StableModelSolver(program)
+    probes = _build_probes(solver, program.possible_atoms, requirement_names)
+    return solver, probes, list(project)
+
+
+@contextmanager
+def _published_context(
     ground, project: List[Atom], requirement_names: Mapping[str, str]
-) -> Tuple[str, bytes]:
-    """Build and publish the shared worker context for one analysis.
+) -> Iterator[Tuple[str, bytes]]:
+    """Publish the shared worker context for the duration of one sweep.
 
     Serializes the ground program (priming the
     :mod:`repro.asp.serialize` shared cache) and stores a solver
-    template plus probe tables under the program digest.  Workers forked
-    after this call inherit the whole context copy-on-write — their
-    first task starts at a dict lookup instead of a program decode and
-    solver encode.
+    template plus probe tables under the program digest; yields
+    ``(digest, blob)``.  Workers forked inside the block inherit the
+    whole context copy-on-write — their first task starts at a dict
+    lookup instead of a program decode and solver encode.  Both entries
+    are removed when the block exits, and no earlier: a worker
+    respawned mid-sweep forks from them.
     """
     digest, blob = publish(ground)
-    if digest not in _CUBE_CONTEXTS:
-        solver = StableModelSolver(ground)
-        probes = _build_probes(
-            solver, ground.possible_atoms, requirement_names
+    _CUBE_CONTEXTS[digest] = _cube_context_for(ground, project, requirement_names)
+    try:
+        yield digest, blob
+    finally:
+        _CUBE_CONTEXTS.pop(digest, None)
+        unpublish(digest)
+
+
+def _cube_context(
+    payload: Mapping[str, object]
+) -> Tuple[StableModelSolver, Dict[str, list], List[Atom]]:
+    """The worker-side context: inherited via fork, or rebuilt once.
+
+    Fork-started workers (and the in-process one-worker sweep) find the
+    parent's published context in :data:`_CUBE_CONTEXTS`.
+    Spawn-started workers (no fork on the platform) miss and rebuild it
+    from the serialized program blob in the payload; the rebuilt context
+    is cached, so only the worker's first task pays the decode + solver
+    encode.
+    """
+    digest = payload["digest"]
+    context = _CUBE_CONTEXTS.get(digest)
+    if context is None:
+        program = shared_program(digest, payload.get("blob"))
+        context = _cube_context_for(
+            program, payload["project"], payload["requirement_names"]
         )
-        _CUBE_CONTEXTS[digest] = (solver, probes, list(project))
-    return digest, blob
+        _CUBE_CONTEXTS[digest] = context
+    return context
 
 
 def _probe_extract(
@@ -1465,7 +1173,7 @@ def _probe_extract(
 def _model_extract(
     model: Model, requirement_names: Mapping[str, str]
 ) -> ScenarioOutcome:
-    """Outcome extraction from a full :class:`Model` (fallback path)."""
+    """One outcome read off a full :class:`Model` (no paths)."""
     active = set()
     violated = set()
     erroneous: Dict[str, Set[str]] = {}
@@ -1497,30 +1205,6 @@ def _model_extract(
     )
 
 
-def _cube_context(
-    payload: Mapping[str, object]
-) -> Tuple[StableModelSolver, Dict[str, list], List[Atom]]:
-    """The worker-side context: inherited via fork, or rebuilt once.
-
-    Fork-started workers find the parent's published context in
-    :data:`_CUBE_CONTEXTS`.  Spawn-started workers (no fork on the
-    platform) miss and rebuild it from the serialized program blob in
-    the payload; the rebuilt context is cached, so only the worker's
-    first task pays the decode + solver encode.
-    """
-    digest = payload["digest"]
-    context = _CUBE_CONTEXTS.get(digest)
-    if context is None:
-        program = shared_program(digest, payload.get("blob"))
-        solver = StableModelSolver(program)
-        probes = _build_probes(
-            solver, program.possible_atoms, payload["requirement_names"]
-        )
-        context = (solver, probes, list(payload["project"]))
-        _CUBE_CONTEXTS[digest] = context
-    return context
-
-
 def _fallback_reference(
     payload: Mapping[str, object], glue_out: List[List[int]]
 ) -> StableModelSolver:
@@ -1544,90 +1228,6 @@ def _fallback_reference(
         if imported:
             reference.import_clauses(imported)
     return reference
-
-
-def _economy_counters(solver: StableModelSolver) -> Dict[str, int]:
-    """The learnt-clause-economy counters a cube envelope ships home."""
-    counters = solver.statistics["solvers"]
-    return {
-        key: counters[key]
-        for key in (
-            "learnt",
-            "lbd_sum",
-            "learnt_deleted",
-            "shared_exported",
-            "shared_imported",
-        )
-    }
-
-
-def _cube_worker(
-    payload: Dict[str, object]
-) -> Tuple[
-    List[ScenarioOutcome],
-    Dict[str, object],
-    List[Tuple[str, float, Dict[str, object]]],
-    Dict[str, object],
-]:
-    """Enumerate one cube of the fault-choice space.
-
-    Runs in a pool worker: looks up the shared context (solver template,
-    probe tables), runs the propagation-driven projected enumeration
-    with the cube as assumptions, and ships back a result envelope —
-    ``(outcomes, stats, trace events, metrics snapshot)``.  The parent
-    replays the events on its own sink tagged ``worker=<i>`` and folds
-    the metrics into its process-wide registry, so ``--trace`` and
-    ``--metrics`` compose with ``--workers N``.  If the projected
-    enumeration reports :class:`ProjectionIncomplete` (a leaf it could
-    not settle by propagation alone), the cube transparently restarts on
-    the complete CDCL enumeration path — slower, never wrong.
-    """
-    # pool workers persist across tasks: zero the child's registry so
-    # each envelope carries exactly this cube's metrics
-    registry = get_registry()
-    registry.reset()
-    solver, probes, project = _cube_context(payload)
-    cube = payload["cube"]
-    outcomes: List[ScenarioOutcome] = []
-    start = time.perf_counter()
-    fallback = False
-
-    def on_model(assignment: Sequence[int]) -> None:
-        outcomes.append(_probe_extract(assignment, probes))
-
-    glue: List[List[int]] = []
-    stats = {"solving": {"models": 0}}
-    try:
-        solver.project_models(project, on_model, assumptions=cube)
-    except ProjectionIncomplete:
-        # discard partial output and redo the cube on the reference path
-        fallback = True
-        outcomes = []
-        requirement_names = payload["requirement_names"]
-        reference = _fallback_reference(payload, glue)
-        for model in reference.models(assumptions=cube, project=project):
-            outcomes.append(_model_extract(model, requirement_names))
-        stats["solving"]["solvers"] = _economy_counters(reference)
-        if glue:
-            emit_partial(("glue", glue))
-    elapsed = time.perf_counter() - start
-    events: List[Tuple[str, float, Dict[str, object]]] = []
-    if payload.get("traced"):
-        events.append(
-            (
-                "epa.cube",
-                elapsed,
-                {
-                    "cube": payload["index"],
-                    "models": len(outcomes),
-                    "assumed": len(cube),
-                    "fallback": fallback,
-                    "seconds": elapsed,
-                },
-            )
-        )
-    stats["solving"]["models"] = len(outcomes)
-    return outcomes, stats, events, registry.to_dict()
 
 
 def _sweep_digest(
@@ -1659,102 +1259,99 @@ def _sweep_digest(
     return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
 
-def _stream_cube_worker(
+def _sweep_worker(
     payload: Dict[str, object]
 ) -> Tuple[
-    None,
     Dict[str, object],
     List[Tuple[str, float, Dict[str, object]]],
     Dict[str, object],
 ]:
     """Enumerate one cube, shipping results as they are found.
 
-    The streaming sibling of :func:`_cube_worker`: instead of returning
-    one pickled outcome batch, it pushes partial payloads through
-    :func:`repro.parallel.emit_partial` while enumerating —
-    ``("agg", blob)`` messages carrying pre-folded
-    :class:`ScenarioAggregate` chunks in ``stream_mode="aggregate"``,
-    ``("outcomes", [...])`` batches of extracted outcomes in
-    ``stream_mode="models"`` — every ``chunk`` scenarios, so parent-side
-    memory tracks the aggregate, not the model count.  On
-    :class:`ProjectionIncomplete` it ships ``("reset",)`` (the parent
-    drops the cube's buffered partials) and re-streams the cube from
-    the complete CDCL enumeration.  The envelope mirrors
-    :func:`_cube_worker` minus the outcome list: ``(None, stats,
-    events, metrics)``.
+    Runs in a pool worker (in-process for a one-worker sweep): looks up
+    the shared context (solver template, probe tables), runs the
+    propagation-driven projected enumeration with the cube as
+    assumptions, and every ``chunk`` scenarios pushes a partial through
+    :func:`repro.parallel.emit_partial` — ``("outcomes", [...])`` when
+    the payload's ``fold`` is ``None``, else ``("agg", blob)``, a
+    :class:`ScenarioAggregate` over ``fold = (requirements, magnitudes,
+    antichain cap)`` in its RAG1 form — so parent-side memory tracks the
+    fold, not the model count.  If the projected enumeration reports
+    :class:`ProjectionIncomplete` (a leaf propagation could not
+    settle), the worker ships ``("reset",)`` (the parent drops the
+    cube's buffered partials) and re-streams the cube from the complete
+    CDCL enumeration — slower, never wrong.
+
+    Returns the envelope ``(stats, trace events, metrics snapshot)``:
+    ``stats`` carries ``solving.models``, the cube's SAT counters and
+    ``epa.parallel.fallbacks`` (1 when the cube fell back); the parent
+    replays the ``epa.cube`` events on its own sink tagged
+    ``worker=<i>`` and folds the metrics into its process-wide
+    registry, so ``--trace`` and ``--metrics`` compose with
+    ``--workers N``.
     """
     registry = get_registry()
-    if payload.get("subprocess"):
+    if payload["subprocess"]:
         # pool workers persist across tasks: zero the child's registry
         # so each envelope carries exactly this cube's metrics.  In the
-        # in-process degenerate case the parent registry must survive;
-        # metrics are then already in place and the envelope ships none.
+        # in-process case the parent registry must survive; metrics are
+        # then already in place and the envelope ships none.
         registry.reset()
     solver, probes, project = _cube_context(payload)
     cube = payload["cube"]
-    mode = payload["stream_mode"]
     chunk = payload["chunk"]
-    names = payload["aggregate_requirements"]
-    magnitudes = payload["magnitudes"]
-    cap = payload["max_minimal_sets"]
-    start = time.perf_counter()
-    fallback = False
-    count = 0
-    part = ScenarioAggregate(names, magnitudes, cap)
+    fold = payload["fold"]
     batch: List[ScenarioOutcome] = []
-    held = [0]
 
     def flush() -> None:
-        nonlocal part
-        if mode == "aggregate":
-            if held[0]:
-                emit_partial(("agg", part.dumps()))
-                part = ScenarioAggregate(names, magnitudes, cap)
-                held[0] = 0
-        elif batch:
-            emit_partial(("outcomes", list(batch)))
-            del batch[:]
-
-    def fold(outcome: ScenarioOutcome) -> None:
-        nonlocal count
-        count += 1
-        if mode == "aggregate":
-            part.add(outcome)
-            held[0] += 1
-            if held[0] >= chunk:
-                flush()
+        nonlocal batch
+        if not batch:
+            return
+        if fold is None:
+            emit_partial(("outcomes", batch))
         else:
-            batch.append(outcome)
-            if len(batch) >= chunk:
-                flush()
+            part = ScenarioAggregate(*fold)
+            for outcome in batch:
+                part.add(outcome)
+            emit_partial(("agg", part.dumps()))
+        batch = []
 
     def on_model(assignment: Sequence[int]) -> None:
-        fold(_probe_extract(assignment, probes))
+        batch.append(_probe_extract(assignment, probes))
+        if len(batch) >= chunk:
+            flush()
 
+    start = time.perf_counter()
+    before = solver.statistics["solvers"]
     glue: List[List[int]] = []
-    economy: Optional[Dict[str, int]] = None
+    fallback = False
     try:
-        solver.project_models(project, on_model, assumptions=cube)
+        count = solver.project_models(project, on_model, assumptions=cube)
+        searched = {
+            key: value - before[key]
+            for key, value in solver.statistics["solvers"].items()
+        }
     except ProjectionIncomplete:
         # tell the parent to discard everything streamed so far, then
         # redo the cube on the reference path
         fallback = True
         emit_partial(("reset",))
-        count = 0
-        part = ScenarioAggregate(names, magnitudes, cap)
-        held[0] = 0
-        del batch[:]
+        batch = []
         requirement_names = payload["requirement_names"]
         reference = _fallback_reference(payload, glue)
+        count = 0
         for model in reference.models(assumptions=cube, project=project):
-            fold(_model_extract(model, requirement_names))
-        economy = _economy_counters(reference)
+            batch.append(_model_extract(model, requirement_names))
+            count += 1
+            if len(batch) >= chunk:
+                flush()
+        searched = reference.statistics["solvers"]
         if glue:
             emit_partial(("glue", glue))
     flush()
     elapsed = time.perf_counter() - start
     events: List[Tuple[str, float, Dict[str, object]]] = []
-    if payload.get("traced"):
+    if payload["traced"]:
         events.append(
             (
                 "epa.cube",
@@ -1764,16 +1361,37 @@ def _stream_cube_worker(
                     "models": count,
                     "assumed": len(cube),
                     "fallback": fallback,
-                    "stream": mode,
                     "seconds": elapsed,
                 },
             )
         )
-    stats: Dict[str, object] = {"solving": {"models": count}}
-    if economy is not None:
-        stats["solving"]["solvers"] = economy
-    metrics = registry.to_dict() if payload.get("subprocess") else {}
-    return None, stats, events, metrics
+    stats = {
+        "solving": {"models": count, "solvers": searched},
+        "epa": {"parallel": {"fallbacks": int(fallback)}},
+    }
+    metrics = registry.to_dict() if payload["subprocess"] else {}
+    return stats, events, metrics
+
+
+def _deployment(
+    active_mitigations: Mapping[str, Sequence[str]]
+) -> Dict[str, Tuple[str, ...]]:
+    """A deployment argument normalized to component -> mitigation ids."""
+    return {
+        component: tuple(ms)
+        for component, ms in dict(active_mitigations or {}).items()
+    }
+
+
+def _active_pairs(
+    active_mitigations: Mapping[str, Sequence[str]]
+) -> Set[Tuple[str, str]]:
+    """A deployment as (component, mitigation-symbol) pairs."""
+    return {
+        (component, _mitigation_symbol(mitigation))
+        for component, mitigations in dict(active_mitigations or {}).items()
+        for mitigation in mitigations
+    }
 
 
 def _mitigation_symbol(identifier: str) -> str:

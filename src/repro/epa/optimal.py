@@ -93,7 +93,7 @@ def cheapest_attack(
             "no scenario can violate %r under the given mitigations"
             % requirement
         )
-    outcome = engine._extract(models[0], with_paths=True)
+    outcome = engine._outcome(models[0], with_paths=True)
     objective = models[0].cost[0][1] if models[0].cost else 0
     return OptimalScenario(outcome, objective)
 
@@ -124,7 +124,7 @@ def most_severe_attack(
     models = control.optimize()
     if not models:
         raise OptimalQueryError("model is unsatisfiable")
-    outcome = engine._extract(models[0], with_paths=True)
+    outcome = engine._outcome(models[0], with_paths=True)
     violated_weight = sum(
         weights.get(r.magnitude, 3)
         for r in engine.requirements

@@ -2,21 +2,24 @@
 engine and the cube pool.
 
 Three contracts.  First, the economy knobs (reduce-DB cadence via
-``REPRO_REDUCE_BASE``, conflict minimization) must leave every EPA
-report byte-identical — the economy changes how fast enumeration runs,
-never what it enumerates.  Second, the pool's dispatch-time
-``decorate`` hook rewrites items without disturbing result order or
-crash recovery.  Third, cube-level glue sharing (exercised by forcing
-every cube onto the CDCL fallback path) leaves the merged report
-identical with sharing on, off, or absent (sequential).
+``REPRO_REDUCE_BASE``, conflict minimization) must leave every CDCL
+enumeration byte-identical — the economy changes how fast enumeration
+runs, never what it enumerates.  The projected cube sweep learns no
+clauses, so these checks run on ``analyze_stream``, the CDCL path.
+Second, the pool's dispatch-time ``decorate`` hook rewrites items
+without disturbing result order or crash recovery.  Third, cube-level
+glue sharing (exercised by forcing every cube onto the CDCL fallback
+path) leaves the merged report identical to the CDCL reference with
+sharing on or off.
 """
 
 import pytest
 
 from repro.asp.solver import ProjectionIncomplete, StableModelSolver
-from repro.epa import EpaEngine, StaticRequirement
+from repro.epa import EpaEngine, EpaReport, StaticRequirement
 from repro.modeling import RelationshipType, SystemModel, standard_cps_library
 from repro.parallel import WorkStealingPool
+from tests.cdcl_reference import cdcl_outcomes
 
 REQ = [
     StaticRequirement("rv", "err(v, K), hazardous_kind(K)", focus="v", magnitude="VH"),
@@ -52,11 +55,16 @@ def _identity(item):  # must be module-level: pool workers pickle it
 
 
 class TestEconomyDifferential:
-    """EPA output is invariant under the economy's on/off switch."""
+    """CDCL enumeration output is invariant under the economy's on/off
+    switch."""
 
     def _analyze(self, monkeypatch, reduce_base, **kwargs):
         monkeypatch.setenv("REPRO_REDUCE_BASE", reduce_base)
-        return EpaEngine(chain_model(), REQ).analyze(**kwargs)
+        engine = EpaEngine(chain_model(), REQ)
+        outcomes = list(engine.analyze_stream(**kwargs))
+        # the switch is only meaningful if the search learnt something
+        assert engine.statistics.get_path("solving.solvers.learnt") > 0
+        return EpaReport(outcomes, [r.name for r in REQ])
 
     def test_sweep_identical_economy_on_off(self, monkeypatch):
         off = self._analyze(monkeypatch, "0", max_faults=2)
@@ -131,7 +139,7 @@ class TestCubeGlueSharing:
     def test_fallback_report_identical_with_and_without_sharing(
         self, monkeypatch
     ):
-        serial = EpaEngine(chain_model(), REQ).analyze(max_faults=2)
+        reference = cdcl_outcomes(EpaEngine(chain_model(), REQ), max_faults=2)
         self._force_fallback(monkeypatch)
         shared = EpaEngine(chain_model(), REQ, workers=2).analyze(
             max_faults=2
@@ -139,8 +147,8 @@ class TestCubeGlueSharing:
         unshared = EpaEngine(
             chain_model(), REQ, workers=2, share_clauses=False
         ).analyze(max_faults=2)
-        assert _pairs(shared) == _pairs(serial)
-        assert _pairs(unshared) == _pairs(serial)
+        assert shared.outcomes == reference
+        assert unshared.outcomes == reference
 
     def test_fallback_ships_economy_counters(self, monkeypatch):
         self._force_fallback(monkeypatch)

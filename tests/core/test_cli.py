@@ -126,7 +126,12 @@ class TestCommands:
         assert records
         names = {record["event"] for record in records}
         assert "grounder.done" in names
-        assert "solver.model" in names
+        # the search shows up as one event per enumerated cube
+        cubes = [r for r in records if r["event"] == "epa.cube"]
+        analyzed = [
+            r for r in records if r["event"] == "epa.analyze" and r["span"] == "E"
+        ]
+        assert sum(r["models"] for r in cubes) == analyzed[0]["scenarios"] > 0
 
     def test_assess(self, capsys, model_file):
         code = main(["assess", model_file, "--max-faults", "1", "--stats"])
@@ -191,7 +196,7 @@ class TestObservabilityFlags:
         assert doc["traceEvents"]
         names = {e["name"] for e in doc["traceEvents"]}
         assert "epa.analyze" in names
-        assert "control.solve" in names
+        assert "control.ground" in names
         complete = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert complete and all(e["dur"] >= 0 for e in complete)
 
@@ -455,8 +460,6 @@ class TestStreamingCli:
                 "2",
                 "--cube-factor",
                 "2",
-                "--stream-mode",
-                "models",
             ]
         )
         assert code == 0

@@ -1,27 +1,40 @@
-"""Tests for the worker-pool layer and the sharded EPA sweeps.
+"""Tests for the worker-pool layer and the EPA cube sweep.
 
-The contract under test: parallel runs are *identical* to sequential
-ones (same results, same order), and pool-level failures surface as
-clean exceptions — a crashed worker process must become an
-:class:`~repro.epa.EpaError`, never a hang or a half-filled report.
+The contract under test: every sweep variant — ``analyze`` and
+``aggregate``, in-process or sharded, with or without the CDCL fallback
+— reproduces the CDCL reference enumeration (:mod:`tests.cdcl_reference`),
+and pool-level failures surface as clean exceptions — a crashed worker
+process must become an :class:`~repro.epa.EpaError`, never a hang or a
+half-filled report.
 """
 
-import itertools
+import functools
 import os
 
 import pytest
 
-from repro.epa import EpaEngine, EpaError, StaticRequirement
+from repro.asp import serialize
+from repro.asp.solver import ProjectionIncomplete, StableModelSolver
+from repro.epa import EpaEngine, EpaError, FaultRef, StaticRequirement
+from repro.epa import engine as engine_module
 from repro.hierarchy.cegar import cegar_loop
 from repro.observability import SolveStats
-from repro.parallel import ParallelError, merge_stats, parallel_map, split_cubes
+from repro.parallel import ParallelError, merge_stats, parallel_map
 from repro.qualitative.spaces import QuantitySpace
 from repro.risk.sensitivity import one_at_a_time
 from repro.modeling import RelationshipType, SystemModel, standard_cps_library
+from tests.cdcl_reference import cdcl_outcomes, cdcl_reference, rag1
 
 REQ = [
     StaticRequirement("rv", "err(v, K), hazardous_kind(K)", focus="v", magnitude="VH"),
 ]
+
+#: chain faults that a (made-up) training mitigation can suppress
+MITIGATIONS = {
+    "no_signal": ("shielding",),
+    "compromised": ("hardening", "monitoring"),
+    "stuck_at_open": ("maintenance",),
+}
 
 
 def chain_model():
@@ -41,6 +54,10 @@ def _square(value):  # must be module-level: the process backend pickles it
 
 def _die(payload):  # simulates a worker killed by the OS (OOM, signal)
     os._exit(1)
+
+
+def _explode(payload):  # a cube that raises instead of finishing
+    raise RuntimeError("cube %d failed" % payload["index"])
 
 
 class TestParallelMap:
@@ -78,33 +95,6 @@ class TestParallelMap:
             parallel_map(_die, [1, 2, 3, 4], workers=2)
 
 
-class TestSplitCubes:
-    def test_single_worker_is_one_empty_cube(self):
-        assert split_cubes(["a", "b"], 1) == [()]
-        assert split_cubes([], 4) == [()]
-
-    @pytest.mark.parametrize("workers", [2, 3, 4, 8])
-    def test_cubes_partition_the_space(self, workers):
-        choices = ["a", "b", "c", "d"]
-        cubes = split_cubes(choices, workers)
-        assert len(cubes) >= workers or len(cubes) == 2 ** len(choices)
-        # every total assignment is consistent with exactly one cube
-        for assignment in itertools.product(
-            (False, True), repeat=len(choices)
-        ):
-            point = dict(zip(choices, assignment))
-            matching = [
-                cube
-                for cube in cubes
-                if all(point[name] == value for name, value in cube)
-            ]
-            assert len(matching) == 1
-
-    def test_prefix_capped_by_choice_count(self):
-        cubes = split_cubes(["only"], 8)
-        assert sorted(cubes) == [(("only", False),), (("only", True),)]
-
-
 class TestMergeStats:
     def test_numeric_leaves_sum(self):
         target = SolveStats()
@@ -122,15 +112,9 @@ class TestMergeStats:
 
 class TestShardedAnalyze:
     def test_parallel_report_equals_sequential(self):
-        sequential = EpaEngine(chain_model(), REQ).analyze(max_faults=2)
+        reference = cdcl_outcomes(EpaEngine(chain_model(), REQ), max_faults=2)
         parallel = EpaEngine(chain_model(), REQ, workers=4).analyze(max_faults=2)
-        assert [
-            (o.key(), tuple(sorted(o.violated)), o.severity_rank)
-            for o in parallel.outcomes
-        ] == [
-            (o.key(), tuple(sorted(o.violated)), o.severity_rank)
-            for o in sequential.outcomes
-        ]
+        assert parallel.outcomes == reference
 
     def test_parallel_run_accounts_shards_in_stats(self):
         engine = EpaEngine(chain_model(), REQ, workers=4)
@@ -142,12 +126,39 @@ class TestShardedAnalyze:
         assert stats["solving"]["models"] >= 10
 
     def test_crashed_worker_becomes_epa_error(self, monkeypatch):
-        import repro.epa.engine as engine_module
-
-        monkeypatch.setattr(engine_module, "_cube_worker", _die)
+        monkeypatch.setattr(engine_module, "_sweep_worker", _die)
         engine = EpaEngine(chain_model(), REQ, workers=4)
         with pytest.raises(EpaError):
             engine.analyze(max_faults=1)
+
+    def test_serial_sweep_accounts_cubes_in_stats(self):
+        engine = EpaEngine(chain_model(), REQ)
+        aggregate = engine.aggregate(max_faults=1)
+        stats = engine.statistics
+        assert stats["epa"]["parallel"]["shards"] >= 2
+        assert stats["epa"]["parallel"]["workers"] == 1
+        assert stats["epa"]["parallel"]["fallbacks"] == 0
+        assert stats["solving"]["models"] == aggregate.scenarios == 10
+
+    def test_sweeps_leave_no_published_context(self, monkeypatch):
+        # every sweep publishes a ground program and a solver template
+        # for its workers; none may outlive the sweep, or a what-if
+        # session grows by one entry per deployment it re-analyzes
+        contexts = dict(engine_module._CUBE_CONTEXTS)
+        programs = dict(serialize._SHARED)
+        engine = EpaEngine(chain_model(), REQ, fault_mitigations=MITIGATIONS)
+        sharded = EpaEngine(
+            chain_model(), REQ, fault_mitigations=MITIGATIONS, workers=2
+        )
+        for deployment in ({}, {"s": ("shielding",)}, {"c": ("hardening",)}):
+            engine.analyze(active_mitigations=deployment, max_faults=2)
+            engine.aggregate(active_mitigations=deployment, max_faults=2)
+            sharded.analyze(active_mitigations=deployment, max_faults=2)
+        monkeypatch.setattr(engine_module, "_sweep_worker", _explode)
+        with pytest.raises(RuntimeError):
+            engine.analyze(max_faults=2)
+        assert engine_module._CUBE_CONTEXTS == contexts
+        assert serialize._SHARED == programs
 
 
 class TestThreadedCallers:
@@ -308,55 +319,157 @@ class TestWorkStealingPool:
         assert respawns.value > respawns_before
 
 
-class TestParallelByteIdentity:
-    """The cube path must stay byte-identical to serial in every mode."""
+def _force_fallback(monkeypatch):
+    """Make every cube's projected enumeration give up at once, so the
+    sweep redoes each cube on the CDCL enumerator."""
 
-    def _pairs(self, report):
-        return [
-            (
-                o.key(),
-                tuple(sorted(o.violated)),
-                o.severity_rank,
-                tuple(sorted(o.detected_at)),
-                tuple(sorted((c, tuple(sorted(k))) for c, k in o.erroneous.items())),
-            )
-            for o in report.outcomes
-        ]
+    def raiser(self, project, on_model, assumptions=()):
+        raise ProjectionIncomplete("forced by test")
+
+    monkeypatch.setattr(StableModelSolver, "project_models", raiser)
+
+
+#: every way to run a full sweep, as ``(engine options, method, forced
+#: CDCL fallback)``
+SWEEPS = {
+    "analyze": ({}, "analyze", False),
+    "analyze-2-workers": ({"workers": 2}, "analyze", False),
+    "aggregate": ({}, "aggregate", False),
+    "aggregate-2-workers": ({"workers": 2}, "aggregate", False),
+    "analyze-fallback": ({}, "analyze", True),
+}
+
+#: chain-model sweep arguments the variants are checked under
+CHAIN_CASES = {
+    "unbounded": {},
+    "max-faults-1": {"max_faults": 1},
+    "max-faults-2": {"max_faults": 2},
+    "deployment": {
+        "active_mitigations": {"s": ("shielding",), "c": ("hardening",)},
+        "max_faults": 2,
+    },
+    "restriction": {
+        "restrict_faults": [
+            FaultRef("s", "no_signal"),
+            FaultRef("c", "crash"),
+            FaultRef("v", "stuck_at_open"),
+        ],
+        "max_faults": 2,
+    },
+}
+
+
+def _security_tank(**options):
+    """The water tank with the security mutations ``repro assess`` adds."""
+    from repro.casestudy import build_system_model, static_requirements
+    from repro.security import (
+        builtin_catalog,
+        candidate_mutations,
+        mitigations_for_mutation,
+    )
+
+    model = build_system_model()
+    catalog = builtin_catalog()
+    mutations = candidate_mutations(model, catalog)
+    fault_mitigations = {}
+    for mutation in mutations:
+        applicable = mitigations_for_mutation(catalog, mutation)
+        if applicable:
+            fault_mitigations[mutation.fault] = tuple(applicable)
+    return EpaEngine(
+        model,
+        static_requirements(),
+        fault_mitigations=fault_mitigations,
+        extra_mutations=tuple(m for m in mutations if m.origin_kind != "fault"),
+        **options
+    )
+
+
+def _tank(**options):
+    from repro.casestudy import build_system_model, static_requirements
+
+    return EpaEngine(build_system_model(), static_requirements(), **options)
+
+
+def _fleet(**options):
+    """A seeded synthetic fleet (three tiers, twelve fault pairs)."""
+    from repro.security.fleet import FleetSpec, fleet_engine
+
+    spec = FleetSpec(
+        seed=7, tiers=3, components_per_tier=2, fault_modes_per_component=2
+    )
+    return fleet_engine(spec, **options)
+
+
+@functools.lru_cache(maxsize=None)
+def _model_reference(factory, max_faults):
+    return cdcl_reference(factory(), max_faults=max_faults)
+
+
+def _sweep(monkeypatch, factory, variant, **kwargs):
+    options, method, fallback = SWEEPS[variant]
+    if fallback:
+        _force_fallback(monkeypatch)
+    engine = factory(**options)
+    return engine, getattr(engine, method)(**kwargs)
+
+
+class TestParallelByteIdentity:
+    """Every sweep variant reproduces the CDCL reference."""
+
+    @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+    @pytest.mark.parametrize("variant", sorted(SWEEPS))
+    def test_chain_sweep_matches_cdcl_reference(self, monkeypatch, variant, case):
+        chain = lambda **options: EpaEngine(
+            chain_model(), REQ, fault_mitigations=MITIGATIONS, **options
+        )
+        reference = cdcl_reference(chain(), **CHAIN_CASES[case])
+        engine, result = _sweep(monkeypatch, chain, variant, **CHAIN_CASES[case])
+        assert rag1(engine, result) == reference
+        if SWEEPS[variant][2]:
+            assert engine.statistics["epa"]["parallel"]["fallbacks"] > 0
+
+    @pytest.mark.parametrize(
+        "factory, max_faults", [(_tank, 2), (_security_tank, 1), (_fleet, 2)]
+    )
+    @pytest.mark.parametrize("variant", sorted(SWEEPS))
+    def test_model_sweep_matches_cdcl_reference(
+        self, monkeypatch, variant, factory, max_faults
+    ):
+        engine, result = _sweep(monkeypatch, factory, variant, max_faults=max_faults)
+        assert rag1(engine, result) == _model_reference(factory, max_faults)
 
     def test_restricted_sweep_matches_sequential(self):
-        sequential = EpaEngine(chain_model(), REQ).analyze(max_faults=2)
-        singles = [
-            next(iter(o.active_faults))
-            for o in sequential.outcomes
-            if o.fault_count == 1
-        ]
-        restrict = singles[:4]
-        serial = EpaEngine(chain_model(), REQ).analyze(
-            max_faults=2, restrict_faults=restrict
+        restrict = CHAIN_CASES["restriction"]["restrict_faults"]
+        reference = cdcl_outcomes(
+            EpaEngine(chain_model(), REQ), max_faults=2, restrict_faults=restrict
         )
         parallel = EpaEngine(chain_model(), REQ, workers=4).analyze(
             max_faults=2, restrict_faults=restrict
         )
-        assert self._pairs(parallel) == self._pairs(serial)
+        assert parallel.outcomes == reference
 
-    def test_with_paths_matches_sequential(self):
-        serial = EpaEngine(chain_model(), REQ).analyze(
-            max_faults=2, with_paths=True
+    def test_with_paths_matches_sequential(self, monkeypatch):
+        reference = cdcl_outcomes(
+            EpaEngine(chain_model(), REQ), max_faults=2, with_paths=True
         )
-        parallel = EpaEngine(chain_model(), REQ, workers=4).analyze(
-            max_faults=2, with_paths=True
-        )
-        assert self._pairs(parallel) == self._pairs(serial)
-        assert [o.paths for o in parallel.outcomes] == [
-            o.paths for o in serial.outcomes
-        ]
+        factory = lambda **options: EpaEngine(chain_model(), REQ, **options)
+        assert any(o.paths for o in reference)
+        # the forced fallback patches the solver class: run it last
+        for variant in ("analyze", "analyze-2-workers", "analyze-fallback"):
+            _engine, report = _sweep(
+                monkeypatch, factory, variant, max_faults=2, with_paths=True
+            )
+            # full outcome equality: erroneous components, detection
+            # points and propagation paths included
+            assert report.outcomes == reference, variant
 
     def test_cube_mode_matches_sequential(self):
-        serial = EpaEngine(chain_model(), REQ).analyze(max_faults=2)
+        reference = cdcl_outcomes(EpaEngine(chain_model(), REQ), max_faults=2)
         parallel = EpaEngine(
             chain_model(), REQ, workers=4, parallel_mode="cube"
         ).analyze(max_faults=2)
-        assert self._pairs(parallel) == self._pairs(serial)
+        assert parallel.outcomes == reference
 
     def test_portfolio_scenario_verdict_matches_sequential(self):
         serial_engine = EpaEngine(chain_model(), REQ)

@@ -1,14 +1,14 @@
 """Differential validation of the incremental EPA engine.
 
-An incremental :class:`~repro.epa.EpaEngine` keeps one persistent
-multi-shot control per ``max_faults`` bound and answers deployment /
-restriction / single-scenario queries by flipping externals and
-assumptions.  These tests require every such answer to be identical to
-the fresh-control path (``incremental=False``) that regrounds per call
-— on the three-component chain model, the water-tank case study, and
-the deployment sweeps of ``epa.optimal``.  EPA reports sort outcomes
-canonically, so full report equality (not just set equality) is the
-bar.
+An incremental :class:`~repro.epa.EpaEngine` answers single-scenario
+queries on one persistent multi-shot control by flipping externals and
+assumptions; these answers must be identical to the fresh-control path
+(``incremental=False``) that regrounds per call.  Full sweeps take the
+cube sweep whatever ``incremental`` says, so one live engine re-analyzed
+under a sequence of deployments and restrictions must match the CDCL
+reference enumeration (:mod:`tests.cdcl_reference`) at every step — on
+the three-component chain model, the water-tank case study, and the
+deployment sweeps of ``epa.optimal``.
 """
 
 import pytest
@@ -16,6 +16,7 @@ import pytest
 from repro.epa import EpaEngine, FaultRef, StaticRequirement
 from repro.epa.optimal import attack_cost_of_mitigation
 from repro.modeling import RelationshipType, SystemModel, standard_cps_library
+from tests.cdcl_reference import cdcl_outcomes
 
 REQ = [
     StaticRequirement("rv", "err(v, K), hazardous_kind(K)", focus="v", magnitude="VH"),
@@ -52,48 +53,39 @@ def engines():
     return incremental, fresh
 
 
-def fingerprint(report):
-    return [
-        (outcome.key(), tuple(sorted(outcome.violated)), outcome.severity_rank)
-        for outcome in report.outcomes
-    ]
+def reference(**kwargs):
+    """The CDCL enumeration of the chain's scenario space."""
+    return cdcl_outcomes(engines()[1], **kwargs)
 
 
 class TestChainDifferential:
     @pytest.mark.parametrize("max_faults", [0, 1, 2])
     def test_plain_enumeration(self, max_faults):
         incremental, fresh = engines()
-        assert fingerprint(
-            incremental.analyze(max_faults=max_faults)
-        ) == fingerprint(fresh.analyze(max_faults=max_faults))
+        expected = reference(max_faults=max_faults)
+        assert incremental.analyze(max_faults=max_faults).outcomes == expected
+        assert fresh.analyze(max_faults=max_faults).outcomes == expected
 
     def test_deployment_sweep_on_one_engine(self):
-        incremental, fresh = engines()
+        incremental, _ = engines()
         deployments = [
             {},
             {"s": ("shielding",)},
             {"c": ("hardening",)},
             {"s": ("shielding",), "c": ("monitoring",), "v": ("maintenance",)},
-            {},  # back to empty: externals fully retracted
+            {},  # back to empty: nothing of a deployment lingers
         ]
         for deployment in deployments:
-            assert fingerprint(
-                incremental.analyze(
-                    active_mitigations=deployment, max_faults=2
-                )
-            ) == fingerprint(
-                fresh.analyze(active_mitigations=deployment, max_faults=2)
-            )
-        multishot = incremental.statistics["solving"]["multishot"]
-        assert multishot["solves"] == len(deployments)
-        assert multishot["reground_avoided"] == len(deployments) - 1
+            assert incremental.analyze(
+                active_mitigations=deployment, max_faults=2
+            ).outcomes == reference(active_mitigations=deployment, max_faults=2)
 
     def test_restrict_faults(self):
-        incremental, fresh = engines()
+        incremental, _ = engines()
         restrict = [FaultRef("s", "drift"), FaultRef("c", "crash")]
-        assert fingerprint(
-            incremental.analyze(restrict_faults=restrict)
-        ) == fingerprint(fresh.analyze(restrict_faults=restrict))
+        assert incremental.analyze(
+            restrict_faults=restrict
+        ).outcomes == reference(restrict_faults=restrict)
         # the restriction must not leak into the next unrestricted call
         assert len(incremental.analyze(max_faults=1)) == 10
 
@@ -109,6 +101,10 @@ class TestChainDifferential:
             reference = fresh.analyze_scenario(faults)
             assert ours.key() == reference.key()
             assert ours.violated == reference.violated
+        # every query after the first reused the one persistent control
+        multishot = incremental.statistics["solving"]["multishot"]
+        assert multishot["solves"] == len(scenarios)
+        assert multishot["reground_avoided"] == len(scenarios) - 1
 
     def test_analyze_scenario_respects_mitigations(self):
         incremental, fresh = engines()
@@ -119,11 +115,6 @@ class TestChainDifferential:
         # the suppressed fault stays inactive on both paths
         assert ours.key() == reference.key() == ()
 
-    def test_limit_falls_back_without_poisoning(self):
-        incremental, _ = engines()
-        assert len(incremental.analyze(max_faults=1, limit=3)) == 3
-        assert len(incremental.analyze(max_faults=1)) == 10
-
 
 class TestWaterTankDifferential:
     """The paper's case study, bounded to keep its 2^22 space at bay."""
@@ -131,14 +122,9 @@ class TestWaterTankDifferential:
     def test_bounded_enumeration(self):
         from repro.casestudy import build_system_model, static_requirements
 
-        incremental = EpaEngine(
-            build_system_model(), static_requirements(), incremental=True
-        )
-        fresh = EpaEngine(
-            build_system_model(), static_requirements(), incremental=False
-        )
-        assert fingerprint(incremental.analyze(max_faults=1)) == fingerprint(
-            fresh.analyze(max_faults=1)
+        engine = EpaEngine(build_system_model(), static_requirements())
+        assert engine.analyze(max_faults=1).outcomes == cdcl_outcomes(
+            engine, max_faults=1
         )
 
 

@@ -2,10 +2,10 @@
 
 Four contracts:
 
-* **byte identity** — the streamed aggregate (sequential probe path,
-  sharded cube path in both stream modes, deployments, restrictions)
-  is byte-for-byte identical to folding the materialized
-  :class:`~repro.epa.EpaReport`;
+* **byte identity** — the swept aggregate and report (in-process and
+  sharded, under deployments and restrictions) fold byte-for-byte to
+  the RAG1 fold of the CDCL reference enumeration
+  (:mod:`tests.cdcl_reference`);
 * **bounded residency** — :meth:`~repro.epa.EpaEngine.analyze_stream`
   never accumulates outcomes: at any point only a handful of yielded
   objects are alive;
@@ -44,6 +44,7 @@ from repro.epa.aggregate import AggregateError
 from repro.epa.results import ScenarioOutcome
 from repro.modeling import RelationshipType, SystemModel, standard_cps_library
 from repro.parallel import WorkStealingPool, emit_partial
+from tests.cdcl_reference import cdcl_reference, rag1
 
 REQ = [
     StaticRequirement(
@@ -63,35 +64,33 @@ def chain_model():
     return model
 
 
-def _reference(engine, **kwargs):
-    """The materialized fold every streamed variant must reproduce."""
-    magnitudes = {r.name: r.magnitude for r in REQ}
-    return engine.analyze(**kwargs).to_aggregate(magnitudes).dumps()
+def _reference(**kwargs):
+    """The CDCL fold every swept variant must reproduce."""
+    return cdcl_reference(EpaEngine(chain_model(), REQ), **kwargs)
 
 
 class TestStreamedByteIdentity:
     def test_sequential_stream_matches_materialized(self):
-        reference = _reference(EpaEngine(chain_model(), REQ), max_faults=2)
+        reference = _reference(max_faults=2)
         streamed = EpaEngine(chain_model(), REQ).aggregate(max_faults=2)
         assert streamed.dumps() == reference
 
     def test_analyze_stream_fold_matches(self):
         engine = EpaEngine(chain_model(), REQ)
-        reference = _reference(EpaEngine(chain_model(), REQ), max_faults=2)
-        folded = ScenarioAggregate.from_outcomes(
-            engine.analyze_stream(max_faults=2),
-            [r.name for r in REQ],
-            {r.name: r.magnitude for r in REQ},
-        )
-        assert folded.dumps() == reference
+        materialized = engine.analyze(max_faults=2)
+        assert rag1(engine, materialized) == _reference(max_faults=2)
 
-    @pytest.mark.parametrize("stream_mode", ["aggregate", "models"])
-    def test_sharded_stream_matches(self, stream_mode):
-        reference = _reference(EpaEngine(chain_model(), REQ), max_faults=2)
-        sharded = EpaEngine(chain_model(), REQ, workers=2).aggregate(
-            max_faults=2, stream_mode=stream_mode, chunk_size=3
-        )
-        assert sharded.dumps() == reference
+    @pytest.mark.parametrize("payload", ["aggregate", "models"])
+    def test_sharded_stream_matches(self, payload):
+        """Both partial payloads workers ship: pre-folded aggregates
+        (``aggregate``, with a chunk smaller than a cube so each cube
+        ships several) and outcome chunks (``analyze``)."""
+        engine = EpaEngine(chain_model(), REQ, workers=2)
+        if payload == "aggregate":
+            swept = engine.aggregate(max_faults=2, chunk_size=3)
+        else:
+            swept = engine.analyze(max_faults=2)
+        assert rag1(engine, swept) == _reference(max_faults=2)
 
     def test_deployment_and_restriction_match(self):
         deployment = {"s": ("redundancy",)}
@@ -101,21 +100,17 @@ class TestStreamedByteIdentity:
             max_faults=2,
             restrict_faults=restrict,
         )
-        reference = _reference(EpaEngine(chain_model(), REQ), **kwargs)
+        reference = _reference(**kwargs)
         sequential = EpaEngine(chain_model(), REQ).aggregate(**kwargs)
         sharded = EpaEngine(chain_model(), REQ, workers=2).aggregate(**kwargs)
         assert sequential.dumps() == reference
         assert sharded.dumps() == reference
 
     def test_unbounded_sweep_matches(self):
-        reference = _reference(EpaEngine(chain_model(), REQ))
+        reference = _reference()
         streamed = EpaEngine(chain_model(), REQ).aggregate()
         assert streamed.scenarios == 2 ** 9
         assert streamed.dumps() == reference
-
-    def test_invalid_stream_mode_rejected(self):
-        with pytest.raises(EpaError):
-            EpaEngine(chain_model(), REQ).aggregate(stream_mode="firehose")
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -129,8 +124,8 @@ class TestStreamedByteIdentity:
         self, seed, tiers, components, modes, max_faults
     ):
         """Property over seeded fleet models: for any spec in the
-        sampled range, the streamed aggregate reproduces the
-        materialized-report fold byte for byte."""
+        sampled range, the swept report and aggregate reproduce the CDCL
+        reference fold byte for byte."""
         from repro.security.fleet import FleetSpec, fleet_engine
 
         spec = FleetSpec(
@@ -141,13 +136,13 @@ class TestStreamedByteIdentity:
             max_faults=max_faults,
         )
         engine = fleet_engine(spec)
-        magnitudes = {r.name: r.magnitude for r in engine.requirements}
-        reference = ScenarioAggregate.from_report(
-            engine.analyze(max_faults=max_faults), magnitudes
+        reference = cdcl_reference(engine, max_faults=max_faults)
+        assert ScenarioAggregate.loads(reference).scenarios == (
+            spec.scenario_count(max_faults)
         )
-        assert reference.scenarios == spec.scenario_count(max_faults)
+        assert rag1(engine, engine.analyze(max_faults=max_faults)) == reference
         streamed = fleet_engine(spec).aggregate(max_faults=max_faults)
-        assert streamed.dumps() == reference.dumps()
+        assert streamed.dumps() == reference
 
 
 class TestBoundedResidency:

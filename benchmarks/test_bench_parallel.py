@@ -1,4 +1,4 @@
-"""Benchmarks of the parallel solve paths (cube sweep + portfolio).
+"""Benchmarks of the cube sweep, serial and sharded.
 
 ``test_bench_serial_analyze`` times the default ``EpaEngine.analyze``
 — the cube sweep run in-process by one worker — on the water-tank
@@ -10,10 +10,6 @@ against the serial median of the same run, so that column measures
 parallelism alone and reads about 1x on a 2-core host; ``--check``
 gates both medians against ``BENCH_asp.json`` (see
 ``docs/parallelism.md``).
-
-``test_bench_portfolio_first_model`` times the portfolio race on a
-single-answer query: four heuristic configurations of the stable-model
-search racing for the first model of a pinned worst-case scenario.
 """
 
 from repro.casestudy import build_system_model, static_requirements
@@ -63,24 +59,3 @@ def test_bench_parallel_analyze_4_workers(benchmark):
         _sweep, args=(4,), rounds=3, iterations=1
     )
     _check_sweep(engine, report, workers=4)
-
-
-def test_bench_portfolio_first_model(benchmark):
-    engine = EpaEngine(
-        build_system_model(),
-        static_requirements(),
-        workers=4,
-        parallel_mode="portfolio",
-    )
-    probe = engine.analyze(max_faults=1)
-    worst = max(
-        (o for o in probe.outcomes if o.fault_count == 1),
-        key=lambda o: (o.severity_rank, len(o.violated)),
-    )
-
-    def race():
-        return engine.analyze_scenario(worst.active_faults, with_paths=False)
-
-    outcome = benchmark.pedantic(race, rounds=3, iterations=1)
-    assert outcome.violated == worst.violated
-    assert outcome.severity_rank == worst.severity_rank

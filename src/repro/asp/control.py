@@ -123,12 +123,6 @@ _GROUND_SECONDS = _METRICS.histogram(
 _SAT_LEARNT_DELETED = _METRICS.counter(
     "repro_sat_learnt_deleted_total", "learnt clauses deleted by reduce-DB"
 )
-_SAT_SHARED_EXPORTED = _METRICS.counter(
-    "repro_sat_shared_exported_total", "glue clauses exported to peers"
-)
-_SAT_SHARED_IMPORTED = _METRICS.counter(
-    "repro_sat_shared_imported_total", "peer clauses imported"
-)
 _SAT_LBD_AVG = _METRICS.gauge(
     "repro_sat_lbd_avg", "average literal block distance of learnt clauses"
 )
@@ -146,11 +140,10 @@ class Control:
         heuristics: Optional[Dict[str, object]] = None,
     ):
         """``heuristics`` tunes the SAT backend of every solver this
-        control builds (keys ``default_phase``, ``restart_base``,
-        ``seed``, ``reduce_base``, ``minimize_learnts``,
-        ``lbd_share_limit`` — see :class:`~repro.asp.sat.Solver`);
-        ``None`` keeps the defaults (and the env-var knobs
-        ``REPRO_REDUCE_BASE`` / ``REPRO_LBD_SHARE_LIMIT``)."""
+        control builds (keys ``restart_base``, ``reduce_base``,
+        ``minimize_learnts`` — see :class:`~repro.asp.sat.Solver`);
+        ``None`` keeps the defaults (and the env-var knob
+        ``REPRO_REDUCE_BASE``)."""
         self._program = Program()
         self._trace = trace if trace is not None else NULL_SINK
         self._tracer = Tracer(self._trace)
@@ -426,44 +419,9 @@ class Control:
                 self._record_solve(solver, timer.stop(), count)
 
     def first_model(
-        self,
-        assumptions: Sequence[Tuple[Atom, bool]] = (),
-        workers: Optional[int] = None,
-        share_clauses: bool = True,
+        self, assumptions: Sequence[Tuple[Atom, bool]] = ()
     ) -> Optional[Model]:
-        """The first answer set found, or ``None`` (stops immediately).
-
-        ``workers > 1`` races a portfolio of solver configurations in
-        separate processes (see :mod:`repro.asp.portfolio`) and returns
-        the first finisher's answer.  The satisfiability verdict is
-        identical to the serial path; the witness model may be a
-        different (equally valid) stable model.  ``share_clauses``
-        lets the racers exchange glue clauses (LBD ≤ 2 learnts) over a
-        shared channel — the verdict is unchanged either way, since
-        only formula-implied clauses are ever exported.
-        """
-        if workers is not None and workers > 1 and not self._provenance:
-            from .portfolio import race_first_model
-
-            with self._tracer.span("control.portfolio") as span:
-                timer = Timer().start()
-                model, winner = race_first_model(
-                    self.ground(),
-                    assumptions=self._solve_assumptions(assumptions),
-                    workers=workers,
-                    share_clauses=share_clauses,
-                )
-                span.update(winner=winner, found=model is not None)
-            self._last_core = None
-            self._stats.incr("solving.portfolio.races")
-            self._stats.set("solving.portfolio.winner", winner)
-            self._stats.incr("summary.calls")
-            self._stats.incr(
-                "summary.models.enumerated", 1 if model is not None else 0
-            )
-            self._stats.add_time("summary.times.solve", timer.stop())
-            self._update_total_time()
-            return model
+        """The first answer set found, or ``None`` (stops immediately)."""
         iterator = self.solve_iter(limit=1, assumptions=assumptions)
         try:
             return next(iterator, None)
@@ -471,17 +429,9 @@ class Control:
             iterator.close()
 
     def is_satisfiable(
-        self,
-        assumptions: Sequence[Tuple[Atom, bool]] = (),
-        workers: Optional[int] = None,
-        share_clauses: bool = True,
+        self, assumptions: Sequence[Tuple[Atom, bool]] = ()
     ) -> bool:
-        return (
-            self.first_model(
-                assumptions, workers=workers, share_clauses=share_clauses
-            )
-            is not None
-        )
+        return self.first_model(assumptions) is not None
 
     def optimize(
         self,
@@ -536,8 +486,6 @@ class Control:
         delta_solvers = snapshot.get("solvers", {})
         _CONFLICTS.inc(delta_solvers.get("conflicts", 0))
         _SAT_LEARNT_DELETED.inc(delta_solvers.get("learnt_deleted", 0))
-        _SAT_SHARED_EXPORTED.inc(delta_solvers.get("shared_exported", 0))
-        _SAT_SHARED_IMPORTED.inc(delta_solvers.get("shared_imported", 0))
         solving = self._stats.child("solving")
         solving.merge(snapshot)
         solving["variables"] = variables

@@ -28,21 +28,11 @@ classic conflict-driven clause-learning solver with:
   implication graph drops learnt literals whose negation is already
   implied by the rest of the clause, so clauses get shorter before they
   are watched;
-* clause sharing hooks (:meth:`Solver.set_sharing`): learnt clauses
-  derivable from the problem clauses alone ("shareable" — anything that
-  resolved against a blocking or guard clause is tainted and kept
-  private) with LBD at most ``lbd_share_limit`` are exported through a
-  caller-provided channel, and peer clauses are imported at restart
-  boundaries — the portfolio racers and cube workers build broadcast
-  channels on top of these hooks;
 * a chronological decision interface (:meth:`Solver.push_level` /
   :meth:`Solver.pop_to_level`) that lets a caller drive its own DFS over
   a chosen variable set with plain unit propagation — no conflict
   analysis, no clause learning, no heap churn — which is how the
   stable-model layer enumerates projected models inside a cube;
-* tunable search heuristics (``default_phase``, ``restart_base``,
-  ``seed``) so a portfolio can race differently-configured solvers over
-  the same formula;
 * search counters (decisions, propagations, conflicts, restarts, learnt
   nogoods) exposed via :attr:`Solver.statistics` for the observability
   layer — plain integer attributes bumped in the hot loop, snapshotted
@@ -56,7 +46,7 @@ from __future__ import annotations
 
 import heapq
 import os
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 
 class SatError(Exception):
@@ -69,8 +59,6 @@ UNASSIGNED = 0
 
 #: learnt clauses before the first reduce-DB pass (growing afterwards)
 DEFAULT_REDUCE_BASE = 2000
-#: largest LBD a learnt clause may have and still be exported ("glue")
-DEFAULT_LBD_SHARE_LIMIT = 2
 #: LBD at or below which a learnt clause is never deleted
 GLUE_LBD = 2
 
@@ -97,19 +85,6 @@ def resolve_reduce_base(explicit: object = _UNSET) -> Optional[int]:
     return DEFAULT_REDUCE_BASE
 
 
-def resolve_lbd_share_limit(explicit: object = _UNSET) -> int:
-    """The effective ``lbd_share_limit``: explicit > env > default."""
-    if explicit is not _UNSET:
-        value = int(explicit)  # type: ignore[call-overload]
-        if value < 0:
-            raise SatError("lbd_share_limit must be >= 0")
-        return value
-    env = os.environ.get("REPRO_LBD_SHARE_LIMIT")
-    if env:
-        return resolve_lbd_share_limit(int(env))
-    return DEFAULT_LBD_SHARE_LIMIT
-
-
 def _luby(i: int) -> int:
     """The i-th element (1-based) of the Luby restart sequence."""
     x = i - 1  # 0-based position, MiniSat-style computation
@@ -130,43 +105,29 @@ class Solver:
     def __init__(
         self,
         trace: Optional[object] = None,
-        default_phase: bool = False,
         restart_base: int = 32,
-        seed: Optional[int] = None,
         reduce_base: object = _UNSET,
         minimize_learnts: bool = True,
-        lbd_share_limit: object = _UNSET,
     ) -> None:
-        """``default_phase``, ``restart_base`` and ``seed`` are the
-        portfolio heuristics: the initial decision polarity, the Luby
-        restart multiplier (conflicts before the first restart), and an
-        optional seed for a deterministic activity jitter that perturbs
-        decision tie-breaking.
+        """``restart_base`` is the Luby restart multiplier (conflicts
+        before the first restart).
 
         ``reduce_base`` is the learnt-clause count that triggers the
         first reduce-DB pass (``None`` disables deletion entirely;
         default :data:`DEFAULT_REDUCE_BASE`, overridable through
         ``REPRO_REDUCE_BASE``, where ``0`` means off).
         ``minimize_learnts`` toggles recursive conflict-clause
-        minimization.  ``lbd_share_limit`` caps the LBD of exported
-        clauses when a share channel is attached via
-        :meth:`set_sharing` (default :data:`DEFAULT_LBD_SHARE_LIMIT`,
-        overridable through ``REPRO_LBD_SHARE_LIMIT``).  The model sets
-        computed are identical whatever the knobs; the search path (and
-        thus the witness order) may differ."""
+        minimization.  The model sets computed are identical whatever
+        the knobs; the search path (and thus the witness order) may
+        differ."""
         from ..observability import NULL_SINK
 
         if restart_base < 1:
             raise SatError("restart_base must be >= 1")
         self._trace = trace if trace is not None else NULL_SINK
-        self._default_phase = TRUE if default_phase else FALSE
         self._restart_base = int(restart_base)
         self._reduce_base = resolve_reduce_base(reduce_base)
         self._minimize_learnts = bool(minimize_learnts)
-        self._lbd_share_limit = resolve_lbd_share_limit(lbd_share_limit)
-        # xorshift-style LCG state; None disables jitter entirely so the
-        # default configuration keeps exact activity ties
-        self._jitter_state = None if seed is None else (seed or 1) & 0xFFFFFFFF
         self._num_vars = 0
         #: clause store; reduce-DB tombstones deleted learnts to ``None``
         #: (indexes are stable: watches and reasons refer to them)
@@ -204,23 +165,12 @@ class Solver:
         #: only; problem, binary, blocking and guard clauses never enter
         #: this table, so _reduce_learnts() can never delete them
         self._learnt_meta: Dict[int, List[float]] = {}
-        #: clause indexes whose derivation involves a blocking/guard
-        #: clause — such learnts are not implied by the problem formula
-        #: alone and must never be exported to peer solvers
-        self._tainted: Set[int] = set()
         self._clause_inc = 1.0
         self._clause_decay = 0.999
         #: learnt count that triggers the next reduce-DB pass
         self._reduce_limit = self._reduce_base or 0
         self._lbd_sum = 0
         self._learnt_deleted_total = 0
-        self._shared_exported_total = 0
-        self._shared_imported_total = 0
-        #: sharing hooks installed via set_sharing()
-        self._share_export: Optional[Callable[[List[int], int], None]] = None
-        self._share_import: Optional[
-            Callable[[], Iterable[Tuple[Sequence[int], int]]]
-        ] = None
 
     # ------------------------------------------------------------------
     # problem construction
@@ -231,23 +181,12 @@ class Solver:
         self._assign.append(UNASSIGNED)
         self._level.append(0)
         self._reason.append(None)
-        activity = 0.0
-        if self._jitter_state is not None:
-            # deterministic 32-bit xorshift: a sub-unit activity nudge
-            # that reorders equal-activity variables without outweighing
-            # a single real conflict bump
-            state = self._jitter_state
-            state ^= (state << 13) & 0xFFFFFFFF
-            state ^= state >> 17
-            state ^= (state << 5) & 0xFFFFFFFF
-            self._jitter_state = state
-            activity = (state % 10007) * 1e-7
-        self._activity.append(activity)
-        self._phase.append(self._default_phase)
+        self._activity.append(0.0)
+        self._phase.append(FALSE)
         if not self._order_dirty:
             # a dirty heap is rebuilt from scratch before the next
             # decision anyway — skip the wasted push
-            heapq.heappush(self._order, (-activity, self._num_vars))
+            heapq.heappush(self._order, (0.0, self._num_vars))
         return self._num_vars
 
     @property
@@ -267,8 +206,7 @@ class Solver:
         clauses — shipped as a sum (not an average) so multishot deltas
         and cross-worker merges stay exact; presentation layers derive
         ``lbd_avg = lbd_sum / learnt``.  ``learnt_deleted`` counts
-        reduce-DB victims, ``shared_exported``/``shared_imported`` count
-        clauses that crossed a sharing channel.
+        reduce-DB victims.
         """
         return {
             "choices": self._decisions_total,
@@ -278,8 +216,6 @@ class Solver:
             "learnt": self._learnt_total,
             "lbd_sum": self._lbd_sum,
             "learnt_deleted": self._learnt_deleted_total,
-            "shared_exported": self._shared_exported_total,
-            "shared_imported": self._shared_imported_total,
         }
 
     def _ensure_var(self, var: int) -> None:
@@ -387,9 +323,6 @@ class Solver:
         clause[1], clause[second] = clause[second], clause[1]
         index = len(self._clauses)
         self._clauses.append(clause)
-        # blocking clauses are not implied by the problem formula:
-        # learnts derived from them must never be exported to peers
-        self._tainted.add(index)
         if len(clause) == 2:
             self._watch_binary(clause, index)
         else:
@@ -731,24 +664,17 @@ class Solver:
                     entry[1] *= 1e-20
                 self._clause_inc *= 1e-20
 
-    def _analyze(self, conflict_index: int) -> Tuple[List[int], int, int, bool]:
+    def _analyze(self, conflict_index: int) -> Tuple[List[int], int, int]:
         """First-UIP analysis.
 
-        Returns ``(learnt clause, backjump level, lbd, shareable)``.
-        ``lbd`` is the literal block distance (count of distinct
-        decision levels among the learnt literals); ``shareable`` is
-        False when any clause walked during the derivation — conflict,
-        reason, or a minimization redundancy proof — was tainted (i.e.
-        a blocking/guard clause or a learnt descended from one), in
-        which case the clause is not implied by the problem formula and
-        must not be exported to peer solvers.
+        Returns ``(learnt clause, backjump level, lbd)``.  ``lbd`` is the
+        literal block distance (count of distinct decision levels among
+        the learnt literals).
         """
         learnt: List[int] = [0]  # slot 0 reserved for the asserting literal
         seen = [False] * (self._num_vars + 1)
         counter = 0
         literal = 0
-        tainted = self._tainted
-        shareable = conflict_index not in tainted
         self._bump_clause(conflict_index)
         clause = self._clauses[conflict_index]
         index = len(self._trail) - 1
@@ -781,23 +707,19 @@ class Solver:
                 break
             reason = self._reason[var]
             assert reason is not None
-            if reason in tainted:
-                shareable = False
             self._bump_clause(reason)
             clause = self._clauses[reason]
         learnt[0] = literal
         if len(learnt) == 1:
-            return learnt, 0, 1, shareable
+            return learnt, 0, 1
         if len(learnt) > 2 and self._minimize_learnts:
             # a 2-literal learnt can never shrink (its non-asserting
             # literal would need every antecedent at level 0, which
             # propagation would already have applied)
-            learnt, used_tainted = self._minimize_learnt(learnt)
-            if used_tainted:
-                shareable = False
+            learnt = self._minimize_learnt(learnt)
         level = self._level
         if len(learnt) == 1:
-            return learnt, 0, 1, shareable
+            return learnt, 0, 1
         # backjump to the second-highest level in the clause
         max_index = 1
         max_level = level[abs(learnt[1])]
@@ -808,9 +730,9 @@ class Solver:
                 max_index = k
         learnt[1], learnt[max_index] = learnt[max_index], learnt[1]
         lbd = len({level[lit if lit > 0 else -lit] for lit in learnt})
-        return learnt, max_level, lbd, shareable
+        return learnt, max_level, lbd
 
-    def _minimize_learnt(self, learnt: List[int]) -> Tuple[List[int], bool]:
+    def _minimize_learnt(self, learnt: List[int]) -> List[int]:
         """Recursive conflict-clause minimization (self-subsumption).
 
         A non-asserting literal is redundant — droppable — when every
@@ -818,28 +740,20 @@ class Solver:
         member, or recursively redundant itself, i.e. the remaining
         literals self-subsume it over the implication graph.  Returns
         the (possibly shorter) clause, keeping the asserting literal in
-        slot 0, plus a flag telling whether any tainted reason clause
-        took part in a redundancy proof.
+        slot 0.
         """
         members = {lit if lit > 0 else -lit for lit in learnt}
         cache: Dict[int, bool] = {}
-        touched_tainted = [False]
         kept = [learnt[0]]
         reason = self._reason
         for literal in learnt[1:]:
             var = literal if literal > 0 else -literal
-            if reason[var] is None or not self._redundant(
-                var, members, cache, touched_tainted
-            ):
+            if reason[var] is None or not self._redundant(var, members, cache):
                 kept.append(literal)
-        return kept, touched_tainted[0]
+        return kept
 
     def _redundant(
-        self,
-        root: int,
-        members: Set[int],
-        cache: Dict[int, bool],
-        touched_tainted: List[bool],
+        self, root: int, members: Set[int], cache: Dict[int, bool]
     ) -> bool:
         """Iterative DFS deciding whether ``root`` is implied by the
         other clause members (plus level-0 facts) over the reason graph.
@@ -856,9 +770,6 @@ class Solver:
         level = self._level
         reason = self._reason
         clauses = self._clauses
-        tainted = self._tainted
-        if reason[root] in tainted:
-            touched_tainted[0] = True
         stack: List[Tuple[int, Iterable[int]]] = [
             (root, iter(clauses[reason[root]]))
         ]
@@ -880,8 +791,6 @@ class Solver:
                     for failed in frame_vars:
                         cache[failed] = False
                     return False
-                if o_reason in tainted:
-                    touched_tainted[0] = True
                 stack.append((o_var, iter(clauses[o_reason])))
                 frame_vars.append(o_var)
                 advanced = True
@@ -893,7 +802,7 @@ class Solver:
         return True
 
     # ------------------------------------------------------------------
-    # learnt-clause economy (reduce-DB) and clause sharing
+    # learnt-clause economy (reduce-DB)
     # ------------------------------------------------------------------
     def _reduce_learnts(self) -> None:
         """Delete the worst half of the tracked learnt clauses.
@@ -927,7 +836,6 @@ class Solver:
                 watches[-clause[1]].remove(index)
                 clauses[index] = None
                 del self._learnt_meta[index]
-                self._tainted.discard(index)
             self._learnt_deleted_total += len(victims)
             self._trace.emit(
                 "sat.reduce",
@@ -935,67 +843,6 @@ class Solver:
                 kept=len(self._learnt_meta),
             )
         self._reduce_limit += max(1, (self._reduce_base or 0) // 2)
-
-    def set_sharing(
-        self,
-        export: Optional[Callable[[List[int], int], None]] = None,
-        import_poll: Optional[
-            Callable[[], Iterable[Tuple[Sequence[int], int]]]
-        ] = None,
-    ) -> None:
-        """Install clause-sharing hooks (either may be ``None``).
-
-        ``export(clause, lbd)`` is invoked for every *shareable* learnt
-        clause whose LBD is at most the configured ``lbd_share_limit``.
-        Shareable means the derivation never touched a blocking/guard
-        clause, so the exported clause is implied by the problem
-        formula and adding it to any peer solving the same formula
-        (same variable numbering) cannot change that peer's model set.
-
-        ``import_poll()`` is drained at ``restart=True`` solve entry
-        and at Luby restart boundaries — both at decision level 0, so
-        imports never disturb an in-progress enumeration trail.  It
-        must yield ``(clause, lbd)`` pairs as produced by a peer's
-        export hook.
-        """
-        self._share_export = export
-        self._share_import = import_poll
-
-    def import_clause(
-        self, literals: Sequence[int], lbd: Optional[int] = None
-    ) -> bool:
-        """Add a clause learnt by a peer; ``False`` if now UNSAT.
-
-        The clause must be implied by the problem formula (peers only
-        export such clauses), so importing never changes the model
-        set.  Imported clauses join the learnt economy under the given
-        LBD, letting reduce-DB drop them again if they turn out
-        useless.
-        """
-        before = len(self._clauses)
-        ok = self.add_clause(literals)
-        self._shared_imported_total += 1
-        if ok and len(self._clauses) > before:
-            index = len(self._clauses) - 1
-            clause = self._clauses[index]
-            if clause is not None and len(clause) > 2:
-                self._learnt_meta[index] = [
-                    int(lbd) if lbd is not None else len(clause),
-                    self._clause_inc,
-                ]
-        return ok
-
-    def _import_shared(self) -> bool:
-        """Drain the import hook; ``False`` when the formula became UNSAT
-        (genuinely so: imported clauses are implied, so a conflict here
-        is a conflict of the formula itself)."""
-        poll = self._share_import
-        if poll is None:
-            return True
-        for clause, lbd in poll():
-            if not self.import_clause(clause, lbd):
-                return False
-        return True
 
     # ------------------------------------------------------------------
     # decision heuristic
@@ -1058,9 +905,6 @@ class Solver:
         assumption_list = list(assumptions)
         if restart:
             self._backtrack_lazy(0)
-            if not self._import_shared():
-                self._last_core = []
-                return None
             conflict = self._propagate()
             if conflict is not None:
                 self._unsat = True
@@ -1086,7 +930,7 @@ class Solver:
                         self._clauses[conflict]
                     )
                     return None
-                learnt, back_level, lbd, shareable = self._analyze(conflict)
+                learnt, back_level, lbd = self._analyze(conflict)
                 back_level = max(back_level, 0)
                 self._backtrack(back_level)
                 self._learnt_total += 1
@@ -1105,17 +949,7 @@ class Solver:
                         self._watch(learnt[0], index)
                         self._watch(learnt[1], index)
                         self._learnt_meta[index] = [lbd, self._clause_inc]
-                    if not shareable:
-                        self._tainted.add(index)
                     self._enqueue(learnt[0], index)
-                if (
-                    shareable
-                    and self._share_export is not None
-                    and lbd <= self._lbd_share_limit
-                ):
-                    self._shared_exported_total += 1
-                    # copy: the live clause list is mutated by watch swaps
-                    self._share_export(list(learnt), lbd)
                 self._activity_inc /= self._activity_decay
                 self._clause_inc /= self._clause_decay
                 if conflicts_since_restart >= restart_limit:
@@ -1129,9 +963,6 @@ class Solver:
                         and len(self._learnt_meta) >= self._reduce_limit
                     ):
                         self._reduce_learnts()
-                    if not self._import_shared():
-                        self._last_core = []
-                        return None
                     self._trace.emit(
                         "sat.restart",
                         number=self._restarts_total,

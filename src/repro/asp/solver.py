@@ -116,11 +116,9 @@ class StableModelSolver:
         heuristics: Optional[Dict[str, object]] = None,
     ):
         """``heuristics`` tunes the SAT backend's search (keys
-        ``default_phase``, ``restart_base``, ``seed``, ``reduce_base``,
-        ``minimize_learnts``, ``lbd_share_limit`` — see
-        :class:`~repro.asp.sat.Solver`); portfolio racing builds one
-        solver per configuration over the same ground program.  ``None``
-        keeps the historical byte-identical defaults."""
+        ``restart_base``, ``reduce_base``, ``minimize_learnts`` — see
+        :class:`~repro.asp.sat.Solver`).  ``None`` keeps the historical
+        byte-identical defaults."""
         from ..observability import NULL_SINK
 
         self._program = program
@@ -166,45 +164,6 @@ class StableModelSolver:
             "loop_nogoods": self._loop_nogoods,
             "bound_improvements": self._bound_improvements,
         }
-
-    # ------------------------------------------------------------------
-    # clause sharing
-    # ------------------------------------------------------------------
-    def set_clause_sharing(self, export=None, import_poll=None) -> None:
-        """Install clause-sharing hooks on the SAT backend.
-
-        ``export(clause, lbd)`` receives every shareable glue clause
-        (LBD within the backend's ``lbd_share_limit``); ``import_poll``
-        is drained at restart boundaries and must yield ``(clause,
-        lbd)`` pairs.  Solvers built from the same ground program
-        number SAT variables identically (construction is
-        deterministic), so raw literal-level sharing between them is
-        sound — see :meth:`~repro.asp.sat.Solver.set_sharing`.
-        """
-        self._sat.set_sharing(export=export, import_poll=import_poll)
-
-    def import_clauses(self, clauses: Sequence[Sequence[int]]) -> int:
-        """Import peer-learnt clauses; returns how many were applied.
-
-        Each entry is either a literal sequence or a ``(clause, lbd)``
-        pair.  Imported clauses must be implied by the problem formula
-        (peers only export such clauses), so the model set — and thus
-        any enumeration output — is unchanged.
-        """
-        applied = 0
-        for entry in clauses:
-            if (
-                len(entry) == 2
-                and isinstance(entry[1], int)
-                and not isinstance(entry[0], int)
-            ):
-                clause, lbd = entry
-            else:
-                clause, lbd = entry, None
-            if not self._sat.import_clause(clause, lbd):
-                break
-            applied += 1
-        return applied
 
     # ------------------------------------------------------------------
     # encoding

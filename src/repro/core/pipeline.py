@@ -127,20 +127,14 @@ class AssessmentPipeline:
         fail_on_validation_errors: bool = True,
         trace: Optional[object] = None,
         workers: Optional[int] = None,
-        parallel_mode: str = "auto",
         cube_factor: Optional[int] = None,
-        share_clauses: bool = True,
         progress: Optional[object] = None,
     ):
-        """``workers`` fans the hazard-identification sweeps (phase 4/5)
-        out over a process pool and the CEGAR oracle classification over
-        a thread pool; results are identical to a sequential run.
-        ``parallel_mode`` and ``cube_factor`` are forwarded to the EPA
-        engines (see :class:`~repro.epa.EpaEngine`): ``auto`` /
-        ``cube`` / ``portfolio``, and the cube oversubscription
-        factor — as is ``share_clauses``, which lets parallel solves
-        exchange glue learnt clauses (latency only, never the
-        verdict).  ``progress`` is an optional
+        """``workers`` shards the hazard-identification sweeps (phase
+        4/5) over a process pool and ``cube_factor`` sets their cube
+        oversubscription factor (both forwarded to the EPA engines, see
+        :class:`~repro.epa.EpaEngine`); results are identical to a
+        sequential run.  ``progress`` is an optional
         :class:`~repro.observability.progress.ProgressTracker` fed by
         the hazard-identification sweeps."""
         self.requirements = tuple(requirements)
@@ -150,9 +144,7 @@ class AssessmentPipeline:
         self.fail_on_validation_errors = fail_on_validation_errors
         self._trace = trace if trace is not None else NULL_SINK
         self.workers = workers
-        self.parallel_mode = parallel_mode
         self.cube_factor = cube_factor
-        self.share_clauses = share_clauses
         self.progress = progress
 
     def run(
@@ -224,9 +216,7 @@ class AssessmentPipeline:
                     extra_mutations=tuple(security_born),
                     trace=self._trace,
                     workers=self.workers,
-                    parallel_mode=self.parallel_mode,
                     cube_factor=self.cube_factor,
-                    share_clauses=self.share_clauses,
                     progress=self.progress,
                 )
                 phases.append(
@@ -273,9 +263,7 @@ class AssessmentPipeline:
                         ),
                         trace=self._trace,
                         workers=self.workers,
-                        parallel_mode=self.parallel_mode,
                         cube_factor=self.cube_factor,
-                        share_clauses=self.share_clauses,
                         progress=self.progress,
                     )
                     detailed = refined_engine.analyze(
@@ -291,7 +279,6 @@ class AssessmentPipeline:
                         max_iterations=2,
                         stats=stats,
                         trace=self._trace,
-                        workers=self.workers,
                     )
                     report = cegar.final_report
                     phases.append(

@@ -121,9 +121,7 @@ class EpaEngine:
         trace: Optional[object] = None,
         incremental: bool = True,
         workers: Optional[int] = None,
-        parallel_mode: str = "auto",
         cube_factor: Optional[int] = None,
-        share_clauses: bool = True,
         progress: Optional[ProgressTracker] = None,
     ):
         """``fault_mitigations`` maps fault-mode name -> mitigation ids
@@ -135,22 +133,13 @@ class EpaEngine:
         persistent multi-shot control, ``incremental=False`` builds a
         fresh control per query (full sweeps always take the cube
         sweep).  ``workers`` sets the default process-pool width of the
-        sweeps (``None``/``1`` = in-process).  ``parallel_mode``
-        selects how those workers are used: ``"auto"`` shards sweeps
-        over cubes *and* races single-answer queries over a solver
-        portfolio, ``"cube"`` only shards sweeps, ``"portfolio"`` only
-        races single-answer queries (sweeps stay in-process).
-        ``cube_factor`` overrides the cube oversubscription factor
-        (default: ``REPRO_CUBE_FACTOR`` or 4; see
-        :func:`repro.asp.cubes.resolve_cube_factor`).
-        ``share_clauses`` lets parallel solves exchange glue learnt
-        clauses — portfolio racers over a queue channel, cubes that fall
-        back to the CDCL enumerator as dispatch-time warm starts (see
-        ``docs/parallelism.md``); sharing changes latency only, never
-        any verdict or report.  ``progress`` attaches a
-        :class:`~repro.observability.ProgressTracker` fed per shipped
-        chunk and per completed cube — results are identical with or
-        without it."""
+        sweeps (``None``/``1`` = in-process); point queries always run
+        in-process.  ``cube_factor`` overrides the cube oversubscription
+        factor (default: ``REPRO_CUBE_FACTOR`` or 4; see
+        :func:`repro.asp.cubes.resolve_cube_factor`).  ``progress``
+        attaches a :class:`~repro.observability.ProgressTracker` fed
+        per shipped chunk and per completed cube — results are
+        identical with or without it."""
         names = [r.name for r in requirements]
         if len(set(names)) != len(names):
             raise EpaError("duplicate requirement names")
@@ -170,14 +159,7 @@ class EpaEngine:
         self._stats = SolveStats()
         self._incremental = incremental
         self._workers = workers
-        if parallel_mode not in ("auto", "cube", "portfolio"):
-            raise EpaError(
-                "parallel_mode must be auto, cube or portfolio, not %r"
-                % (parallel_mode,)
-            )
-        self._parallel_mode = parallel_mode
         self._cube_factor = cube_factor
-        self._share_clauses = share_clauses
         self._progress = progress
         #: ASP requirement symbol -> declared requirement name
         self._requirement_names = {
@@ -209,38 +191,6 @@ class EpaEngine:
         if isinstance(solvers, SolveStats):
             finalize_solver_stats(solvers)
         return merged
-
-    def _glue_channel(self):
-        """Parent-side half of the cube glue channel.
-
-        Returns ``(collect, decorate)``: ``collect`` folds worker-
-        exported glue clauses into a deduplicated pool (clauses are
-        sets of literals, so dedup is by frozenset), and ``decorate``
-        is a :meth:`~repro.parallel.WorkStealingPool.map` dispatch-time
-        hook injecting the pool into a cube payload just before it is
-        handed to a worker — later cubes start warm with everything
-        earlier cubes learnt.  ``(None, None)`` when sharing is off.
-        """
-        if not self._share_clauses:
-            return None, None
-        seen: Set[frozenset] = set()
-        glue: List[List[int]] = []
-
-        def collect(clauses) -> None:
-            for clause in clauses:
-                key = frozenset(clause)
-                if key not in seen:
-                    seen.add(key)
-                    glue.append(list(clause))
-
-        def decorate(_position: int, item: Dict[str, object]):
-            if not glue:
-                return item
-            item = dict(item)
-            item["shared_clauses"] = [list(clause) for clause in glue]
-            return item
-
-        return collect, decorate
 
     # ------------------------------------------------------------------
     # program assembly
@@ -551,12 +501,10 @@ class EpaEngine:
 
     def _sweep_width(self, workers: Optional[int]) -> int:
         """The pool width of a sweep: the call's ``workers``, else the
-        engine's; 1 (in-process) unless cube sharding is enabled."""
+        engine's; 1 (in-process) when neither is set."""
         if workers is None:
             workers = self._workers
-        if not workers or self._parallel_mode == "portfolio":
-            return 1
-        return workers
+        return workers or 1
 
     def _sweep(
         self,
@@ -651,11 +599,9 @@ class EpaEngine:
                     "fold": fold,
                     "chunk": max(1, chunk_size),
                     "subprocess": subprocess_mode,
-                    "share_clauses": self._share_clauses,
                 }
                 for cube_id in pending
             ]
-            collect_glue, decorate = self._glue_channel()
 
             parts: Dict[int, object] = {}
             buffers: Dict[int, object] = {}
@@ -696,11 +642,6 @@ class EpaEngine:
                     # the worker fell back to the CDCL enumeration and
                     # will re-stream the whole cube
                     drop(cube_id)
-                elif kind == "glue":
-                    # shared learnt clauses, not cube results: fold into
-                    # the warm-start pool for cubes still waiting
-                    if collect_glue is not None:
-                        collect_glue(value[1])
                 elif kind == "agg":
                     chunk = ScenarioAggregate.loads(value[1])
                     if cube_id in buffers:
@@ -738,7 +679,6 @@ class EpaEngine:
                     on_partial=on_partial,
                     on_retry=on_retry,
                     on_result=on_result,
-                    decorate=decorate,
                 )
             except ParallelError as error:
                 raise EpaError("EPA sweep failed: %s" % error) from error
@@ -817,18 +757,7 @@ class EpaEngine:
                     "active_fault(%s, %s) :- potential_fault(%s, %s)."
                     % (fault.component, fault.fault, fault.component, fault.fault)
                 )
-            # a fully pinned scenario has exactly one stable model, so
-            # portfolio racing can only change latency, never the answer
-            race_workers = (
-                self._workers
-                if self._workers
-                and self._workers > 1
-                and self._parallel_mode in ("auto", "portfolio")
-                else None
-            )
-            first = control.first_model(
-                workers=race_workers, share_clauses=self._share_clauses
-            )
+            first = control.first_model()
             models = [first] if first is not None else []
             self._fold_statistics(control, scenarios=len(models))
         if not models:
@@ -1205,31 +1134,6 @@ def _model_extract(
     )
 
 
-def _fallback_reference(
-    payload: Mapping[str, object], glue_out: List[List[int]]
-) -> StableModelSolver:
-    """A fresh CDCL solver for a cube's fallback enumeration, wired
-    into the glue channel.
-
-    With ``share_clauses`` on, the solver (a) imports the glue clauses
-    earlier cubes exported (injected into the payload at dispatch time
-    by the parent's decorate hook — all formula-implied, so the cube's
-    model set is untouched) and (b) exports its own glue learnts into
-    ``glue_out``, which the worker ships as a ``("glue", ...)`` partial
-    after enumerating.  Clauses derived from enumeration-blocking
-    constraints are tainted inside the SAT core and never exported.
-    """
-    reference = StableModelSolver(shared_program(payload["digest"]))
-    if payload.get("share_clauses"):
-        reference.set_clause_sharing(
-            export=lambda clause, lbd: glue_out.append(list(clause))
-        )
-        imported = payload.get("shared_clauses")
-        if imported:
-            reference.import_clauses(imported)
-    return reference
-
-
 def _sweep_digest(
     program_digest: str,
     cubes: Sequence[Sequence[Tuple[Atom, bool]]],
@@ -1323,7 +1227,6 @@ def _sweep_worker(
 
     start = time.perf_counter()
     before = solver.statistics["solvers"]
-    glue: List[List[int]] = []
     fallback = False
     try:
         count = solver.project_models(project, on_model, assumptions=cube)
@@ -1338,7 +1241,7 @@ def _sweep_worker(
         emit_partial(("reset",))
         batch = []
         requirement_names = payload["requirement_names"]
-        reference = _fallback_reference(payload, glue)
+        reference = StableModelSolver(shared_program(payload["digest"]))
         count = 0
         for model in reference.models(assumptions=cube, project=project):
             batch.append(_model_extract(model, requirement_names))
@@ -1346,8 +1249,6 @@ def _sweep_worker(
             if len(batch) >= chunk:
                 flush()
         searched = reference.statistics["solvers"]
-        if glue:
-            emit_partial(("glue", glue))
     flush()
     elapsed = time.perf_counter() - start
     events: List[Tuple[str, float, Dict[str, object]]] = []

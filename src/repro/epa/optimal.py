@@ -17,10 +17,9 @@ exhaustive analysis uses — weak constraints on ``active_fault``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence
 
 from ..asp import Control
-from ..parallel import ParallelError, parallel_map
 from .engine import EpaEngine, _mitigation_symbol
 from .faults import FaultRef
 from .results import ScenarioOutcome
@@ -138,7 +137,6 @@ def attack_cost_of_mitigation(
     requirement: str,
     mitigation_deployments: Sequence[Mapping[str, Sequence[str]]],
     costs: Optional[Mapping[FaultRef, int]] = None,
-    workers: Optional[int] = None,
     multishot: bool = True,
 ) -> Dict[int, Optional[int]]:
     """How much each candidate deployment raises the attacker's bill.
@@ -152,14 +150,8 @@ def attack_cost_of_mitigation(
     control: deployments are external-atom assignments, so the attack
     program grounds once and every optimization call reuses the same
     solver.  ``multishot=False`` restores the fresh-control-per-
-    deployment loop (the differential baseline); ``workers=N`` fans the
-    deployments out over a process pool instead (each worker runs the
-    fresh path).
+    deployment loop (the differential baseline).
     """
-    if workers and workers > 1:
-        return _sweep_parallel(
-            engine, requirement, mitigation_deployments, costs, workers
-        )
     if not multishot:
         results: Dict[int, Optional[int]] = {}
         for index, deployment in enumerate(mitigation_deployments):
@@ -219,60 +211,6 @@ def _sweep_multishot(
     engine._stats.merge(control.statistics)
     engine._stats.incr("epa.deployment_sweeps")
     return results
-
-
-def _sweep_parallel(
-    engine: EpaEngine,
-    requirement: str,
-    mitigation_deployments: Sequence[Mapping[str, Sequence[str]]],
-    costs: Optional[Mapping[FaultRef, int]],
-    workers: int,
-) -> Dict[int, Optional[int]]:
-    """Fan independent deployments out over a process pool."""
-    cost_map = dict(costs) if costs is not None else None
-    payloads = [
-        {
-            "model": engine.model,
-            "requirements": engine.requirements,
-            "fault_mitigations": engine.fault_mitigations,
-            "component_mitigations": engine.component_mitigations,
-            "extra_mutations": engine.extra_mutations,
-            "requirement": requirement,
-            "costs": cost_map,
-            "deployment": dict(deployment or {}),
-        }
-        for deployment in mitigation_deployments
-    ]
-    try:
-        objectives: List[Optional[int]] = parallel_map(
-            _deployment_worker, payloads, workers=workers
-        )
-    except ParallelError as error:
-        raise OptimalQueryError(
-            "parallel deployment sweep failed: %s" % error
-        ) from error
-    return {index: objective for index, objective in enumerate(objectives)}
-
-
-def _deployment_worker(payload: Dict[str, object]) -> Optional[int]:
-    """Evaluate one deployment in a child process (fresh engine)."""
-    engine = EpaEngine(
-        payload["model"],
-        payload["requirements"],
-        fault_mitigations=payload["fault_mitigations"],
-        component_mitigations=payload["component_mitigations"],
-        extra_mutations=payload["extra_mutations"],
-        incremental=False,
-    )
-    try:
-        return cheapest_attack(
-            engine,
-            payload["requirement"],
-            payload["costs"],
-            payload["deployment"],
-        ).objective
-    except OptimalQueryError:
-        return None
 
 
 def _requirement_symbol(name: str) -> str:

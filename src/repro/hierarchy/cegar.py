@@ -30,7 +30,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from ..epa.results import EpaReport, ScenarioOutcome
 from ..observability import NULL_SINK, SolveStats, Timer, Tracer
 from ..observability.metrics import get_registry
-from ..parallel import parallel_map
 
 
 class CegarError(Exception):
@@ -105,7 +104,6 @@ def cegar_loop(
     max_iterations: int = 10,
     stats: Optional[SolveStats] = None,
     trace: Optional[object] = None,
-    workers: Optional[int] = None,
 ) -> CegarResult:
     """Run analyze -> classify -> refine until no spurious candidates
     remain (or refinement is exhausted).
@@ -119,10 +117,6 @@ def cegar_loop(
     per-iteration counts and analysis times under its ``cegar`` section;
     ``trace`` receives one ``cegar.iteration`` span (begin/end event
     pair) per level.
-    ``workers`` classifies each iteration's candidates through the
-    oracle on a thread pool (oracles are closures, so the process
-    backend is out); verdict order — and thus the confirmed/spurious
-    split — is identical to the sequential loop.
     """
     if max_iterations < 1:
         raise CegarError("need at least one iteration")
@@ -139,12 +133,8 @@ def cegar_loop(
             report = current()
             elapsed = timer.stop()
             iteration = CegarIteration(level, report)
-            candidates = list(report.violating())
-            verdicts = parallel_map(
-                oracle, candidates, workers=workers, backend="thread"
-            )
-            for outcome, verdict in zip(candidates, verdicts):
-                if verdict:
+            for outcome in report.violating():
+                if oracle(outcome):
                     iteration.confirmed.append(outcome)
                 else:
                     iteration.spurious.append(outcome)

@@ -14,8 +14,8 @@ Sec. IV-C (mitigation selection as a covering problem)
     :func:`optimality_core` (why a plan is optimal: the minimized unsat
     core of the tightened cost bound);
 Sec. IV-D (budgets and phased deployment)
-    :func:`plan_phases`, :func:`sweep_budgets` (multi-shot/parallel
-    what-if over candidate budgets), :class:`MultiPhasePlan`,
+    :func:`plan_phases`, :func:`sweep_budgets` (multi-shot what-if over
+    candidate budgets), :class:`MultiPhasePlan`,
     :class:`PhasePlan`;
 cost models and balance sheets
     :class:`MitigationCost`, :class:`AttackCostModel`,

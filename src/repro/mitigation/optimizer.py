@@ -31,7 +31,6 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tupl
 from ..asp import Control
 from ..observability import NULL_SINK, SolveStats, Tracer
 from ..observability.metrics import get_registry
-from ..parallel import ParallelError, parallel_map
 from ..provenance import minimize_core
 from .costs import risk_weight
 
@@ -237,7 +236,6 @@ def optimality_core(
     stats: Optional[SolveStats] = None,
     trace: Optional[object] = None,
     minimize: bool = True,
-    workers: Optional[int] = None,
 ) -> Optional[List[str]]:
     """Why no cheaper plan exists: an unsat core of the tightened bound.
 
@@ -249,12 +247,6 @@ def optimality_core(
     cheaper plan exists (``cost`` was not optimal).  With ``minimize``
     the core is a MUS: dropping any returned scenario from the
     requirement set admits a sub-``cost`` plan.
-
-    ``workers > 1`` races the bound-tightening satisfiability probes of
-    the MUS minimization over a solver portfolio
-    (:mod:`repro.asp.portfolio`); the initial core extraction stays
-    serial because it consumes the solver's unsat core, which the
-    portfolio path does not ship back.
     """
     tracer = Tracer(trace if trace is not None else NULL_SINK)
     get_registry().counter(
@@ -279,17 +271,15 @@ def optimality_core(
         control.add(":- #sum { C, M : deploy(M), cost(M, C) } > %d." % (cost - 1))
         from ..asp import atom as _atom
 
-        def is_unsat(scenarios: Sequence[str], race: bool = True) -> bool:
+        def is_unsat(scenarios: Sequence[str]) -> bool:
             assumptions = [
                 (_atom("require_blocked", scenario_names[s]), True)
                 for s in scenarios
             ]
-            return not control.is_satisfiable(
-                assumptions, workers=workers if race else None
-            )
+            return not control.is_satisfiable(assumptions)
 
         core: Optional[List[str]] = None
-        if is_unsat(blockable, race=False):
+        if is_unsat(blockable):
             reverse = {name: s for s, name in scenario_names.items()}
             core = sorted(
                 reverse[str(head.arguments[0])]
@@ -310,7 +300,6 @@ def sweep_budgets(
     budgets: Sequence[int],
     stats: Optional[SolveStats] = None,
     trace: Optional[object] = None,
-    workers: Optional[int] = None,
     multishot: bool = True,
 ) -> Dict[int, MitigationPlan]:
     """The budget-constrained plan for every candidate budget.
@@ -319,21 +308,11 @@ def sweep_budgets(
     unit of budget buy?".  By default all budgets are solved on one
     persistent multi-shot control — each budget's ``#sum`` cap is
     guarded by a ``budget_active(B)`` external, and the sweep flips one
-    external per solve instead of regrounding.  ``workers=N`` fans the
-    budgets out over a process pool (fresh control per budget);
-    ``multishot=False`` loops :func:`optimize_asp` (the differential
-    baseline).  Returns budget -> plan, duplicates collapsed.
+    external per solve instead of regrounding.  ``multishot=False``
+    loops :func:`optimize_asp` (the differential baseline).  Returns
+    budget -> plan, duplicates collapsed.
     """
     distinct = sorted(set(budgets))
-    if workers and workers > 1:
-        payloads = [(problem, budget) for budget in distinct]
-        try:
-            plans = parallel_map(_budget_worker, payloads, workers=workers)
-        except ParallelError as error:
-            raise OptimizationError(
-                "parallel budget sweep failed: %s" % error
-            ) from error
-        return dict(zip(distinct, plans))
     if not multishot:
         return {
             budget: optimize_asp(problem, budget, stats=stats, trace=trace)
@@ -373,12 +352,6 @@ def sweep_budgets(
         stats.merge(control.statistics)
         stats.incr("mitigation.budget_sweeps")
     return plans
-
-
-def _budget_worker(payload: Tuple[BlockingProblem, int]) -> MitigationPlan:
-    """Solve one budget in a child process (fresh control)."""
-    problem, budget = payload
-    return optimize_asp(problem, budget)
 
 
 # ----------------------------------------------------------------------

@@ -293,10 +293,6 @@ def format_statistics(stats: Mapping[str, Any]) -> str:
                     number("solving.solvers.learnt_deleted") or 0,
                 ),
             )
-        exported = number("solving.solvers.shared_exported") or 0
-        imported = number("solving.solvers.shared_imported") or 0
-        if exported or imported:
-            emit("Sharing", "%d exported, %d imported" % (exported, imported))
     loop_nogoods = number("solving.loop_nogoods")
     if loop_nogoods is not None:
         emit(

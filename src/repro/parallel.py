@@ -1,34 +1,22 @@
-"""Worker-pool evaluation layer for independent solve calls.
+"""Worker pool for sharded enumeration.
 
-The paper's workflow (Fig. 1) is a loop of *independent* solver
-invocations: EPA scenario sweeps, what-if mitigation deployments,
-sensitivity-analysis factor variations.  Two pool shapes live here:
+The paper's workflow (Fig. 1) checks every candidate scenario
+exhaustively; :class:`WorkStealingPool` shards that check across
+processes for cube-and-conquer (see :mod:`repro.asp.cubes` and
+``docs/parallelism.md``).  The parent holds the pending-task deque and
+feeds each worker one task at a time, preferring tasks whose *home* tag
+matches the worker; a worker that drains its home partition is handed
+tasks homed elsewhere — work stealing with exact parent-side
+bookkeeping, which is what makes crash recovery precise: when a worker
+process dies, the parent knows exactly which task it held, re-queues it
+(bounded attempts), and respawns the worker.  Per-task busy seconds,
+steal counts and cube counts are published to the metrics registry as
+``repro_parallel_worker_busy_seconds``, ``repro_parallel_steals_total``
+and ``repro_parallel_cubes_total``.  With one worker (or one item) the
+pool runs in-process, so serial evaluation is simply the one-worker
+case.
 
-:func:`parallel_map`
-    the simple fan-out: map a picklable function over a batch on a
-    :class:`~concurrent.futures.ProcessPoolExecutor` (or a thread pool,
-    for callables that close over unpicklable state such as CEGAR
-    oracles), results in submission order.  Good when items cost about
-    the same.
-
-:class:`WorkStealingPool`
-    the sharded-enumeration pool used by cube-and-conquer (see
-    :mod:`repro.asp.cubes` and ``docs/parallelism.md``).  The parent
-    holds the pending-task deque and feeds each worker one task at a
-    time, preferring tasks whose *home* tag matches the worker; a
-    worker that drains its home partition is handed tasks homed
-    elsewhere — work stealing with exact parent-side bookkeeping, which
-    is what makes crash recovery precise: when a worker process dies,
-    the parent knows exactly which task it held, re-queues it (bounded
-    attempts), and respawns the worker.  Per-task busy seconds, steal
-    counts and cube counts are published to the metrics registry as
-    ``repro_parallel_worker_busy_seconds``, ``repro_parallel_steals_total``
-    and ``repro_parallel_cubes_total``.
-
-:func:`merge_stats` folds per-worker statistics dictionaries into one
-:class:`~repro.observability.SolveStats` tree (numeric leaves sum), so
-``--stats`` output still accounts for work done in child processes.
-Trace events and metrics ride the same way: workers ship their
+Trace events and metrics ride the result channel: workers ship their
 recorded event streams and a
 :meth:`~repro.observability.MetricsRegistry.to_dict` snapshot back in
 the result envelope, and the parent replays the events on its own sink
@@ -38,13 +26,13 @@ registry — ``--trace``/``--metrics`` compose with ``--workers N``.
 Pool-level failures — a worker killed by the OS, unpicklable payloads —
 surface as :class:`ParallelError` instead of a hang, with the
 worker-side traceback attached as :attr:`ParallelError.worker_traceback`
-when one was captured; exceptions *raised by* the mapped function
+when one was captured; exceptions *raised by* the task function
 propagate unchanged (chained to a :class:`ParallelError` carrying the
 worker traceback when they crossed a process boundary).
 
 **Streaming result channel.**  A task function may call
 :func:`emit_partial` any number of times before returning: each value is
-pickled and shipped on the pool's result queue immediately, and the
+pickled and shipped on the worker's result pipe immediately, and the
 parent invokes the ``on_partial(task_index, value)`` callback passed to
 :meth:`WorkStealingPool.map` as the messages arrive — the mechanism
 behind bounded-memory streaming sweeps, where workers ship models (or
@@ -55,7 +43,7 @@ is re-queued, so the caller discards the partials the dead attempt
 already shipped; ``on_result(task_index, value)`` fires when a task
 finishes, marking its partials final.  In the in-process degenerate
 case (one worker or one item) :func:`emit_partial` invokes
-``on_partial`` synchronously — same contract, no queue.
+``on_partial`` synchronously — same contract, no pipe.
 """
 
 from __future__ import annotations
@@ -63,12 +51,10 @@ from __future__ import annotations
 import gc
 import multiprocessing
 import pickle
-import queue as queue_module
 import time
 import traceback as traceback_module
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait as wait_readable
 from typing import (
     Callable,
     Dict,
@@ -78,7 +64,6 @@ from typing import (
     TypeVar,
 )
 
-from .observability import SolveStats
 from .observability.health import WorkerHealth
 from .observability.metrics import get_registry
 
@@ -88,8 +73,8 @@ _Result = TypeVar("_Result")
 #: how many times a task is retried after its worker died mid-execution
 MAX_TASK_ATTEMPTS = 3
 
-#: worker-side channel state: ``(result_queue, task_index, worker_index)``
-#: while a pool worker is executing a task, else ``None``
+#: worker-side channel state: ``(result_pipe, task_index, worker_index,
+#: attempt)`` while a pool worker is executing a task, else ``None``
 _WORKER_CHANNEL = None
 
 #: in-process channel state: ``(on_partial, task_index)`` while the
@@ -102,16 +87,17 @@ def emit_partial(value) -> bool:
 
     Called by the task function; the value reaches the parent's
     ``on_partial(task_index, value)`` callback — immediately via the
-    result queue from a pool worker, synchronously in the degenerate
-    in-process case.  Returns ``False`` (value dropped) when no channel
-    is open: either the caller is not running under a pool ``map``, or
-    the parent did not pass ``on_partial``.  Task functions use the
-    return value to decide between streaming and returning one batch.
+    worker's result pipe from a pool worker, synchronously in the
+    degenerate in-process case.  Returns ``False`` (value dropped) when
+    no channel is open: either the caller is not running under a pool
+    ``map``, or the parent did not pass ``on_partial``.  Task functions
+    use the return value to decide between streaming and returning one
+    batch.
     """
     if _WORKER_CHANNEL is not None:
         results, task_index, worker_index, attempt = _WORKER_CHANNEL
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        results.put(("partial", task_index, worker_index, attempt, payload))
+        results.send(("partial", task_index, worker_index, attempt, payload))
         return True
     if _INPROCESS_PARTIAL is not None:
         on_partial, task_index = _INPROCESS_PARTIAL
@@ -139,62 +125,21 @@ class ParallelError(RuntimeError):
         self.worker_traceback = worker_traceback
 
 
-def parallel_map(
-    function: Callable[[_Item], _Result],
-    items: Iterable[_Item],
-    workers: Optional[int] = None,
-    backend: str = "process",
-) -> List[_Result]:
-    """Map ``function`` over ``items``, preserving submission order.
-
-    ``workers=None`` / ``0`` / ``1`` (or a single item) runs sequentially
-    in-process — the degenerate case costs nothing and keeps behaviour
-    identical for small batches.  ``backend`` selects ``"process"``
-    (default; requires picklable functions and items) or ``"thread"``
-    (for closures; parallelism then depends on workers releasing the
-    GIL, but ordering and error semantics are the same).
-    """
-    batch = list(items)
-    if not workers or workers <= 1 or len(batch) <= 1:
-        return [function(item) for item in batch]
-    if backend == "process":
-        executor_type = ProcessPoolExecutor
-    elif backend == "thread":
-        executor_type = ThreadPoolExecutor
-    else:
-        raise ValueError("unknown backend: %r" % (backend,))
-    pool_workers = min(workers, len(batch))
-    try:
-        with executor_type(max_workers=pool_workers) as pool:
-            futures: List["Future[_Result]"] = [
-                pool.submit(function, item) for item in batch
-            ]
-            return [future.result() for future in futures]
-    except BrokenProcessPool as error:
-        cause = error.__cause__
-        worker_traceback = None
-        if cause is not None:
-            worker_traceback = "".join(
-                traceback_module.format_exception(
-                    type(cause), cause, cause.__traceback__
-                )
-            )
-        raise ParallelError(
-            "worker pool broke while evaluating %d items: %s"
-            % (len(batch), error),
-            worker_traceback=worker_traceback,
-        ) from error
-
-
 def _pool_worker(index, function, tasks, results):
     """Worker-process loop: one task at a time, results pre-pickled.
 
-    Pre-pickling the result in the worker keeps an unpicklable return
-    value from silently dying in the queue's feeder thread (which would
-    hang the parent); it becomes an explicit error message instead.
+    Pre-pickling the result in the worker turns an unpicklable return
+    value into an explicit error message instead of a lost result.
     Exceptions raised by ``function`` are shipped with their formatted
     traceback so the parent can re-raise without losing the failing
     frame.
+
+    ``results`` is this worker's own pipe, written synchronously: a
+    worker that dies mid-message leaves a truncated message in its own
+    pipe only, which the parent reads as end-of-file.  (A queue shared
+    by all workers is written by a background thread under a
+    cross-process lock; a worker killed while that thread held the lock
+    would silence every other worker for good.)
 
     The cyclic garbage collector is frozen on entry: fork-started
     workers inherit the parent heap copy-on-write, and a collection
@@ -224,12 +169,12 @@ def _pool_worker(index, function, tasks, results):
             except Exception:
                 error_payload = None
                 trace += "\n(exception %r was not picklable)" % (error,)
-            results.put(("error", task_index, index, error_payload, trace))
+            results.send(("error", task_index, index, error_payload, trace))
             return
         finally:
             _WORKER_CHANNEL = None
         busy = time.perf_counter() - start
-        results.put(("done", task_index, index, busy, payload))
+        results.send(("done", task_index, index, busy, payload))
 
 
 class WorkStealingPool:
@@ -285,7 +230,6 @@ class WorkStealingPool:
         on_partial: Optional[Callable[[int, object], None]] = None,
         on_retry: Optional[Callable[[int], None]] = None,
         on_result: Optional[Callable[[int, object], None]] = None,
-        decorate: Optional[Callable[[int, _Item], _Item]] = None,
     ) -> List[_Result]:
         """Evaluate ``function`` over ``items``; results in input order.
 
@@ -300,16 +244,6 @@ class WorkStealingPool:
         re-queued (discard that task's partials); ``on_result`` fires on
         task completion, before the pool moves on.  All three run in the
         parent process, on the thread driving :meth:`map`.
-
-        ``decorate(task_index, item)`` rewrites an item *at dispatch
-        time* — the moment it is handed to a worker, not when the batch
-        was built — and its return value is what the worker receives.
-        This is the late-binding hook behind warm-started cube solves:
-        knowledge accumulated from already-finished tasks (e.g. shared
-        glue clauses) is injected into tasks still waiting in the
-        pending deque.  It runs in the parent, is applied again on every
-        retry dispatch (so a re-queued task sees the freshest state),
-        and must not mutate the original item in place.
         """
         global _INPROCESS_PARTIAL
         batch = list(items)
@@ -317,8 +251,6 @@ class WorkStealingPool:
             self.last_assignments = {index: 0 for index in range(len(batch))}
             collected = []
             for index, item in enumerate(batch):
-                if decorate is not None:
-                    item = decorate(index, item)
                 if on_partial is not None:
                     _INPROCESS_PARTIAL = (on_partial, index)
                 try:
@@ -337,7 +269,6 @@ class WorkStealingPool:
             on_partial=on_partial,
             on_retry=on_retry,
             on_result=on_result,
-            decorate=decorate,
             stall_timeout=self.stall_timeout,
             on_stall=self.on_stall,
         )
@@ -353,7 +284,6 @@ def _run_pool(
     on_partial=None,
     on_retry=None,
     on_result=None,
-    decorate=None,
     stall_timeout=None,
     on_stall=None,
 ):
@@ -379,19 +309,26 @@ def _run_pool(
     results: Dict[int, object] = {}
     assignments: Dict[int, int] = {}
 
-    result_queue = context.Queue()
+    # read ends of the live workers' result pipes
+    readers = []
+    inbox: deque = deque()
     task_queues = []
     processes = []
     in_flight: Dict[int, Optional[int]] = {}
 
     def spawn(worker_index):
         task_queue = context.Queue()
+        reader, writer = context.Pipe(duplex=False)
         process = context.Process(
             target=_pool_worker,
-            args=(worker_index, function, task_queue, result_queue),
+            args=(worker_index, function, task_queue, writer),
             daemon=True,
         )
         process.start()
+        # the worker now holds the only write end, so its exit shows up
+        # as end-of-file on the read end
+        writer.close()
+        readers.append(reader)
         if worker_index < len(task_queues):
             task_queues[worker_index] = task_queue
             processes[worker_index] = process
@@ -416,12 +353,22 @@ def _run_pool(
         pending.remove(task_index)
         attempts[task_index] += 1
         in_flight[worker_index] = task_index
-        item = batch[task_index]
-        if decorate is not None:
-            item = decorate(task_index, item)
         task_queues[worker_index].put(
-            (task_index, attempts[task_index], item)
+            (task_index, attempts[task_index], batch[task_index])
         )
+
+    def receive():
+        """The next worker message, or ``None`` after 50 ms of silence."""
+        if not inbox:
+            for reader in wait_readable(readers, timeout=0.05):
+                try:
+                    inbox.append(reader.recv())
+                except (EOFError, OSError):
+                    # the worker exited; the liveness check re-queues
+                    # whatever task it held
+                    readers.remove(reader)
+                    reader.close()
+        return inbox.popleft() if inbox else None
 
     def shutdown():
         for worker_index, process in enumerate(processes):
@@ -436,7 +383,8 @@ def _run_pool(
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=1.0)
-        result_queue.close()
+        for reader in readers:
+            reader.close()
         for task_queue in task_queues:
             task_queue.close()
 
@@ -446,10 +394,7 @@ def _run_pool(
             dispatch(worker_index)
 
         while len(results) < len(batch):
-            try:
-                message = result_queue.get(timeout=0.05)
-            except queue_module.Empty:
-                message = None
+            message = receive()
             if message is None:
                 # No result: check for dead workers holding a task.
                 for worker_index, process in enumerate(processes):
@@ -530,20 +475,9 @@ def _run_pool(
         shutdown()
 
 
-def merge_stats(
-    target: SolveStats, parts: Iterable[Dict[str, object]]
-) -> SolveStats:
-    """Fold per-worker statistics dicts into ``target`` (leaves sum)."""
-    for part in parts:
-        target.merge(part)
-    return target
-
-
 __all__ = [
     "MAX_TASK_ATTEMPTS",
     "ParallelError",
     "WorkStealingPool",
     "emit_partial",
-    "parallel_map",
-    "merge_stats",
 ]

@@ -14,9 +14,8 @@ sensitive to, so the analyst knows where estimation errors matter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from ..parallel import parallel_map
 from ..qualitative.spaces import QuantitySpace
 from ..qualitative.values import QualitativeRange
 
@@ -56,17 +55,13 @@ def one_at_a_time(
     fixed: Mapping[str, str],
     uncertain: Mapping[str, Iterable[str]],
     outcome_space: QuantitySpace,
-    workers: Optional[int] = None,
 ) -> List[SensitivityResult]:
     """Vary each uncertain factor separately (the paper's method).
 
     ``fixed`` holds the point values of the certain factors; each entry
     of ``uncertain`` gives the candidate labels of one uncertain factor.
     Factors in both mappings use the ``fixed`` value as the nominal point
-    when varying the *other* factors.  ``workers`` evaluates the factors
-    on a thread pool (label functions are typically closures over EPA
-    engines, so the process backend is out); result order matches the
-    sequential run.
+    when varying the *other* factors.
     """
     nominal: Dict[str, str] = dict(fixed)
     for factor, labels in uncertain.items():
@@ -76,8 +71,8 @@ def one_at_a_time(
                 raise ValueError("factor %r has no candidate labels" % factor)
             nominal[factor] = candidates[0]
 
-    def vary(item: Tuple[str, Iterable[str]]) -> SensitivityResult:
-        factor, labels = item
+    results: List[SensitivityResult] = []
+    for factor, labels in uncertain.items():
         outputs = set()
         inputs = tuple(labels)
         for label in inputs:
@@ -85,11 +80,8 @@ def one_at_a_time(
             assignment[factor] = label
             outputs.add(function(**assignment))
         ordered = tuple(sorted(outputs, key=outcome_space.index))
-        return SensitivityResult(factor, inputs, ordered)
-
-    return parallel_map(
-        vary, list(uncertain.items()), workers=workers, backend="thread"
-    )
+        results.append(SensitivityResult(factor, inputs, ordered))
+    return results
 
 
 def full_factorial(

@@ -107,3 +107,54 @@ class TestNaiveCheckerDirect:
         program = Control("{ a }. :- a.").ground()
         assert not is_stable_model(program, {atom("a")})
         assert is_stable_model(program, set())
+
+
+#: choice program with a derived atom and a constraint
+CHOICE = """
+{ p(1..6) } 3.
+q :- p(1), p(2).
+:- p(5), p(6).
+"""
+
+
+class TestFirstModel:
+    """``first_model`` stops after one answer set: the witness must be a
+    genuine stable model, and the one plain enumeration yields first."""
+
+    def test_witness_is_stable_model(self):
+        control = Control(CHOICE)
+        model = control.first_model()
+        assert model is not None
+        assert is_stable_model(control.ground(), set(model.atoms))
+
+    def test_witness_is_first_enumerated_model(self):
+        first = Control(CHOICE).first_model()
+        enumerated = Control(CHOICE).solve(limit=1)
+        assert [first.atoms] == [m.atoms for m in enumerated]
+
+    def test_unsat_verdict(self):
+        control = Control(CHOICE + ":- not impossible.\n")
+        assert control.first_model() is None
+        assert not control.is_satisfiable()
+        assert stable_models(control.ground()) == []
+
+    def test_assumptions_respected(self):
+        model = Control(CHOICE).first_model(
+            assumptions=[(atom("p", 1), True), (atom("p", 2), True)]
+        )
+        assert model is not None
+        assert atom("q") in model.atoms
+
+    def test_assumptions_can_make_it_unsat(self):
+        control = Control(CHOICE)
+        assert control.is_satisfiable()
+        assert not control.is_satisfiable(
+            [(atom("p", 5), True), (atom("p", 6), True)]
+        )
+
+    def test_stats_record_one_call_and_one_model(self):
+        control = Control(CHOICE)
+        control.first_model()
+        stats = control.statistics
+        assert stats.get_path("summary.calls") == 1
+        assert stats.get_path("summary.models.enumerated") == 1

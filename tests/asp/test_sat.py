@@ -1,8 +1,38 @@
 """Unit tests for the CDCL SAT backend."""
 
+import itertools
+import random
+
 import pytest
 
 from repro.asp.sat import SatError, Solver, WeightedCounter, _luby
+
+#: knob settings the random cross-check runs under: the defaults, the
+#: learnt-clause economy driven as hard as it goes, and the economy off
+KNOB_SETTINGS = {
+    "default": {},
+    "aggressive": {"restart_base": 1, "reduce_base": 1},
+    "economy-off": {"reduce_base": None, "minimize_learnts": False},
+}
+
+
+def random_cnf(seed, variables=12, clauses=51):
+    """A random 3-CNF near the satisfiability threshold."""
+    rng = random.Random(seed)
+    return [
+        [
+            v if rng.random() < 0.5 else -v
+            for v in rng.sample(range(1, variables + 1), 3)
+        ]
+        for _ in range(clauses)
+    ]
+
+
+def brute_force_count(cnf, variables=12):
+    return sum(
+        all(any(bits[abs(lit) - 1] == (lit > 0) for lit in c) for c in cnf)
+        for bits in itertools.product((False, True), repeat=variables)
+    )
 
 
 class TestBasics:
@@ -128,6 +158,35 @@ class TestIncremental:
                 [-v if model[v] else v for v in (a, b)]
             )
         assert count == 4
+
+
+class TestRandomCrossCheck:
+    """Conflict analysis, clause minimization and reduce-DB against
+    exhaustive evaluation: enumerating every model through blocking
+    clauses must find exactly the satisfying assignments, each one a
+    real model, under every knob setting."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("setting", sorted(KNOB_SETTINGS))
+    def test_model_count_matches_brute_force(self, setting, seed):
+        cnf = random_cnf(seed)
+        solver = Solver(**KNOB_SETTINGS[setting])
+        variables = [solver.new_var() for _ in range(12)]
+        assert variables == list(range(1, 13))
+        for clause in cnf:
+            solver.add_clause(clause)
+        found = set()
+        while True:
+            model = solver.solve()
+            if model is None:
+                break
+            assignment = tuple(model[v] for v in variables)
+            assert assignment not in found
+            for clause in cnf:
+                assert any(model[abs(lit)] == (lit > 0) for lit in clause)
+            found.add(assignment)
+            solver.add_clause([-v if model[v] else v for v in variables])
+        assert len(found) == brute_force_count(cnf)
 
 
 class TestEncodingHelpers:

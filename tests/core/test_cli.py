@@ -143,6 +143,15 @@ class TestCommands:
         assert "Models" in out
         assert "Conflicts" in out
 
+    def test_assess_workers_output_matches_serial(self, capsys, model_file):
+        assert main(["assess", model_file, "--max-faults", "1"]) == 0
+        serial = capsys.readouterr().out
+        code = main(
+            ["assess", model_file, "--max-faults", "1", "--workers", "2"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == serial
+
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

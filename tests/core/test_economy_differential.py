@@ -1,24 +1,18 @@
 """Differential tests for the learnt-clause economy across the EPA
 engine and the cube pool.
 
-Three contracts.  First, the economy knobs (reduce-DB cadence via
+Two contracts.  First, the economy knobs (reduce-DB cadence via
 ``REPRO_REDUCE_BASE``, conflict minimization) must leave every CDCL
 enumeration byte-identical — the economy changes how fast enumeration
 runs, never what it enumerates.  The projected cube sweep learns no
 clauses, so these checks run on ``analyze_stream``, the CDCL path.
-Second, the pool's dispatch-time ``decorate`` hook rewrites items
-without disturbing result order or crash recovery.  Third, cube-level
-glue sharing (exercised by forcing every cube onto the CDCL fallback
-path) leaves the merged report identical to the CDCL reference with
-sharing on or off.
+Second, cubes that fall back to the CDCL enumerator inside pool workers
+ship their economy counters back to the parent's statistics.
 """
-
-import pytest
 
 from repro.asp.solver import ProjectionIncomplete, StableModelSolver
 from repro.epa import EpaEngine, EpaReport, StaticRequirement
 from repro.modeling import RelationshipType, SystemModel, standard_cps_library
-from repro.parallel import WorkStealingPool
 from tests.cdcl_reference import cdcl_outcomes
 
 REQ = [
@@ -48,10 +42,6 @@ def _pairs(report):
         )
         for o in report.outcomes
     ]
-
-
-def _identity(item):  # must be module-level: pool workers pickle it
-    return item
 
 
 class TestEconomyDifferential:
@@ -93,42 +83,8 @@ class TestEconomyDifferential:
         assert _pairs(on) == _pairs(off)
 
 
-class TestDecorateHook:
-    def test_inprocess_decorate_rewrites_items(self):
-        pool = WorkStealingPool(1)
-        out = pool.map(
-            _identity,
-            [{"a": 1}, {"a": 2}],
-            decorate=lambda index, item: dict(item, extra=index),
-        )
-        assert out == [{"a": 1, "extra": 0}, {"a": 2, "extra": 1}]
-
-    def test_pool_decorate_runs_in_parent(self):
-        # the hook itself is a closure (unpicklable): it must run at
-        # dispatch time in the parent, only its output crossing to the
-        # workers
-        seen = []
-
-        def decorate(index, item):
-            seen.append(index)
-            return dict(item, extra=index)
-
-        pool = WorkStealingPool(2)
-        out = pool.map(
-            _identity, [{"a": i} for i in range(4)], decorate=decorate
-        )
-        assert out == [{"a": i, "extra": i} for i in range(4)]
-        assert sorted(seen) == [0, 1, 2, 3]
-
-    def test_decorate_absent_leaves_items_untouched(self):
-        pool = WorkStealingPool(1)
-        items = [{"a": 1}]
-        assert pool.map(_identity, items) == items
-
-
-class TestCubeGlueSharing:
-    """Force every cube onto the CDCL fallback (where glue is exported
-    and imported) and pin the merged report against the serial one."""
+class TestFallbackCubes:
+    """Force every cube onto the CDCL fallback, inside pool workers."""
 
     def _force_fallback(self, monkeypatch):
         def raiser(self, project, on_model, assumptions=()):
@@ -136,26 +92,14 @@ class TestCubeGlueSharing:
 
         monkeypatch.setattr(StableModelSolver, "project_models", raiser)
 
-    def test_fallback_report_identical_with_and_without_sharing(
-        self, monkeypatch
-    ):
+    def test_fallback_ships_economy_counters(self, monkeypatch):
         reference = cdcl_outcomes(EpaEngine(chain_model(), REQ), max_faults=2)
         self._force_fallback(monkeypatch)
-        shared = EpaEngine(chain_model(), REQ, workers=2).analyze(
-            max_faults=2
-        )
-        unshared = EpaEngine(
-            chain_model(), REQ, workers=2, share_clauses=False
-        ).analyze(max_faults=2)
-        assert shared.outcomes == reference
-        assert unshared.outcomes == reference
-
-    def test_fallback_ships_economy_counters(self, monkeypatch):
-        self._force_fallback(monkeypatch)
         engine = EpaEngine(chain_model(), REQ, workers=2)
-        engine.analyze(max_faults=2)
+        report = engine.analyze(max_faults=2)
+        assert report.outcomes == reference
         solvers = engine.statistics.get_path("solving.solvers")
         assert solvers is not None
-        for key in ("learnt", "lbd_sum", "shared_exported", "shared_imported"):
+        for key in ("learnt", "lbd_sum"):
             assert key in solvers
         assert "lbd_avg" in solvers

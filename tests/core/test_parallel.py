@@ -17,11 +17,7 @@ from repro.asp import serialize
 from repro.asp.solver import ProjectionIncomplete, StableModelSolver
 from repro.epa import EpaEngine, EpaError, FaultRef, StaticRequirement
 from repro.epa import engine as engine_module
-from repro.hierarchy.cegar import cegar_loop
-from repro.observability import SolveStats
-from repro.parallel import ParallelError, merge_stats, parallel_map
-from repro.qualitative.spaces import QuantitySpace
-from repro.risk.sensitivity import one_at_a_time
+from repro.parallel import ParallelError, emit_partial
 from repro.modeling import RelationshipType, SystemModel, standard_cps_library
 from tests.cdcl_reference import cdcl_outcomes, cdcl_reference, rag1
 
@@ -48,7 +44,7 @@ def chain_model():
     return model
 
 
-def _square(value):  # must be module-level: the process backend pickles it
+def _square(value):  # must be module-level: pool workers pickle it
     return value * value
 
 
@@ -58,56 +54,6 @@ def _die(payload):  # simulates a worker killed by the OS (OOM, signal)
 
 def _explode(payload):  # a cube that raises instead of finishing
     raise RuntimeError("cube %d failed" % payload["index"])
-
-
-class TestParallelMap:
-    def test_preserves_submission_order(self):
-        items = list(range(20))
-        assert parallel_map(_square, items, workers=4) == [
-            value * value for value in items
-        ]
-
-    def test_degenerate_cases_run_sequentially(self):
-        assert parallel_map(_square, [3], workers=8) == [9]
-        assert parallel_map(_square, [2, 3], workers=1) == [4, 9]
-        assert parallel_map(_square, [], workers=4) == []
-
-    def test_thread_backend_supports_closures(self):
-        offset = 10
-        results = parallel_map(
-            lambda v: v + offset, range(8), workers=4, backend="thread"
-        )
-        assert results == [v + 10 for v in range(8)]
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            parallel_map(_square, [1, 2], workers=2, backend="fiber")
-
-    def test_function_exceptions_propagate(self):
-        def boom(value):
-            raise KeyError(value)
-
-        with pytest.raises(KeyError):
-            parallel_map(boom, [1, 2, 3], workers=2, backend="thread")
-
-    def test_crashed_worker_raises_parallel_error(self):
-        with pytest.raises(ParallelError):
-            parallel_map(_die, [1, 2, 3, 4], workers=2)
-
-
-class TestMergeStats:
-    def test_numeric_leaves_sum(self):
-        target = SolveStats()
-        target.incr("solving.models", 2)
-        merged = merge_stats(
-            target,
-            [
-                {"solving": {"models": 3}, "summary": {"calls": 1}},
-                {"solving": {"models": 5}},
-            ],
-        )
-        assert merged["solving"]["models"] == 10
-        assert merged["summary"]["calls"] == 1
 
 
 class TestShardedAnalyze:
@@ -161,42 +107,6 @@ class TestShardedAnalyze:
         assert serialize._SHARED == programs
 
 
-class TestThreadedCallers:
-    def test_cegar_verdicts_match_sequential(self):
-        engine = EpaEngine(chain_model(), REQ)
-        report = engine.analyze(max_faults=2)
-        oracle = lambda outcome: outcome.fault_count <= 1
-        run = lambda workers: cegar_loop(
-            analysis=lambda: report,
-            oracle=oracle,
-            refiner=lambda spurious: None,
-            workers=workers,
-        )
-        sequential, threaded = run(None), run(4)
-        assert [o.key() for o in threaded.confirmed] == [
-            o.key() for o in sequential.confirmed
-        ]
-        assert threaded.converged == sequential.converged
-
-    def test_sensitivity_results_match_sequential(self):
-        space = QuantitySpace("risk", ("VL", "L", "M", "H", "VH"))
-        table = {
-            ("L", "VL"): "VL",
-            ("L", "L"): "VL",
-            ("L", "M"): "L",
-            ("L", "VH"): "M",
-        }
-        function = lambda lef, lm: table[(lef, lm)]
-        kwargs = dict(
-            fixed={"lef": "L"},
-            uncertain={"lm": ("VL", "L", "M", "VH")},
-            outcome_space=space,
-        )
-        assert one_at_a_time(function, workers=4, **kwargs) == one_at_a_time(
-            function, **kwargs
-        )
-
-
 def _sleep_square(payload):  # skewed task cost: (seconds, value)
     seconds, value = payload
     import time
@@ -216,6 +126,22 @@ def _die_once(payload):  # crashes the first time only (flag-file trick)
 
 def _raise_tagged(value):
     raise KeyError("nope-%d" % value)
+
+
+def _die_while_shipping(payload):
+    """Item 1's first attempt dies while a large partial is in flight:
+    the parent is still busy with the small partial before it."""
+    import time
+
+    flag, value = payload
+    emit_partial(("small", value))
+    emit_partial(("large", value, b"x" * (1 << 20)))
+    if value == 1 and not os.path.exists(flag):
+        with open(flag, "w"):
+            pass
+        time.sleep(0.1)
+        os._exit(1)
+    return value
 
 
 class TestWorkStealingPool:
@@ -275,6 +201,61 @@ class TestWorkStealingPool:
         with pytest.raises(ParallelError) as excinfo:
             WorkStealingPool(2).map(_die, list(range(4)))
         assert str(MAX_TASK_ATTEMPTS) in str(excinfo.value)
+
+    def test_death_while_shipping_a_partial_does_not_wedge_the_pool(
+        self, tmp_path
+    ):
+        import threading
+        import time
+
+        from repro.parallel import WorkStealingPool
+
+        # the worker dies while its large partial is still being
+        # written; the respawned worker's messages must get through
+        def on_partial(index, value):
+            if value[0] == "small" and index == 1:
+                time.sleep(0.5)
+
+        flag = str(tmp_path / "died-once")
+        items = [(flag, value) for value in range(4)]
+        outcome = {}
+
+        def run():
+            outcome["results"] = WorkStealingPool(2).map(
+                _die_while_shipping, items, on_partial=on_partial
+            )
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive(), "pool wedged after a worker death"
+        assert outcome["results"] == list(range(4))
+
+    def test_empty_batch(self):
+        from repro.parallel import WorkStealingPool
+
+        pool = WorkStealingPool(4)
+        assert pool.map(_square, []) == []
+        assert pool.last_assignments == {}
+
+    def test_more_workers_than_items(self):
+        from repro.parallel import WorkStealingPool
+
+        # only as many workers as items are spawned: every lane that ran
+        # a task is one of the first three
+        pool = WorkStealingPool(8)
+        assert pool.map(_square, [1, 2, 3]) == [1, 4, 9]
+        assert sorted(pool.last_assignments) == [0, 1, 2]
+        assert set(pool.last_assignments.values()) <= {0, 1, 2}
+
+    def test_inprocess_exception_propagates_unwrapped(self):
+        from repro.parallel import WorkStealingPool
+
+        # no process boundary was crossed: nothing to chain
+        with pytest.raises(KeyError) as excinfo:
+            WorkStealingPool(1).map(_raise_tagged, [1, 2])
+        assert excinfo.value.__cause__ is None
+        assert "nope-1" in str(excinfo.value)
 
     def test_function_exception_carries_worker_traceback(self):
         from repro.parallel import WorkStealingPool
@@ -466,25 +447,25 @@ class TestParallelByteIdentity:
 
     def test_cube_mode_matches_sequential(self):
         reference = cdcl_outcomes(EpaEngine(chain_model(), REQ), max_faults=2)
-        parallel = EpaEngine(
-            chain_model(), REQ, workers=4, parallel_mode="cube"
-        ).analyze(max_faults=2)
+        parallel = EpaEngine(chain_model(), REQ, workers=4).analyze(
+            max_faults=2
+        )
         assert parallel.outcomes == reference
 
-    def test_portfolio_scenario_verdict_matches_sequential(self):
-        serial_engine = EpaEngine(chain_model(), REQ)
-        portfolio_engine = EpaEngine(
-            chain_model(), REQ, workers=2, parallel_mode="portfolio"
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_scenario_verdict_matches_sequential(self, incremental):
+        # single-scenario queries never shard: ``workers`` must not
+        # change what ``analyze_scenario`` answers
+        serial_engine = EpaEngine(chain_model(), REQ, incremental=incremental)
+        sharded_engine = EpaEngine(
+            chain_model(), REQ, workers=2, incremental=incremental
         )
         report = serial_engine.analyze(max_faults=1)
-        target = next(
-            o for o in report.outcomes if o.fault_count == 1
-        ).active_faults
-        serial = serial_engine.analyze_scenario(target)
-        raced = portfolio_engine.analyze_scenario(target)
-        assert raced.violated == serial.violated
-        assert raced.severity_rank == serial.severity_rank
-
-    def test_invalid_parallel_mode_rejected(self):
-        with pytest.raises(EpaError):
-            EpaEngine(chain_model(), REQ, parallel_mode="bogus")
+        targets = [o.active_faults for o in report.outcomes if o.fault_count == 1]
+        assert targets
+        for target in targets:
+            serial = serial_engine.analyze_scenario(target)
+            sharded = sharded_engine.analyze_scenario(target)
+            assert sharded.key() == serial.key()
+            assert sharded.violated == serial.violated
+            assert sharded.severity_rank == serial.severity_rank

@@ -117,6 +117,18 @@ class TestConfiguration:
         result = pipeline.run(base, aspects=[deployment])
         assert result.model.has_element("backup_hmi")
 
+    def test_workers_leave_the_result_unchanged(self, result):
+        # --workers shards the phase-3 and phase-5 sweeps only; the
+        # refinement loop and every later phase see identical reports
+        pipeline = AssessmentPipeline(
+            static_requirements(), builtin_catalog(), max_faults=1, workers=2
+        )
+        sharded = pipeline.run(
+            build_system_model(), refined_model=refined_system_model()
+        )
+        assert sharded.hazards == result.hazards
+        assert assessment_report(sharded) == assessment_report(result)
+
     def test_active_mitigations_shrink_hazards(self):
         from repro.casestudy import M1, M2
 

@@ -146,3 +146,22 @@ class TestAttackCostOfMitigation:
         )
         assert results[0] == 1
         assert results[1] is not None and results[1] > 1
+
+    def test_returning_to_a_deployment_reads_the_same(self):
+        # one control serves the whole sweep: switching the mitigation
+        # back off must restore the unprotected optimum exactly
+        costs = TestCheapestAttack._full_costs(default=7)
+        costs[FaultRef("c", "compromised")] = 1
+        deployments = [{}, {"c": ("edr",)}, {}, {"c": ("edr",)}]
+        eng = engine(fault_mitigations={"compromised": ("edr",)})
+        results = attack_cost_of_mitigation(eng, "rv", deployments, costs)
+        assert results[0] == results[2] == 1
+        assert results[1] == results[3] > 1
+        fresh = attack_cost_of_mitigation(
+            engine(fault_mitigations={"compromised": ("edr",)}),
+            "rv",
+            deployments,
+            costs,
+            multishot=False,
+        )
+        assert results == fresh

@@ -24,6 +24,7 @@ from repro.hierarchy import (
     threat_model,
 )
 from repro.modeling import ElementType, RelationshipType, SystemModel
+from repro.observability import MemoryTraceSink, SolveStats
 from repro.security import builtin_catalog
 
 
@@ -231,6 +232,60 @@ class TestCegarLoop:
             refiner=lambda spurious: (lambda: empty),
         )
         assert [o.key() for o in result.confirmed] == [("a.f",)]
+
+    def test_classification_partitions_report_in_order(self):
+        """Every violating candidate of a real EPA report is classified
+        exactly once, in report order."""
+        report = EpaEngine(build_system_model(), static_requirements()).analyze(
+            max_faults=1
+        )
+        candidates = report.violating()
+        assert len(candidates) > 1
+        keep = {o.key() for o in candidates[::2]}
+        calls = []
+
+        def oracle(outcome):
+            calls.append(outcome.key())
+            return outcome.key() in keep
+
+        result = cegar_loop(
+            analysis=lambda: report,
+            oracle=oracle,
+            refiner=lambda spurious: None,
+        )
+        (iteration,) = result.iterations
+        assert calls == [o.key() for o in candidates]
+        assert iteration.confirmed == candidates[::2]
+        assert iteration.spurious == candidates[1::2]
+        assert not result.converged
+
+    def test_stats_and_spans_per_iteration(self):
+        coarse = EpaReport(
+            [_outcome(["a.f"], ["r"]), _outcome(["b.f"], ["r"])], ["r"]
+        )
+        detailed = EpaReport([_outcome(["a.f"], ["r"])], ["r"])
+        stats = SolveStats()
+        sink = MemoryTraceSink()
+        result = cegar_loop(
+            analysis=lambda: coarse,
+            oracle=oracle_from_detailed_report(detailed),
+            refiner=lambda spurious: (lambda: detailed),
+            stats=stats,
+            trace=sink,
+        )
+        assert result.converged
+        assert stats.get_path("cegar.iterations") == 2
+        assert stats.get_path("cegar.candidates") == 3
+        assert stats.get_path("cegar.confirmed") == 2
+        assert stats.get_path("cegar.spurious") == 1
+        assert stats.get_path("cegar.converged") == 1
+        ends = [
+            e.payload
+            for e in sink.named("cegar.iteration")
+            if e.payload["span"] == "E"
+        ]
+        assert [e["level"] for e in ends] == [1, 2]
+        assert [e["candidates"] for e in ends] == [2, 1]
 
     def test_max_iterations_validated(self):
         with pytest.raises(CegarError):

@@ -12,6 +12,7 @@ import pytest
 from repro.epa import EpaEngine, FaultRef, StaticRequirement, scenario_proof
 from repro.mitigation import BlockingProblem, optimality_core, optimize_asp
 from repro.modeling import RelationshipType, SystemModel, standard_cps_library
+from repro.observability import SolveStats
 from repro.provenance import assert_well_founded
 
 
@@ -145,6 +146,19 @@ class TestOptimalityCore:
         plan = optimize_asp(problem)
         core = optimality_core(problem, plan.cost)
         assert core == ["s1", "s2"]
+
+    def test_stats_record_the_query(self):
+        problem = BlockingProblem()
+        problem.add_mitigation("m1", 3)
+        problem.add_mitigation("m2", 2)
+        problem.add_scenario("s1", ["m1"])
+        problem.add_scenario("s2", ["m2"])
+        stats = SolveStats()
+        core = optimality_core(problem, optimize_asp(problem).cost, stats=stats)
+        assert core == ["s1", "s2"]
+        assert stats.get_path("mitigation.optimality_cores") == 1
+        # the bound check plus one deletion trial per core scenario
+        assert stats.get_path("summary.calls") >= 1 + len(core)
 
     def test_none_when_cost_not_optimal(self):
         problem = BlockingProblem()

@@ -68,6 +68,52 @@ class TestSensitivityMachinery:
         with pytest.raises(ValueError):
             one_at_a_time(risk, {}, {"lm": ()}, SCALE)
 
+    def test_varies_one_factor_at_a_time_in_order(self):
+        calls = []
+
+        def recording(lm, lef):
+            calls.append((lm, lef))
+            return risk(lm, lef)
+
+        one_at_a_time(
+            recording,
+            {"lm": "M", "lef": "L"},
+            {"lm": ("L", "H"), "lef": ("VL", "M")},
+            SCALE,
+        )
+        # each factor moves alone while the other stays at its nominal
+        assert calls == [("L", "L"), ("H", "L"), ("M", "VL"), ("M", "M")]
+
+    def test_label_function_running_epa_sweeps(self):
+        """A label function may run a full EPA sweep per evaluation:
+        each evaluation sees exactly its own sweep's scenarios."""
+        from repro.casestudy import build_system_model, static_requirements
+        from repro.epa import EpaEngine
+
+        def engine():
+            return EpaEngine(build_system_model(), static_requirements())
+
+        expected = {
+            bound: len(engine().analyze(max_faults=bound).violating())
+            for bound in (1, 2)
+        }
+        assert expected[1] < expected[2]
+        shared = engine()
+        seen = []
+
+        def swept_risk(lef, faults):
+            hazards = len(shared.analyze(max_faults=int(faults)).violating())
+            seen.append(hazards)
+            return risk("M" if hazards <= expected[1] else "VH", lef)
+
+        labels = ("1", "2", "1", "2")
+        (result,) = one_at_a_time(
+            swept_risk, {"lef": "M"}, {"faults": labels}, SCALE
+        )
+        assert seen == [expected[int(label)] for label in labels]
+        assert result.outputs == (risk("M", "M"), risk("VH", "M"))
+        assert result.sensitive
+
     def test_full_factorial_range(self):
         outcome = full_factorial(
             risk,

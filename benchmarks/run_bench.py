@@ -12,9 +12,9 @@ backjumping) show up as counter drift, not just time drift.
 Also covered: the multi-shot mitigation sweeps, whose baselines are the
 recorded fresh-control medians, so their speedup columns quantify
 solver reuse rather than single-solve micro-optimizations, and the EPA
-cube sweep, whose 4-worker speedup is measured against the in-process
-sweep of the same run (``RELATIVE_BASELINES``), so it quantifies
-parallelism alone.
+cube sweeps, whose sharded speedups are measured against the
+in-process sweep of the same run (``RELATIVE_BASELINES``), so they
+quantify parallelism alone.
 
 Usage::
 
@@ -74,13 +74,16 @@ STRICT_TOLERANCE = {
     "test_bench_epa_enumerate_provenance_off": 1.03,
 }
 
-#: minimum speedup vs the recorded baseline a bench must keep under
-#: ``--check``: the multi-shot budget sweep must hold the gains of the
-#: solver-core work (lazy heap maintenance, binary-implication fast
-#: path, learnt-clause economy — see docs/performance.md) over its
-#: fresh-control baseline
+#: minimum speedup vs the baseline a bench must keep under ``--check``:
+#: the multi-shot budget sweep must hold the gains of the solver-core
+#: work (lazy heap maintenance, binary-implication fast path,
+#: learnt-clause economy — see docs/performance.md) over its
+#: fresh-control baseline, and the 2-worker fleet sweep must stay 1.5x
+#: faster than the serial sweep of the same run (the balanced cube
+#: layout, see docs/parallelism.md; 2 cores)
 SPEEDUP_FLOORS = {
     "test_bench_budget_sweep_multishot": 2.2,
+    "test_bench_fleet_sweep_2_workers": 1.5,
 }
 
 #: tolerated peak-RSS growth vs the recorded ``max_rss_kb`` before
@@ -128,11 +131,13 @@ BASELINES_S = {
 }
 
 #: benches whose speedup is taken against another bench's median from
-#: the same run instead of a recorded constant: the 4-worker cube sweep
+#: the same run instead of a recorded constant: the sharded cube sweeps
 #: against the in-process sweep of the same scenarios, so the column
-#: reports parallelism alone (about 1x on a 2-core host)
+#: reports parallelism alone (the 1,794-scenario water tank reads about
+#: 1x on a 2-core host; the 18,473-scenario fleet is the scaling row)
 RELATIVE_BASELINES = {
     "test_bench_parallel_analyze_4_workers": "test_bench_serial_analyze",
+    "test_bench_fleet_sweep_2_workers": "test_bench_fleet_sweep_serial",
 }
 
 

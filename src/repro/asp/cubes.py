@@ -3,10 +3,10 @@
 A *cube* is a partial assignment of branch atoms, shipped to a worker
 as solver assumptions.  This module turns the branch-atom set of an
 enumeration (e.g. the EPA fault-activation atoms) into a deterministic
-list of cubes that **partition** the choice space — every total
-assignment extends exactly one cube — so sharding an enumeration over
-the cubes yields each model exactly once and the merged result equals
-the unsharded run.
+list of cubes that **partition** the choice space — every assignment
+within the bound extends exactly one cube — so sharding an enumeration
+over the cubes yields each model exactly once and the merged result
+equals the unsharded run.
 
 Two ingredients:
 
@@ -14,34 +14,40 @@ Two ingredients:
     a static lookahead proxy: atoms are scored by how often they occur
     in ground rule bodies and conditions.  Branching on high-occurrence
     atoms first maximizes the propagation triggered per decision, which
-    both balances the cubes (the strongest splitters are pinned in every
-    cube) and keeps each worker's per-leaf propagation short.
+    keeps each worker's per-leaf propagation short.
 
-:func:`linear_cubes`
-    the splitting shape.  Instead of the exponential fixed-prefix split
-    (``2**k`` cubes over ``k`` atoms), cube ``i`` pins atoms
-    ``0..i-1`` false and atom ``i`` true, with one tail cube pinning the
-    whole prefix false.  This yields exactly ``m + 1`` cubes over a
-    prefix of ``m`` atoms — any target cube count, not just powers of
-    two — and under a cardinality bound on true atoms (the usual EPA
-    ``max_faults`` shape) the cube sizes taper smoothly, which is what a
-    work-stealing pool wants: big cubes first, small cubes to fill the
-    tail.
+:func:`balanced_cubes`
+    the splitting shape.  Starting from the empty cube, the largest
+    cube is split on its next ordered atom into a true half and a false
+    half until there are at least ``parts`` cubes and none holds more
+    than ``max(total / parts, FLOOR)`` scenarios.  A cube's size is its
+    exact count of assignments within the bound on true atoms (the EPA
+    ``max_faults``; see :func:`space_size`), so under a bound the split
+    follows the mass: the false half of a split keeps most of it, and
+    the generator keeps peeling true halves off it until it is small
+    enough.  The cubes come back largest first, so a pool dispatching
+    them in order runs close to longest-job-first and its lanes finish
+    together.
 
-The cube count is ``workers × factor``; the oversubscription *factor*
-defaults to :data:`DEFAULT_CUBE_FACTOR` and is configurable per call,
-per engine (``cube_factor=``), on the CLI (``--cube-factor``) or via
-the ``REPRO_CUBE_FACTOR`` environment variable — the multi-core tuning
-knob (see ``docs/parallelism.md``): higher factors smooth stealing on
-skewed cubes at the cost of more per-cube setup.
+A sweep asks for ``max(2, workers × factor)`` cubes; the
+oversubscription *factor* defaults to :data:`DEFAULT_CUBE_FACTOR` and
+is configurable per engine (``cube_factor=``), on the CLI
+(``--cube-factor``) or via the ``REPRO_CUBE_FACTOR`` environment
+variable — the multi-core tuning knob (see ``docs/parallelism.md``): a
+higher factor caps each cube at a smaller share of the space, at the
+cost of more per-cube setup.
 
 Exports: :func:`occurrence_scores`, :func:`order_by_occurrence`,
-:func:`linear_cubes`, :func:`generate_cubes`,
-:func:`resolve_cube_factor`, :data:`DEFAULT_CUBE_FACTOR`.
+:func:`balanced_cubes`, :func:`space_size`,
+:func:`resolve_cube_factor`, :data:`DEFAULT_CUBE_FACTOR`,
+:data:`FLOOR`.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import math
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -52,6 +58,13 @@ Cube = Tuple[Tuple[Atom, bool], ...]
 
 #: cubes generated per worker when no explicit factor is configured
 DEFAULT_CUBE_FACTOR = 4
+
+#: the size bound never drops below this many scenarios: smaller cubes
+#: are split only to reach the cube count.  Every cube costs about
+#: 0.1 ms of setup and dispatch, so without the floor a
+#: ``max_faults=1`` assessment sweep (48 atoms, 49 scenarios) would be
+#: cut into one-scenario cubes and run slower, not better balanced
+FLOOR = 256
 
 
 def resolve_cube_factor(explicit: Optional[int] = None) -> int:
@@ -133,60 +146,78 @@ def order_by_occurrence(
     return sorted(candidates, key=lambda atom: -scores[atom])
 
 
-def linear_cubes(atoms: Sequence[Atom], count: int) -> List[Cube]:
-    """``min(count, len(atoms) + 1)`` cubes partitioning the space.
+def space_size(
+    free: int, max_true: Optional[int], pinned_true: int = 0
+) -> int:
+    """Assignments of ``free`` unpinned atoms within the bound.
 
-    Cube ``i`` (for ``i < m``) assumes atoms ``0..i-1`` false and atom
-    ``i`` true; the final tail cube assumes all ``m`` prefix atoms
-    false.  Every total assignment of the atoms extends exactly one
-    cube (split on the position of its first true prefix atom), so the
-    cubes partition the space — the invariant the byte-identity of
-    sharded enumeration rests on.  ``count <= 1`` or an empty atom list
-    yields the single empty cube.
+    With ``pinned_true`` atoms already pinned true, at most
+    ``max_true - pinned_true`` of the free atoms may be true:
+    ``Σ_{j ≤ max_true − pinned_true} C(free, j)``.  ``max_true=None``
+    is the unbounded space, ``2**free``.
     """
-    if count <= 1 or not atoms:
-        return [()]
-    prefix_length = min(count - 1, len(atoms))
-    cubes: List[Cube] = []
-    for position in range(prefix_length):
-        cube = tuple(
-            (atoms[index], False) for index in range(position)
-        ) + ((atoms[position], True),)
-        cubes.append(cube)
-    cubes.append(tuple((atoms[index], False) for index in range(prefix_length)))
-    return cubes
+    if max_true is None:
+        return 2 ** free
+    return sum(
+        math.comb(free, count) for count in range(max_true - pinned_true + 1)
+    )
 
 
-def generate_cubes(
-    program: GroundProgram,
-    candidates: Sequence[Atom],
-    workers: int,
-    oversubscribe: Optional[int] = None,
-) -> List[Cube]:
-    """Score, order and split: the one-call cube generator.
+def balanced_cubes(
+    atoms: Sequence[Atom], parts: int, max_true: Optional[int] = None
+) -> Tuple[List[Cube], int]:
+    """Cubes partitioning the space, largest first, and the space size.
 
-    Produces ``workers * factor`` cubes (capped by the number of
-    candidates + 1) over the occurrence-ordered candidates, where the
-    factor is ``oversubscribe`` resolved through
-    :func:`resolve_cube_factor` (explicit > ``REPRO_CUBE_FACTOR`` >
-    :data:`DEFAULT_CUBE_FACTOR`).  Oversubscription is the
-    work-stealing lever: with several cubes per worker, a worker whose
-    cubes finish early steals queued cubes from a slower sibling
-    instead of idling.
+    Repeatedly splits the largest cube on its next atom (in the given
+    order) into a true half and a false half.  It stops once there are
+    at least ``parts`` cubes and none holds more than
+    ``max(total / parts, FLOOR)`` assignments, or when every cube holds
+    one assignment (its atoms are exhausted or its budget of true atoms
+    is spent, so it cannot be split).  Sizes count the assignments with
+    at most ``max_true`` true atoms (``None`` = unbounded; see
+    :func:`space_size`).
+
+    Each split replaces a cube by its two halves, so every assignment
+    within the bound extends exactly one cube — the invariant the
+    byte-identity of sharded enumeration rests on.  The cubes are
+    returned largest first, ties in split order, so the layout is
+    deterministic given the atom order.  ``parts <= 1`` or an empty
+    atom list yields the single empty cube.  Returns
+    ``(cubes, total)``, ``total`` being the size of the whole space.
     """
-    if workers <= 1:
-        return [()]
-    factor = resolve_cube_factor(oversubscribe)
-    ordered = order_by_occurrence(program, candidates)
-    return linear_cubes(ordered, max(2, workers * factor))
+    total = space_size(len(atoms), max_true)
+    bound = max(total / max(parts, 1), FLOOR)
+    order = itertools.count()
+    # (−size, split order, atoms pinned true, cube)
+    heap = [(-total, next(order), 0, ())]
+    while True:
+        size = -heap[0][0]
+        if size <= 1 or (len(heap) >= parts and size <= bound):
+            break
+        _, _, pinned_true, cube = heapq.heappop(heap)
+        branch = atoms[len(cube)]
+        free = len(atoms) - len(cube) - 1
+        for value, pinned in ((True, pinned_true + 1), (False, pinned_true)):
+            heapq.heappush(
+                heap,
+                (
+                    -space_size(free, max_true, pinned),
+                    next(order),
+                    pinned,
+                    cube + ((branch, value),),
+                ),
+            )
+    heap.sort()
+    return [entry[3] for entry in heap], total
 
 
 __all__ = [
     "Cube",
     "DEFAULT_CUBE_FACTOR",
-    "generate_cubes",
-    "linear_cubes",
+    "FLOOR",
+    "balanced_cubes",
     "occurrence_scores",
     "order_by_occurrence",
     "resolve_cube_factor",
+    "space_size",
 ]

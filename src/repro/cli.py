@@ -36,8 +36,9 @@ FILE`` wraps the run in :mod:`cProfile` and dumps the stats file.  See
 the scenario sweeps over a process pool — results are identical to a
 sequential run, and worker trace events/metrics are folded back tagged
 ``worker=<i>`` (see ``docs/performance.md``), and ``--cube-factor K``
-to oversubscribe the cube split (default 4 cubes per worker, also via
-``REPRO_CUBE_FACTOR``).  ``analyze --stream`` switches to the
+to oversubscribe the cube split (at least K cubes per worker, none
+holding more than ``1/(workers × K)`` of the scenarios or 256,
+whichever is more; default 4, also via ``REPRO_CUBE_FACTOR``).  ``analyze --stream`` switches to the
 bounded-memory streaming sweep (``--checkpoint FILE`` makes it
 resumable; see ``docs/streaming.md``).
 
@@ -741,7 +742,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
-        help="cut K cubes per worker when sharding enumerations "
+        help="cut at least K cubes per worker, none holding more than "
+        "1/(workers x K) of the scenarios or 256, whichever is more "
         "(default 4, or env REPRO_CUBE_FACTOR; higher = finer-grained "
         "work stealing, see docs/parallelism.md)",
     )

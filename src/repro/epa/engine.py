@@ -16,10 +16,10 @@ section).  Pass ``trace=`` a sink to stream grounder/solver events plus
 Enumeration: every full sweep — :meth:`EpaEngine.analyze` and
 :meth:`EpaEngine.aggregate`, serial or sharded — runs through one cube
 sweep.  The parent grounds once, splits the fault-choice space into
-occurrence-ordered cubes (see :mod:`repro.asp.cubes`), publishes the
-ground program plus a solver template and probe tables in a
-module-level context that fork-started workers inherit copy-on-write,
-and maps one worker function over the cubes on a
+size-bounded cubes, largest first (see :mod:`repro.asp.cubes`),
+publishes the ground program plus a solver template and probe tables
+in a module-level context that fork-started workers inherit
+copy-on-write, and maps one worker function over the cubes on a
 :class:`~repro.parallel.WorkStealingPool` (with one worker the pool runs
 in-process, so serial is simply the one-worker case).  Each cube runs
 the propagation-driven projected enumeration
@@ -54,7 +54,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 import networkx as nx
 
 from ..asp import Control, Model, atom
-from ..asp.cubes import linear_cubes, order_by_occurrence, resolve_cube_factor
+from ..asp.cubes import balanced_cubes, order_by_occurrence, resolve_cube_factor
 from ..asp.sat import TRUE
 from ..asp.serialize import publish, shared_program, unpublish
 from ..asp.solver import ProjectionIncomplete, StableModelSolver
@@ -136,7 +136,10 @@ class EpaEngine:
         sweeps (``None``/``1`` = in-process); point queries always run
         in-process.  ``cube_factor`` overrides the cube oversubscription
         factor (default: ``REPRO_CUBE_FACTOR`` or 4; see
-        :func:`repro.asp.cubes.resolve_cube_factor`).  ``progress``
+        :func:`repro.asp.cubes.resolve_cube_factor`): a sweep cuts at
+        least ``max(2, workers × factor)`` cubes, none holding more
+        than that share of its scenarios (or
+        :data:`~repro.asp.cubes.FLOOR`).  ``progress``
         attaches a :class:`~repro.observability.ProgressTracker` fed
         per shipped chunk and per completed cube — results are
         identical with or without it."""
@@ -519,16 +522,21 @@ class EpaEngine:
     ) -> Union[List[ScenarioOutcome], ScenarioAggregate]:
         """The one enumeration path: a cube sweep on a work-stealing pool.
 
-        Grounds once, splits the fault-choice space into
-        ``max(2, workers × cube factor)`` occurrence-ordered linear
-        cubes and publishes the worker context (see
-        :func:`_published_context`); :func:`_sweep_worker` then
-        enumerates each cube and ships chunks on the pool's result
-        channel.  Without ``into`` the chunks are outcome lists and the
-        sweep returns every outcome; with ``into`` (an empty aggregate
-        fixing the requirement order, magnitudes and antichain cap) they
-        are pre-folded aggregates and the sweep returns ``into`` with
-        every chunk merged.  The parent keeps an in-progress buffer per
+        Grounds once, splits the fault-choice space over the
+        occurrence-ordered fault atoms into at least
+        ``max(2, workers × cube factor)`` cubes, none holding more than
+        that share of the ``max_faults``-bounded space (or
+        :data:`~repro.asp.cubes.FLOOR` scenarios), largest first (see
+        :func:`~repro.asp.cubes.balanced_cubes`), and publishes the
+        worker context (see :func:`_published_context`);
+        :func:`_sweep_worker` then enumerates each cube and ships
+        chunks on the pool's result channel.  The progress tracker, if
+        any, is told the layout and the exact scenario total.  Without
+        ``into`` the chunks are outcome lists and the sweep returns
+        every outcome; with ``into`` (an empty aggregate fixing the
+        requirement order, magnitudes and antichain cap) they are
+        pre-folded aggregates and the sweep returns ``into`` with every
+        chunk merged.  The parent keeps an in-progress buffer per
         cube, promotes it to a completed part when the cube's envelope
         arrives, and assembles results by merging completed parts in
         cube order on top of the resumed checkpoint — crash-retried and
@@ -551,8 +559,10 @@ class EpaEngine:
                 if (ref.component, ref.fault) in allowed
             ]
         factor = resolve_cube_factor(self._cube_factor)
-        cubes = linear_cubes(
-            order_by_occurrence(ground, cube_atoms), max(2, workers * factor)
+        cubes, scenario_total = balanced_cubes(
+            order_by_occurrence(ground, cube_atoms),
+            max(2, workers * factor),
+            max_faults if max_faults > 0 else None,
         )
         with _published_context(
             ground, project, self._requirement_names
@@ -570,7 +580,9 @@ class EpaEngine:
                 index for index in range(len(cubes)) if index not in completed
             ]
             if self._progress is not None:
-                self._progress.set_total_cubes(len(cubes), done=len(completed))
+                self._progress.set_total_cubes(
+                    len(cubes), done=len(completed), scenarios=scenario_total
+                )
                 if resumed:
                     self._progress.preseed_scenarios(resumed)
 

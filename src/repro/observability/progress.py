@@ -8,7 +8,8 @@ it already has — the work-stealing pool's partial channel
 (``on_partial``/``on_result``) on sharded sweeps, the per-model fold on
 sequential ones — and periodically converts into a
 :class:`ProgressSnapshot`: scenarios folded so far, throughput, cubes
-done/total, an ETA extrapolated from completed-cube wall-clock, all
+done/total, an ETA extrapolated from the scenarios folded so far (or
+from completed cubes when the scenario total is unknown), all
 published as ``repro_progress_*`` gauges so a scrape mid-sweep sees
 the same numbers the terminal does.
 
@@ -46,8 +47,10 @@ DEFAULT_UPDATE_INTERVAL_S = 0.5
 class ProgressSnapshot:
     """One point-in-time reading of a sweep's progress.
 
-    ``eta_seconds`` is ``None`` until enough cubes completed to
-    extrapolate (sequential sweeps without cube totals never estimate);
+    ``eta_seconds`` is ``None`` until there is fresh work to
+    extrapolate from: scenarios when the layout declared the sweep's
+    scenario total, else completed cubes (sequential sweeps without
+    cube totals never estimate);
     ``rate`` counts only scenarios folded *this run* — cubes resumed
     from a checkpoint are excluded, their wall-clock was spent in an
     earlier process.
@@ -100,6 +103,13 @@ class ProgressTracker:
         self.scenarios = 0
         self.cubes_done = 0
         self.cubes_total = 0
+        #: the current sweep's fresh work, for the scenario ETA: the
+        #: scenarios it still had to sweep when its layout was declared
+        #: (0 = unknown), and the clock reading and scenario count at
+        #: that point — a tracker can follow several sweeps
+        self._sweep_todo = 0
+        self._sweep_epoch = self._epoch
+        self._sweep_base = 0
         #: cubes (and their scenarios) restored from a checkpoint —
         #: counted as done, excluded from rate/ETA extrapolation
         self._preseeded_cubes = 0
@@ -108,16 +118,30 @@ class ProgressTracker:
     # ------------------------------------------------------------------
     # feeding
     # ------------------------------------------------------------------
-    def set_total_cubes(self, total: int, done: int = 0) -> None:
-        """Declare the cube layout; ``done`` cubes were resumed."""
+    def set_total_cubes(
+        self, total: int, done: int = 0, scenarios: Optional[int] = None
+    ) -> None:
+        """Declare the cube layout; ``done`` cubes were resumed.
+
+        ``scenarios`` is the sweep's exact scenario count, resumed ones
+        included: with it the ETA extrapolates the scenarios swept since
+        this call rather than completed cubes, which stays right when
+        cube sizes differ.
+        """
         self.cubes_total = int(total)
         self.cubes_done = int(done)
         self._preseeded_cubes = int(done)
+        self._sweep_todo = int(scenarios or 0)
+        self._sweep_epoch = self._clock()
+        self._sweep_base = self.scenarios
 
     def preseed_scenarios(self, count: int) -> None:
         """Count scenarios restored from a checkpoint (shown, not rated)."""
         self._preseeded_scenarios = int(count)
         self.scenarios += int(count)
+        self._sweep_base += int(count)
+        if self._sweep_todo:
+            self._sweep_todo -= int(count)
 
     def add_scenarios(self, count: int = 1) -> None:
         """Fold ``count`` scenarios (negative = crash-retry rollback)."""
@@ -132,16 +156,20 @@ class ProgressTracker:
     # reading
     # ------------------------------------------------------------------
     def snapshot(self) -> ProgressSnapshot:
-        elapsed = max(self._clock() - self._epoch, 1e-9)
-        fresh_scenarios = self.scenarios - self._preseeded_scenarios
-        rate = fresh_scenarios / elapsed
+        now = self._clock()
+        elapsed = max(now - self._epoch, 1e-9)
+        rate = (self.scenarios - self._preseeded_scenarios) / elapsed
         eta = None
         fresh_done = self.cubes_done - self._preseeded_cubes
         fresh_total = self.cubes_total - self._preseeded_cubes
-        if fresh_done > 0 and fresh_total > fresh_done:
-            eta = elapsed * (fresh_total - fresh_done) / fresh_done
-        elif self.cubes_total and fresh_done >= fresh_total:
+        swept = self.scenarios - self._sweep_base
+        if self.cubes_total and fresh_done >= fresh_total:
             eta = 0.0
+        elif self._sweep_todo > 0 and swept > 0:
+            remaining = max(0, self._sweep_todo - swept)
+            eta = (now - self._sweep_epoch) * remaining / swept
+        elif fresh_done > 0 and fresh_total > fresh_done:
+            eta = elapsed * (fresh_total - fresh_done) / fresh_done
         return ProgressSnapshot(
             scenarios=self.scenarios,
             rate=rate,

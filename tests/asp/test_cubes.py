@@ -1,17 +1,19 @@
 """Tests for occurrence-ordered cube generation.
 
-The load-bearing property is the partition invariant: every total
-assignment of the branch atoms must extend *exactly one* cube, because
-the byte-identity of sharded enumeration rests on it.  The rest pins
-the deterministic ordering and the cube-count arithmetic.
+The load-bearing property is the partition invariant: every assignment
+within the bound must extend *exactly one* cube, because the
+byte-identity of sharded enumeration rests on it.  The rest pins the
+layout contract — the size bound, the cube count, largest-first order,
+determinism — and the occurrence ordering.
 """
 
 import itertools
+import math
 
 from repro.asp import Control, atom
 from repro.asp.cubes import (
-    generate_cubes,
-    linear_cubes,
+    FLOOR,
+    balanced_cubes,
     occurrence_scores,
     order_by_occurrence,
 )
@@ -22,36 +24,96 @@ def ground_of(text):
 
 
 ATOMS = [atom("c", index) for index in range(5)]
+#: wide enough that the size bound, not the floor, drives the splits
+WIDE = [atom("w", index) for index in range(12)]
 
 
 def extends(cube, assignment):
     return all(assignment[a] == value for a, value in cube)
 
 
-class TestLinearCubes:
-    def test_partition_invariant(self):
-        for count in (2, 3, 4, 6, 16):
-            cubes = linear_cubes(ATOMS, count)
-            for values in itertools.product((False, True), repeat=len(ATOMS)):
-                assignment = dict(zip(ATOMS, values))
-                matching = [c for c in cubes if extends(c, assignment)]
-                assert len(matching) == 1, (count, values)
+def within(atoms, max_true):
+    """Every assignment of ``atoms`` with at most ``max_true`` true."""
+    for values in itertools.product((False, True), repeat=len(atoms)):
+        if max_true is None or sum(values) <= max_true:
+            yield dict(zip(atoms, values))
 
-    def test_cube_count(self):
-        assert len(linear_cubes(ATOMS, 3)) == 3
-        # capped at len(atoms) + 1
-        assert len(linear_cubes(ATOMS, 99)) == len(ATOMS) + 1
+
+def layouts():
+    """(atoms, max_true, parts) over bounded and unbounded spaces."""
+    for atoms in (ATOMS, WIDE):
+        for max_true in (1, 2, 3, None):
+            for parts in (1, 2, 3, 4, 6, 16):
+                yield atoms, max_true, parts
+
+
+def closed_form_size(cube, atom_count, max_true):
+    """Assignments within the bound extending ``cube``, counted by
+    binomials (an independent restatement of the generator's sizes)."""
+    free = atom_count - len(cube)
+    budget = max_true - sum(value for _, value in cube)
+    return sum(math.comb(free, count) for count in range(budget + 1))
+
+
+class TestBalancedCubes:
+    def test_partition_invariant(self):
+        for atoms, max_true, parts in layouts():
+            cubes, total = balanced_cubes(atoms, parts, max_true)
+            assignments = list(within(atoms, max_true))
+            assert total == len(assignments)
+            for assignment in assignments:
+                matching = [c for c in cubes if extends(c, assignment)]
+                assert len(matching) == 1, (max_true, parts, assignment)
+
+    def test_layout_contract(self):
+        for atoms, max_true, parts in layouts():
+            cubes, total = balanced_cubes(atoms, parts, max_true)
+            assignments = list(within(atoms, max_true))
+            sizes = [
+                sum(1 for a in assignments if extends(cube, a))
+                for cube in cubes
+            ]
+            bound = max(total / parts, FLOOR)
+            for cube, size in zip(cubes, sizes):
+                spent = max_true is not None and sum(
+                    value for _, value in cube
+                ) == max_true
+                exhausted = len(cube) == len(atoms)
+                assert size <= bound or spent or exhausted
+            # as many cubes as asked for, unless the space is smaller
+            assert len(cubes) >= min(parts, total)
+            assert sizes == sorted(sizes, reverse=True)
+            assert balanced_cubes(atoms, parts, max_true) == (cubes, total)
+
+    def test_size_bound_splits_a_skewed_tail(self):
+        # the fleet-stream sweep: 48 fault atoms, max_faults=3, 2
+        # workers x factor 4.  A linear layout of 8 cubes leaves an
+        # all-false tail of C(41, <=3) = 11,522 of the 18,473 scenarios
+        atoms = [atom("f", index) for index in range(48)]
+        cubes, total = balanced_cubes(atoms, 8, 3)
+        sizes = [closed_form_size(cube, 48, 3) for cube in cubes]
+        assert total == sum(sizes) == 18473
+        assert max(sizes) <= 2309  # 18,473 / 8
+        assert len(cubes) >= 8
+        assert sizes == sorted(sizes, reverse=True)
+
+    def test_small_space_keeps_the_cube_count(self):
+        # below the floor only the cube count forces splits
+        atoms = [atom("m", index) for index in range(48)]
+        cubes, total = balanced_cubes(atoms, 8, 1)
+        assert total == 49
+        assert len(cubes) == 8
 
     def test_degenerate_cases(self):
-        assert linear_cubes(ATOMS, 1) == [()]
-        assert linear_cubes(ATOMS, 0) == [()]
-        assert linear_cubes([], 8) == [()]
+        assert balanced_cubes(ATOMS, 1) == ([()], 32)
+        assert balanced_cubes(ATOMS, 0, 2) == ([()], 16)
+        assert balanced_cubes([], 8) == ([()], 1)
+        # no true atom allowed: one assignment, nothing to split
+        assert balanced_cubes(ATOMS, 8, 0) == ([()], 1)
 
-    def test_shape(self):
-        cubes = linear_cubes(ATOMS[:3], 4)
-        assert cubes[0] == ((ATOMS[0], True),)
-        assert cubes[1] == ((ATOMS[0], False), (ATOMS[1], True))
-        assert cubes[-1] == tuple((a, False) for a in ATOMS[:3])
+    def test_splits_follow_the_atom_order(self):
+        cubes, _ = balanced_cubes(ATOMS[:3], 2)
+        assert cubes == [((ATOMS[0], True),), ((ATOMS[0], False),)]
 
 
 class TestOccurrenceOrdering:
@@ -80,22 +142,12 @@ class TestOccurrenceOrdering:
         )
         assert ordered == [atom("b"), atom("c"), atom("a")]
 
-
-class TestGenerateCubes:
-    def test_single_worker_is_one_empty_cube(self):
-        program = ground_of("{ a; b }.")
-        assert generate_cubes(program, [atom("a"), atom("b")], 1) == [()]
-
-    def test_oversubscription_factor(self):
-        program = ground_of("{ %s }." % "; ".join("x%d" % i for i in range(40)))
-        candidates = [atom("x%d" % i) for i in range(40)]
-        cubes = generate_cubes(program, candidates, 4)
-        assert len(cubes) == 16  # workers * oversubscribe
-
-    def test_partition_after_generation(self):
+    def test_cubes_split_on_the_ordered_atoms(self):
         program = ground_of("{ a; b; c }. p :- b. q :- c, not a.")
         candidates = [atom("a"), atom("b"), atom("c")]
-        cubes = generate_cubes(program, candidates, 2)
+        ordered = order_by_occurrence(program, candidates)
+        cubes, _ = balanced_cubes(ordered, 4)
+        assert cubes[0][0][0] == ordered[0]
         for values in itertools.product((False, True), repeat=3):
             assignment = dict(zip(candidates, values))
             assert sum(1 for c in cubes if extends(c, assignment)) == 1

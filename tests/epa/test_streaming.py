@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.asp.cubes import (
     DEFAULT_CUBE_FACTOR,
-    generate_cubes,
+    FLOOR,
     resolve_cube_factor,
 )
 from repro.asp.serialize import SerializeError
@@ -43,7 +43,9 @@ from repro.epa import (
 from repro.epa.aggregate import AggregateError
 from repro.epa.results import ScenarioOutcome
 from repro.modeling import RelationshipType, SystemModel, standard_cps_library
+from repro.observability import MemoryTraceSink
 from repro.parallel import WorkStealingPool, emit_partial
+from repro.security.fleet import FleetSpec, fleet_engine
 from tests.cdcl_reference import cdcl_reference, rag1
 
 REQ = [
@@ -126,8 +128,6 @@ class TestStreamedByteIdentity:
         """Property over seeded fleet models: for any spec in the
         sampled range, the swept report and aggregate reproduce the CDCL
         reference fold byte for byte."""
-        from repro.security.fleet import FleetSpec, fleet_engine
-
         spec = FleetSpec(
             seed=seed,
             tiers=tiers,
@@ -294,23 +294,32 @@ class TestCubeFactor:
         with pytest.raises(ValueError):
             resolve_cube_factor()
 
-    def test_generate_cubes_scales_with_factor(self):
-        engine = EpaEngine(chain_model(), REQ)
-        control = engine._base_control({})
-        from repro.epa.rules import scenario_choice
+    def test_cube_count_scales_with_factor(self):
+        # 46 scenarios, below the floor: the count alone sets the layout
+        for factor, cubes in ((8, 8), (1, 2)):
+            engine = EpaEngine(chain_model(), REQ, cube_factor=factor)
+            engine.aggregate(max_faults=2)
+            assert engine.statistics["epa"]["parallel"]["shards"] == cubes
 
-        control.add(scenario_choice(2))
-        ground = control.ground()
-        from repro.asp import atom
-
-        atoms = [
-            atom("active_fault", ref.component, ref.fault)
-            for ref in engine._potential_faults({})
-        ]
-        wide = generate_cubes(ground, atoms, 2, oversubscribe=4)
-        narrow = generate_cubes(ground, atoms, 2, oversubscribe=1)
-        assert len(wide) == 8  # 2 workers x factor 4
-        assert len(narrow) == 2
+    def test_sweep_cubes_respect_the_size_bound(self):
+        # C(24, <=3) = 2,325 scenarios in 1 worker x factor 4 cubes
+        spec = FleetSpec(
+            tiers=2,
+            components_per_tier=3,
+            fault_modes_per_component=4,
+            max_faults=3,
+            seed=11,
+        )
+        sink = MemoryTraceSink()
+        fleet_engine(spec, trace=sink).aggregate(max_faults=spec.max_faults)
+        cubes = sorted(sink.named("epa.cube"), key=lambda e: e.payload["cube"])
+        models = [event.payload["models"] for event in cubes]
+        assert len(models) >= DEFAULT_CUBE_FACTOR
+        assert sum(models) == spec.scenario_count()
+        bound = max(spec.scenario_count() / DEFAULT_CUBE_FACTOR, FLOOR)
+        assert max(models) <= bound
+        # dispatched largest first
+        assert models == sorted(models, reverse=True)
 
 
 def _emit_three(value):

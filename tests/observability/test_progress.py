@@ -72,6 +72,47 @@ class TestProgressTracker:
         # 1 fresh cube of 2 fresh in 2s -> 2s remaining
         assert snap.eta_seconds == 2.0
 
+    def test_eta_extrapolates_over_scenarios_with_unequal_cubes(self):
+        clock = FakeClock()
+        progress = tracker(clock)
+        # a 900-scenario cube dispatched first, then nine of 100
+        progress.set_total_cubes(10, scenarios=1800)
+        clock.advance(3.0)
+        progress.add_scenarios(900)
+        progress.cube_done()
+        # half the scenarios in 3s -> 3s to go (the cube ratio says 27s)
+        assert progress.snapshot().eta_seconds == 3.0
+        clock.advance(1.0)
+        progress.add_scenarios(300)
+        assert progress.snapshot().eta_seconds == 2.0
+        progress.add_scenarios(600)
+        progress.cube_done(9)
+        assert progress.snapshot().eta_seconds == 0.0
+
+    def test_scenario_eta_excludes_resumed_scenarios(self):
+        clock = FakeClock()
+        progress = tracker(clock)
+        progress.set_total_cubes(4, done=2, scenarios=1000)
+        progress.preseed_scenarios(600)
+        clock.advance(2.0)
+        progress.add_scenarios(200)
+        # 200 fresh scenarios in 2s, 200 left
+        assert progress.snapshot().eta_seconds == 2.0
+
+    def test_scenario_eta_covers_the_current_sweep_only(self):
+        clock = FakeClock()
+        progress = tracker(clock)
+        progress.set_total_cubes(2, scenarios=100)
+        clock.advance(1.0)
+        progress.add_scenarios(100)
+        progress.cube_done(2)
+        # a second sweep fed to the same tracker
+        progress.set_total_cubes(4, scenarios=400)
+        clock.advance(2.0)
+        progress.add_scenarios(100)
+        # 100 of its 400 in the 2s since its layout was declared
+        assert progress.snapshot().eta_seconds == 6.0
+
     def test_negative_rollback_clamps_at_zero(self):
         progress = tracker(FakeClock())
         progress.add_scenarios(5)

@@ -34,13 +34,16 @@ Programs carrying provenance (``origins is not None``) are refused:
 origins reference non-ground AST nodes that this codec deliberately does
 not know how to encode, and provenance runs are never sharded.
 
-Exports: :func:`dumps_ground`, :func:`loads_ground`, :func:`publish`,
-:func:`shared_program`, :func:`unpublish`, :func:`clear_shared_programs`.
+Users: a cube sweep's worker state crosses to spawn-started workers
+with its program in this form (fork-started workers inherit it and
+need no encoding; see :mod:`repro.epa.engine`), and a checkpointed
+sweep fingerprints its program by hashing the encoding.
+
+Exports: :func:`dumps_ground`, :func:`loads_ground`.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, List, Optional, Tuple
 
 from .ground import (
@@ -413,62 +416,9 @@ def loads_ground(blob: bytes) -> GroundProgram:
     )
 
 
-# ---------------------------------------------------------------------------
-# shared-program cache (fork warm path)
-
-
-_SHARED: Dict[str, GroundProgram] = {}
-
-
-def publish(program: GroundProgram) -> Tuple[str, bytes]:
-    """Encode ``program`` and prime the shared cache with the result.
-
-    Returns ``(digest, blob)`` where ``digest`` is the sha256 hex digest
-    of the blob.  Call this in the parent before forking workers: the
-    cache entry is inherited copy-on-write, so a forked worker's
-    :func:`shared_program` call is a dict lookup, not a decode.  Spawned
-    (or remote) workers ship the blob itself and decode once.
-    """
-    blob = dumps_ground(program)
-    digest = hashlib.sha256(blob).hexdigest()
-    _SHARED[digest] = program
-    return digest, blob
-
-
-def shared_program(digest: str, blob: Optional[bytes] = None) -> GroundProgram:
-    """The program for ``digest``, decoding ``blob`` on a cache miss.
-
-    Fork-started workers hit the cache primed by the parent's
-    :func:`publish`; spawn-started workers miss and decode the blob they
-    were shipped (caching the result for subsequent tasks).  Raises
-    :class:`KeyError` on a miss with no blob to decode.
-    """
-    program = _SHARED.get(digest)
-    if program is None:
-        if blob is None:
-            raise KeyError("ground program %s not published and no blob given" % digest)
-        program = loads_ground(blob)
-        _SHARED[digest] = program
-    return program
-
-
-def unpublish(digest: str) -> None:
-    """Drop one :func:`publish`-ed program once no worker needs it."""
-    _SHARED.pop(digest, None)
-
-
-def clear_shared_programs() -> None:
-    """Drop all cached programs (test isolation hook)."""
-    _SHARED.clear()
-
-
 __all__ = [
     "MAGIC",
     "SerializeError",
-    "clear_shared_programs",
     "dumps_ground",
     "loads_ground",
-    "publish",
-    "shared_program",
-    "unpublish",
 ]

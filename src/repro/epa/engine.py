@@ -16,13 +16,16 @@ section).  Pass ``trace=`` a sink to stream grounder/solver events plus
 Enumeration: every full sweep — :meth:`EpaEngine.analyze` and
 :meth:`EpaEngine.aggregate`, serial or sharded — runs through one cube
 sweep.  The parent grounds once, splits the fault-choice space into
-size-bounded cubes, largest first (see :mod:`repro.asp.cubes`),
-publishes the ground program plus a solver template and probe tables
-in a module-level context that fork-started workers inherit
-copy-on-write, and maps one worker function over the cubes on a
+size-bounded cubes, largest first (see :mod:`repro.asp.cubes`), binds
+the ground program plus a solver template and probe tables into one
+worker function (:class:`_SweepContext`; fork-started workers inherit
+it with the process, spawn-started ones unpickle it once), and maps
+that function over the cubes on a
 :class:`~repro.parallel.WorkStealingPool` (with one worker the pool runs
-in-process, so serial is simply the one-worker case).  Each cube runs
-the propagation-driven projected enumeration
+in-process, so serial is simply the one-worker case).  The sweep's
+state lives in that call alone, so engines sweeping on separate
+threads do not interfere (one engine is not shared across threads).
+Each cube runs the propagation-driven projected enumeration
 (:meth:`~repro.asp.solver.StableModelSolver.project_models`) and reads
 outcomes straight off the assignment through the probe tables; a cube
 whose leaves propagation cannot settle (:class:`ProjectionIncomplete`)
@@ -44,19 +47,20 @@ what-if queries flip assumptions instead of regrounding program text
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import networkx as nx
 
 from ..asp import Control, Model, atom
 from ..asp.cubes import balanced_cubes, order_by_occurrence, resolve_cube_factor
 from ..asp.sat import TRUE
-from ..asp.serialize import publish, shared_program, unpublish
+from ..asp.ground import GroundProgram
+from ..asp.serialize import dumps_ground, loads_ground
 from ..asp.solver import ProjectionIncomplete, StableModelSolver
 from ..asp.syntax import Atom, Program
 from ..asp.terms import Number
@@ -67,11 +71,11 @@ from ..observability import (
     finalize_solver_stats,
 )
 from ..observability.health import default_on_stall
-from ..observability.metrics import get_registry, record_peak_rss
+from ..observability.metrics import record_peak_rss
 from ..observability.progress import ProgressTracker
 from ..modeling.model import SystemModel
 from ..modeling.to_asp import to_asp_program
-from ..parallel import ParallelError, WorkStealingPool, emit_partial
+from ..parallel import ParallelError, WorkStealingPool
 from ..provenance import minimize_core
 from ..security.mapping import CandidateMutation
 from .aggregate import (
@@ -527,21 +531,22 @@ class EpaEngine:
         ``max(2, workers × cube factor)`` cubes, none holding more than
         that share of the ``max_faults``-bounded space (or
         :data:`~repro.asp.cubes.FLOOR` scenarios), largest first (see
-        :func:`~repro.asp.cubes.balanced_cubes`), and publishes the
-        worker context (see :func:`_published_context`);
-        :func:`_sweep_worker` then enumerates each cube and ships
-        chunks on the pool's result channel.  The progress tracker, if
-        any, is told the layout and the exact scenario total.  Without
-        ``into`` the chunks are outcome lists and the sweep returns
-        every outcome; with ``into`` (an empty aggregate fixing the
-        requirement order, magnitudes and antichain cap) they are
-        pre-folded aggregates and the sweep returns ``into`` with every
-        chunk merged.  The parent keeps an in-progress buffer per
-        cube, promotes it to a completed part when the cube's envelope
-        arrives, and assembles results by merging completed parts in
-        cube order on top of the resumed checkpoint — crash-retried and
-        fallen-back cubes discard their buffered partials, so nothing
-        is ever double counted.
+        :func:`~repro.asp.cubes.balanced_cubes`), and binds the sweep's
+        worker state into the pool task as
+        ``functools.partial(_sweep_worker, context)`` (see
+        :class:`_SweepContext`); :func:`_sweep_worker` then enumerates
+        each ``(cube id, cube)`` item and ships chunks through the
+        pool's ``emit``.  The progress tracker, if any, is told the
+        layout and the exact scenario total.  Without ``into`` the
+        chunks are outcome lists and the sweep returns every outcome;
+        with ``into`` (an empty aggregate fixing the requirement order,
+        magnitudes and antichain cap) they are pre-folded aggregates and
+        the sweep returns ``into`` with every chunk merged.  The parent
+        keeps an in-progress buffer per cube, promotes it to a completed
+        part when the cube's envelope arrives, and assembles results by
+        merging completed parts in cube order on top of the resumed
+        checkpoint — crash-retried and fallen-back cubes discard their
+        buffered partials, so nothing is ever double counted.
         """
         restrict = list(restrict_faults) if restrict_faults is not None else None
         control = self._scenario_space(deployment, max_faults, restrict)
@@ -564,140 +569,119 @@ class EpaEngine:
             max(2, workers * factor),
             max_faults if max_faults > 0 else None,
         )
-        with _published_context(
-            ground, project, self._requirement_names
-        ) as (digest, blob):
-            completed: Set[int] = set()
-            if checkpoint is not None:
-                config_digest = _sweep_digest(
-                    digest, cubes, max_faults, into.max_minimal_sets,
-                    deployment, restrict,
-                )
-                if os.path.exists(checkpoint):
-                    completed, into = self._resume(checkpoint, config_digest)
-            resumed = into.scenarios if into is not None else 0
-            pending = [
-                index for index in range(len(cubes)) if index not in completed
-            ]
-            if self._progress is not None:
-                self._progress.set_total_cubes(
-                    len(cubes), done=len(completed), scenarios=scenario_total
-                )
-                if resumed:
-                    self._progress.preseed_scenarios(resumed)
-
-            pool = WorkStealingPool(workers, on_stall=self._on_stall)
-            subprocess_mode = workers > 1 and len(pending) > 1
-            # fork workers inherit the published context; only spawn
-            # workers need the blob to rebuild it
-            shipped_blob = (
-                blob if subprocess_mode and pool.start_method != "fork" else None
-            )
-            fold = (
+        context = _SweepContext(
+            ground,
+            project,
+            self._requirement_names,
+            fold=(
                 None
                 if into is None
                 else (into.requirements, into.magnitudes, into.max_minimal_sets)
+            ),
+            chunk=max(1, chunk_size),
+            traced=self._trace is not NULL_SINK,
+        )
+        completed: Set[int] = set()
+        if checkpoint is not None:
+            config_digest = _sweep_digest(
+                ground, cubes, max_faults, into, deployment, restrict
             )
-            traced = self._trace is not NULL_SINK
-            payloads = [
-                {
-                    "digest": digest,
-                    "blob": shipped_blob,
-                    "project": project,
-                    "requirement_names": self._requirement_names,
-                    "cube": cubes[cube_id],
-                    "index": cube_id,
-                    "traced": traced,
-                    "fold": fold,
-                    "chunk": max(1, chunk_size),
-                    "subprocess": subprocess_mode,
-                }
-                for cube_id in pending
-            ]
+            if os.path.exists(checkpoint):
+                completed, into = self._resume(checkpoint, config_digest)
+        resumed = into.scenarios if into is not None else 0
+        pending = [
+            index for index in range(len(cubes)) if index not in completed
+        ]
+        if self._progress is not None:
+            self._progress.set_total_cubes(
+                len(cubes), done=len(completed), scenarios=scenario_total
+            )
+            if resumed:
+                self._progress.preseed_scenarios(resumed)
 
-            parts: Dict[int, object] = {}
-            buffers: Dict[int, object] = {}
-            finished = 0
+        parts: Dict[int, object] = {}
+        buffers: Dict[int, object] = {}
+        finished = 0
 
-            def assemble():
-                chunks = [parts[cube_id] for cube_id in sorted(parts)]
-                if into is None:
-                    return [outcome for chunk in chunks for outcome in chunk]
-                total = into.copy()
-                for chunk in chunks:
-                    total.merge(chunk)
-                return total
+        def assemble():
+            chunks = [parts[cube_id] for cube_id in sorted(parts)]
+            if into is None:
+                return [outcome for chunk in chunks for outcome in chunk]
+            total = into.copy()
+            for chunk in chunks:
+                total.merge(chunk)
+            return total
 
-            def snapshot() -> None:
-                with self._tracer.span(
-                    "epa.checkpoint",
-                    path=checkpoint,
-                    mode="write",
-                    cubes=len(completed),
-                    total=len(cubes),
-                ):
-                    write_checkpoint(
-                        checkpoint, config_digest, completed, assemble().dumps()
-                    )
-
-            def drop(cube_id: int) -> None:
-                part = buffers.pop(cube_id, None)
-                if part is not None:
-                    self._progress_scenarios(
-                        -(len(part) if into is None else part.scenarios)
-                    )
-
-            def on_partial(position: int, value: Tuple[str, object]) -> None:
-                cube_id = pending[position]
-                kind = value[0]
-                if kind == "reset":
-                    # the worker fell back to the CDCL enumeration and
-                    # will re-stream the whole cube
-                    drop(cube_id)
-                elif kind == "agg":
-                    chunk = ScenarioAggregate.loads(value[1])
-                    if cube_id in buffers:
-                        buffers[cube_id].merge(chunk)
-                    else:
-                        buffers[cube_id] = chunk
-                    self._progress_scenarios(chunk.scenarios)
-                else:  # "outcomes"
-                    buffers.setdefault(cube_id, []).extend(value[1])
-                    self._progress_scenarios(len(value[1]))
-
-            def on_retry(position: int) -> None:
-                drop(pending[position])
-
-            def on_result(position: int, _envelope: object) -> None:
-                nonlocal finished
-                cube_id = pending[position]
-                if cube_id in buffers:
-                    parts[cube_id] = buffers.pop(cube_id)
-                completed.add(cube_id)
-                finished += 1
-                self._progress_cube_done()
-                if (
-                    checkpoint is not None
-                    and checkpoint_every > 0
-                    and finished % checkpoint_every == 0
-                ):
-                    snapshot()
-
-            started = time.perf_counter()
-            try:
-                envelopes = pool.map(
-                    _sweep_worker,
-                    payloads,
-                    on_partial=on_partial,
-                    on_retry=on_retry,
-                    on_result=on_result,
+        def snapshot() -> None:
+            with self._tracer.span(
+                "epa.checkpoint",
+                path=checkpoint,
+                mode="write",
+                cubes=len(completed),
+                total=len(cubes),
+            ):
+                write_checkpoint(
+                    checkpoint, config_digest, completed, assemble().dumps()
                 )
-            except ParallelError as error:
-                raise EpaError("EPA sweep failed: %s" % error) from error
-            searched_s = time.perf_counter() - started
-        registry = get_registry()
+
+        def drop(cube_id: int) -> None:
+            part = buffers.pop(cube_id, None)
+            if part is not None:
+                self._progress_scenarios(
+                    -(len(part) if into is None else part.scenarios)
+                )
+
+        def on_partial(position: int, value: Tuple[str, object]) -> None:
+            cube_id = pending[position]
+            kind = value[0]
+            if kind == "reset":
+                # the worker fell back to the CDCL enumeration and
+                # will re-stream the whole cube
+                drop(cube_id)
+            elif kind == "agg":
+                chunk = ScenarioAggregate.loads(value[1])
+                if cube_id in buffers:
+                    buffers[cube_id].merge(chunk)
+                else:
+                    buffers[cube_id] = chunk
+                self._progress_scenarios(chunk.scenarios)
+            else:  # "outcomes"
+                buffers.setdefault(cube_id, []).extend(value[1])
+                self._progress_scenarios(len(value[1]))
+
+        def on_retry(position: int) -> None:
+            drop(pending[position])
+
+        def on_result(position: int, _envelope: object) -> None:
+            nonlocal finished
+            cube_id = pending[position]
+            if cube_id in buffers:
+                parts[cube_id] = buffers.pop(cube_id)
+            completed.add(cube_id)
+            finished += 1
+            self._progress_cube_done()
+            if (
+                checkpoint is not None
+                and checkpoint_every > 0
+                and finished % checkpoint_every == 0
+            ):
+                snapshot()
+
+        pool = WorkStealingPool(workers, on_stall=self._on_stall)
+        started = time.perf_counter()
+        try:
+            envelopes = pool.map(
+                functools.partial(_sweep_worker, context),
+                [(cube_id, cubes[cube_id]) for cube_id in pending],
+                on_partial=on_partial,
+                on_retry=on_retry,
+                on_result=on_result,
+            )
+        except ParallelError as error:
+            raise EpaError("EPA sweep failed: %s" % error) from error
+        searched_s = time.perf_counter() - started
         lanes = pool.last_assignments
-        for position, (shard_stats, events, metrics) in enumerate(envelopes):
+        for position, (shard_stats, events) in enumerate(envelopes):
             self._stats.merge(shard_stats)
             # replay the cube's trace stream on the parent sink, tagged
             # with the worker lane it actually ran in
@@ -705,8 +689,6 @@ class EpaEngine:
                 payload = dict(event_payload)
                 payload.setdefault("worker", lanes.get(position, position))
                 self._trace.emit(name, **payload)
-            if metrics:
-                registry.merge(metrics)
         result = assemble()
         if checkpoint is not None:
             snapshot()
@@ -729,8 +711,9 @@ class EpaEngine:
         if state.digest != config_digest:
             raise EpaError(
                 "checkpoint %s was written by a different sweep "
-                "configuration (model, deployment, cube layout, "
-                "max_faults and cube factor must match to resume)"
+                "configuration (model, deployment, restriction, cube "
+                "layout, max_faults, cube factor, antichain cap, "
+                "requirement order and magnitudes must match to resume)"
                 % checkpoint
             )
         self._stats.incr("epa.aggregate.resumed_cubes", len(state.completed))
@@ -967,11 +950,6 @@ class EpaEngine:
         return paths
 
 
-#: sweep worker context published by the parent for the duration of one
-#: sweep: ``digest -> (solver template, probe tables, project atoms)``
-_CUBE_CONTEXTS: Dict[str, Tuple[StableModelSolver, Dict[str, list], List[Atom]]] = {}
-
-
 def _build_probes(
     solver: StableModelSolver,
     possible_atoms: Sequence[Atom],
@@ -1021,60 +999,59 @@ def _build_probes(
     return probes
 
 
-def _cube_context_for(
-    program, project: Sequence[Atom], requirement_names: Mapping[str, str]
-) -> Tuple[StableModelSolver, Dict[str, list], List[Atom]]:
-    """The solver template, probe tables and projection of one program."""
-    solver = StableModelSolver(program)
-    probes = _build_probes(solver, program.possible_atoms, requirement_names)
-    return solver, probes, list(project)
+class _SweepContext:
+    """The state every cube task of one sweep shares.
 
-
-@contextmanager
-def _published_context(
-    ground, project: List[Atom], requirement_names: Mapping[str, str]
-) -> Iterator[Tuple[str, bytes]]:
-    """Publish the shared worker context for the duration of one sweep.
-
-    Serializes the ground program (priming the
-    :mod:`repro.asp.serialize` shared cache) and stores a solver
-    template plus probe tables under the program digest; yields
-    ``(digest, blob)``.  Workers forked inside the block inherit the
-    whole context copy-on-write — their first task starts at a dict
-    lookup instead of a program decode and solver encode.  Both entries
-    are removed when the block exits, and no earlier: a worker
-    respawned mid-sweep forks from them.
+    The ground program (for the CDCL fallback), a solver template and
+    the probe tables built from it once, the projection atoms, the
+    requirement-name map, the fold spec (``None`` for outcome chunks,
+    else ``(requirements, magnitudes, antichain cap)``), the chunk size
+    and whether cubes record trace events.  :meth:`EpaEngine._sweep`
+    binds it into the pool task as ``functools.partial(_sweep_worker,
+    context)``: fork-started workers inherit it with the process,
+    copy-on-write; spawn-started workers unpickle it once per process,
+    the program crossing in its compact RGP1 form
+    (:mod:`repro.asp.serialize`) and the solver template and probe
+    tables rebuilt on arrival; the one-worker sweep uses it as is.
     """
-    digest, blob = publish(ground)
-    _CUBE_CONTEXTS[digest] = _cube_context_for(ground, project, requirement_names)
-    try:
-        yield digest, blob
-    finally:
-        _CUBE_CONTEXTS.pop(digest, None)
-        unpublish(digest)
 
-
-def _cube_context(
-    payload: Mapping[str, object]
-) -> Tuple[StableModelSolver, Dict[str, list], List[Atom]]:
-    """The worker-side context: inherited via fork, or rebuilt once.
-
-    Fork-started workers (and the in-process one-worker sweep) find the
-    parent's published context in :data:`_CUBE_CONTEXTS`.
-    Spawn-started workers (no fork on the platform) miss and rebuild it
-    from the serialized program blob in the payload; the rebuilt context
-    is cached, so only the worker's first task pays the decode + solver
-    encode.
-    """
-    digest = payload["digest"]
-    context = _CUBE_CONTEXTS.get(digest)
-    if context is None:
-        program = shared_program(digest, payload.get("blob"))
-        context = _cube_context_for(
-            program, payload["project"], payload["requirement_names"]
+    def __init__(
+        self,
+        program: GroundProgram,
+        project: Sequence[Atom],
+        requirement_names: Mapping[str, str],
+        fold: Optional[Tuple[Sequence[str], Mapping[str, str], int]],
+        chunk: int,
+        traced: bool,
+    ):
+        self.program = program
+        self.solver = StableModelSolver(program)
+        self.probes = _build_probes(
+            self.solver, program.possible_atoms, requirement_names
         )
-        _CUBE_CONTEXTS[digest] = context
-    return context
+        self.project = list(project)
+        self.requirement_names = dict(requirement_names)
+        self.fold = fold
+        self.chunk = chunk
+        self.traced = traced
+
+    def __reduce__(self):
+        return (
+            _load_sweep_context,
+            (
+                dumps_ground(self.program),
+                self.project,
+                self.requirement_names,
+                self.fold,
+                self.chunk,
+                self.traced,
+            ),
+        )
+
+
+def _load_sweep_context(blob: bytes, *rest) -> _SweepContext:
+    """Unpickle a :class:`_SweepContext` from its RGP1 program blob."""
+    return _SweepContext(loads_ground(blob), *rest)
 
 
 def _probe_extract(
@@ -1147,23 +1124,31 @@ def _model_extract(
 
 
 def _sweep_digest(
-    program_digest: str,
+    ground: GroundProgram,
     cubes: Sequence[Sequence[Tuple[Atom, bool]]],
     max_faults: int,
-    max_minimal_sets: int,
+    into: ScenarioAggregate,
     deployment: Mapping[str, Sequence[str]],
     restrict: Optional[Sequence[FaultRef]],
 ) -> str:
     """The configuration fingerprint a checkpoint is valid against.
 
     Covers everything that determines which scenarios each cube id
-    enumerates — the ground program, the cube layout (and therefore
-    workers x cube factor), the fault bound, the aggregate's antichain
-    cap, the deployment and any restriction — so resuming under a
-    different configuration is refused instead of silently merging
-    mismatched shards.
+    enumerates and how they fold — the ground program (fingerprinted
+    through its RGP1 encoding), the cube layout (and therefore workers
+    x cube factor), the fault bound, the aggregate's antichain cap,
+    requirement order and magnitudes, the deployment and any
+    restriction — so resuming under a different configuration is
+    refused instead of silently merging mismatched shards.
     """
-    parts = [program_digest, str(max_faults), str(max_minimal_sets)]
+    parts = [
+        hashlib.sha256(dumps_ground(ground)).hexdigest(),
+        str(max_faults),
+        str(into.max_minimal_sets),
+        "requirements:" + ",".join(into.requirements),
+        "magnitudes:"
+        + ",".join("%s=%s" % item for item in sorted(into.magnitudes.items())),
+    ]
     for cube in cubes:
         parts.append(
             ";".join("%s=%d" % (cube_atom, value) for cube_atom, value in cube)
@@ -1176,20 +1161,19 @@ def _sweep_digest(
 
 
 def _sweep_worker(
-    payload: Dict[str, object]
-) -> Tuple[
-    Dict[str, object],
-    List[Tuple[str, float, Dict[str, object]]],
-    Dict[str, object],
-]:
-    """Enumerate one cube, shipping results as they are found.
+    context: _SweepContext,
+    item: Tuple[int, Sequence[Tuple[Atom, bool]]],
+    emit: Callable[[object], None],
+) -> Tuple[Dict[str, object], List[Tuple[str, float, Dict[str, object]]]]:
+    """Enumerate one ``(cube id, cube)`` item, shipping results as they
+    are found.
 
-    Runs in a pool worker (in-process for a one-worker sweep): looks up
-    the shared context (solver template, probe tables), runs the
-    propagation-driven projected enumeration with the cube as
-    assumptions, and every ``chunk`` scenarios pushes a partial through
-    :func:`repro.parallel.emit_partial` — ``("outcomes", [...])`` when
-    the payload's ``fold`` is ``None``, else ``("agg", blob)``, a
+    Runs in a pool worker (in-process for a one-worker sweep) with the
+    sweep's :class:`_SweepContext` bound in: runs the
+    propagation-driven projected enumeration on the context's solver
+    template with the cube as assumptions, and every ``context.chunk``
+    scenarios passes a partial to ``emit`` — ``("outcomes", [...])``
+    when ``context.fold`` is ``None``, else ``("agg", blob)``, a
     :class:`ScenarioAggregate` over ``fold = (requirements, magnitudes,
     antichain cap)`` in its RAG1 form — so parent-side memory tracks the
     fold, not the model count.  If the projected enumeration reports
@@ -1198,25 +1182,18 @@ def _sweep_worker(
     cube's buffered partials) and re-streams the cube from the complete
     CDCL enumeration — slower, never wrong.
 
-    Returns the envelope ``(stats, trace events, metrics snapshot)``:
-    ``stats`` carries ``solving.models``, the cube's SAT counters and
+    Returns the envelope ``(stats, trace events)``: ``stats`` carries
+    ``solving.models``, the cube's SAT counters and
     ``epa.parallel.fallbacks`` (1 when the cube fell back); the parent
     replays the ``epa.cube`` events on its own sink tagged
-    ``worker=<i>`` and folds the metrics into its process-wide
-    registry, so ``--trace`` and ``--metrics`` compose with
-    ``--workers N``.
+    ``worker=<i>``, so ``--trace`` composes with ``--workers N``.  The
+    pool ships the task's metrics itself.
     """
-    registry = get_registry()
-    if payload["subprocess"]:
-        # pool workers persist across tasks: zero the child's registry
-        # so each envelope carries exactly this cube's metrics.  In the
-        # in-process case the parent registry must survive; metrics are
-        # then already in place and the envelope ships none.
-        registry.reset()
-    solver, probes, project = _cube_context(payload)
-    cube = payload["cube"]
-    chunk = payload["chunk"]
-    fold = payload["fold"]
+    cube_id, cube = item
+    solver = context.solver
+    probes = context.probes
+    chunk = context.chunk
+    fold = context.fold
     batch: List[ScenarioOutcome] = []
 
     def flush() -> None:
@@ -1224,12 +1201,12 @@ def _sweep_worker(
         if not batch:
             return
         if fold is None:
-            emit_partial(("outcomes", batch))
+            emit(("outcomes", batch))
         else:
             part = ScenarioAggregate(*fold)
             for outcome in batch:
                 part.add(outcome)
-            emit_partial(("agg", part.dumps()))
+            emit(("agg", part.dumps()))
         batch = []
 
     def on_model(assignment: Sequence[int]) -> None:
@@ -1241,7 +1218,7 @@ def _sweep_worker(
     before = solver.statistics["solvers"]
     fallback = False
     try:
-        count = solver.project_models(project, on_model, assumptions=cube)
+        count = solver.project_models(context.project, on_model, assumptions=cube)
         searched = {
             key: value - before[key]
             for key, value in solver.statistics["solvers"].items()
@@ -1250,13 +1227,12 @@ def _sweep_worker(
         # tell the parent to discard everything streamed so far, then
         # redo the cube on the reference path
         fallback = True
-        emit_partial(("reset",))
+        emit(("reset",))
         batch = []
-        requirement_names = payload["requirement_names"]
-        reference = StableModelSolver(shared_program(payload["digest"]))
+        reference = StableModelSolver(context.program)
         count = 0
-        for model in reference.models(assumptions=cube, project=project):
-            batch.append(_model_extract(model, requirement_names))
+        for model in reference.models(assumptions=cube, project=context.project):
+            batch.append(_model_extract(model, context.requirement_names))
             count += 1
             if len(batch) >= chunk:
                 flush()
@@ -1264,13 +1240,13 @@ def _sweep_worker(
     flush()
     elapsed = time.perf_counter() - start
     events: List[Tuple[str, float, Dict[str, object]]] = []
-    if payload["traced"]:
+    if context.traced:
         events.append(
             (
                 "epa.cube",
                 elapsed,
                 {
-                    "cube": payload["index"],
+                    "cube": cube_id,
                     "models": count,
                     "assumed": len(cube),
                     "fallback": fallback,
@@ -1282,8 +1258,7 @@ def _sweep_worker(
         "solving": {"models": count, "solvers": searched},
         "epa": {"parallel": {"fallbacks": int(fallback)}},
     }
-    metrics = registry.to_dict() if payload["subprocess"] else {}
-    return stats, events, metrics
+    return stats, events
 
 
 def _deployment(

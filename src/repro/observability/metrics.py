@@ -4,8 +4,9 @@ Statistics trees (:mod:`repro.observability.stats`) are *per engine
 instance* and mirror clingo's shape; metrics are *per process* and
 mirror the Prometheus data model, so one scrape (or one
 ``--metrics FILE`` dump) summarizes everything the process solved —
-across controls, engines, pipeline phases and (folded back through the
-worker result envelopes of :mod:`repro.parallel`) child processes.
+across controls, engines, pipeline phases and (folded back from the
+per-task snapshots :mod:`repro.parallel` workers ship with each result)
+child processes.
 
 Three instrument kinds, all label-aware:
 
@@ -213,7 +214,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """All instruments of one process (or one worker envelope).
+    """All instruments of one process (or one pool task's snapshot).
 
     Accessors are get-or-create and idempotent: asking for the same
     (name, labels) twice returns the same object, so handles can be
@@ -293,7 +294,8 @@ class MetricsRegistry:
             yield self._metrics[key]
 
     def to_dict(self) -> Dict[str, Any]:
-        """A deterministic, JSON-safe snapshot (the worker envelope).
+        """A deterministic, JSON-safe snapshot (what a pool worker ships
+        per task).
 
         Shape: ``{name: {"kind": ..., "help": ..., "series": [{"labels":
         {...}, ...state}]}}`` with names and label sets sorted.
@@ -318,7 +320,7 @@ class MetricsRegistry:
 
         Counters and histograms sum; gauges take the incoming value.
         Order-independent for counters/histograms, so folding worker
-        envelopes in any order produces identical totals.
+        snapshots in any order produces identical totals.
         """
         kinds = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
         for name in sorted(other):

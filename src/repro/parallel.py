@@ -16,12 +16,38 @@ and ``repro_parallel_cubes_total``.  With one worker (or one item) the
 pool runs in-process, so serial evaluation is simply the one-worker
 case.
 
-Trace events and metrics ride the result channel: workers ship their
-recorded event streams and a
-:meth:`~repro.observability.MetricsRegistry.to_dict` snapshot back in
-the result envelope, and the parent replays the events on its own sink
-tagged ``worker=<i>`` and folds the metrics into the process-wide
-registry — ``--trace``/``--metrics`` compose with ``--workers N``.
+**Tasks and their state.**  :meth:`WorkStealingPool.map` calls each
+task as ``function(item, emit)``.  State shared by every task of one
+call travels with ``function`` itself — bind it with
+:func:`functools.partial`: fork-started workers inherit it through the
+``Process`` arguments (respawned workers included), spawn-started
+workers unpickle it once per process, and the in-process case just
+calls the function.  Nothing crosses through module globals, so maps
+driven from separate threads do not see each other's state (forking a
+pool from several threads at once is still unsupported).
+
+**Streaming result channel.**  ``emit(value)`` ships an intermediate
+result any number of times before the task returns: from a pool worker
+the value is pickled and sent on the worker's result pipe immediately;
+in-process it reaches the callback synchronously.  Either way the
+parent invokes the ``on_partial(task_index, value)`` callback passed to
+:meth:`WorkStealingPool.map` — the mechanism behind bounded-memory
+streaming sweeps, where workers ship models (or pre-folded partial
+aggregates) as they are found instead of one pickled batch per cube.
+``emit`` is a no-op when the caller passed no ``on_partial``.  Two
+companion callbacks keep crash recovery honest: ``on_retry(task_index)``
+fires when a worker died mid-task and the task is re-queued, so the
+caller discards the partials the dead attempt already shipped;
+``on_result(task_index, value)`` fires when a task finishes, marking
+its partials final.
+
+**Metrics ride the result channel.**  A pool worker zeroes its metrics
+registry before each task and ships a
+:meth:`~repro.observability.MetricsRegistry.to_dict` snapshot with the
+task's result; the parent folds it into the process-wide registry, so
+every metric a task records reaches the parent's registry exactly once
+(in-process tasks record straight into it) and ``--metrics`` composes
+with ``--workers N``.
 
 Pool-level failures — a worker killed by the OS, unpicklable payloads —
 surface as :class:`ParallelError` instead of a hang, with the
@@ -29,25 +55,11 @@ worker-side traceback attached as :attr:`ParallelError.worker_traceback`
 when one was captured; exceptions *raised by* the task function
 propagate unchanged (chained to a :class:`ParallelError` carrying the
 worker traceback when they crossed a process boundary).
-
-**Streaming result channel.**  A task function may call
-:func:`emit_partial` any number of times before returning: each value is
-pickled and shipped on the worker's result pipe immediately, and the
-parent invokes the ``on_partial(task_index, value)`` callback passed to
-:meth:`WorkStealingPool.map` as the messages arrive — the mechanism
-behind bounded-memory streaming sweeps, where workers ship models (or
-pre-folded partial aggregates) as they are found instead of one pickled
-batch per cube.  Two companion callbacks keep crash recovery honest:
-``on_retry(task_index)`` fires when a worker died mid-task and the task
-is re-queued, so the caller discards the partials the dead attempt
-already shipped; ``on_result(task_index, value)`` fires when a task
-finishes, marking its partials final.  In the in-process degenerate
-case (one worker or one item) :func:`emit_partial` invokes
-``on_partial`` synchronously — same contract, no pipe.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
 import multiprocessing
 import pickle
@@ -73,37 +85,15 @@ _Result = TypeVar("_Result")
 #: how many times a task is retried after its worker died mid-execution
 MAX_TASK_ATTEMPTS = 3
 
-#: worker-side channel state: ``(result_pipe, task_index, worker_index,
-#: attempt)`` while a pool worker is executing a task, else ``None``
-_WORKER_CHANNEL = None
 
-#: in-process channel state: ``(on_partial, task_index)`` while the
-#: degenerate (sequential) map path is executing a task, else ``None``
-_INPROCESS_PARTIAL = None
+def _discard(_value) -> None:
+    """``emit`` for a :meth:`WorkStealingPool.map` without ``on_partial``."""
 
 
-def emit_partial(value) -> bool:
-    """Ship an intermediate result from inside a pool task.
-
-    Called by the task function; the value reaches the parent's
-    ``on_partial(task_index, value)`` callback — immediately via the
-    worker's result pipe from a pool worker, synchronously in the
-    degenerate in-process case.  Returns ``False`` (value dropped) when
-    no channel is open: either the caller is not running under a pool
-    ``map``, or the parent did not pass ``on_partial``.  Task functions
-    use the return value to decide between streaming and returning one
-    batch.
-    """
-    if _WORKER_CHANNEL is not None:
-        results, task_index, worker_index, attempt = _WORKER_CHANNEL
-        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        results.send(("partial", task_index, worker_index, attempt, payload))
-        return True
-    if _INPROCESS_PARTIAL is not None:
-        on_partial, task_index = _INPROCESS_PARTIAL
-        on_partial(task_index, value)
-        return True
-    return False
+def _ship_partial(results, task_index, worker_index, attempt, value) -> None:
+    """``emit`` inside a pool worker: one attempt-tagged partial message."""
+    payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    results.send(("partial", task_index, worker_index, attempt, payload))
 
 
 class ParallelError(RuntimeError):
@@ -125,14 +115,18 @@ class ParallelError(RuntimeError):
         self.worker_traceback = worker_traceback
 
 
-def _pool_worker(index, function, tasks, results):
+def _pool_worker(index, function, tasks, results, streaming):
     """Worker-process loop: one task at a time, results pre-pickled.
 
     Pre-pickling the result in the worker turns an unpicklable return
     value into an explicit error message instead of a lost result.
     Exceptions raised by ``function`` are shipped with their formatted
     traceback so the parent can re-raise without losing the failing
-    frame.
+    frame.  The metrics registry is zeroed before each task (a
+    fork-started worker inherits the parent's counts) and its snapshot
+    rides the ``done`` message, so each message carries exactly that
+    task's metrics.  ``streaming`` says whether the parent listens for
+    partials; without it ``emit`` discards them.
 
     ``results`` is this worker's own pipe, written synchronously: a
     worker that dies mid-message leaves a truncated message in its own
@@ -147,18 +141,23 @@ def _pool_worker(index, function, tasks, results):
     burn CPU) for garbage the short-lived worker never produced.
     Task-local garbage is still reclaimed by reference counting.
     """
-    global _WORKER_CHANNEL
     gc.freeze()
     gc.disable()
+    registry = get_registry()
     while True:
         message = tasks.get()
         if message is None:
             return
         task_index, attempt, item = message
+        emit = (
+            functools.partial(_ship_partial, results, task_index, index, attempt)
+            if streaming
+            else _discard
+        )
+        registry.reset()
         start = time.perf_counter()
-        _WORKER_CHANNEL = (results, task_index, index, attempt)
         try:
-            value = function(item)
+            value = function(item, emit)
             payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         except BaseException as error:  # ship SystemExit/KeyboardInterrupt too
             trace = traceback_module.format_exc()
@@ -171,10 +170,10 @@ def _pool_worker(index, function, tasks, results):
                 trace += "\n(exception %r was not picklable)" % (error,)
             results.send(("error", task_index, index, error_payload, trace))
             return
-        finally:
-            _WORKER_CHANNEL = None
         busy = time.perf_counter() - start
-        results.send(("done", task_index, index, busy, payload))
+        results.send(
+            ("done", task_index, index, busy, payload, registry.to_dict())
+        )
 
 
 class WorkStealingPool:
@@ -218,45 +217,43 @@ class WorkStealingPool:
             else "spawn"
         )
         self._context = multiprocessing.get_context(method)
-        #: the multiprocessing start method the pool's workers use
-        self.start_method = method
         #: item index -> worker lane of the most recent :meth:`map` call
         self.last_assignments: Dict[int, int] = {}
 
     def map(
         self,
-        function: Callable[[_Item], _Result],
+        function: Callable[[_Item, Callable[[object], None]], _Result],
         items: Iterable[_Item],
         on_partial: Optional[Callable[[int, object], None]] = None,
         on_retry: Optional[Callable[[int], None]] = None,
         on_result: Optional[Callable[[int, object], None]] = None,
     ) -> List[_Result]:
-        """Evaluate ``function`` over ``items``; results in input order.
+        """Evaluate ``function(item, emit)`` over ``items``; results in
+        input order.
 
         After the call, :attr:`last_assignments` maps each item index to
         the worker lane that executed it (all ``0`` for the in-process
         degenerate case) — callers use it to tag per-item telemetry with
         the lane it actually ran in.
 
-        ``on_partial(task_index, value)`` receives every
-        :func:`emit_partial` value a task ships before finishing;
-        ``on_retry(task_index)`` fires when a crashed worker's task is
-        re-queued (discard that task's partials); ``on_result`` fires on
-        task completion, before the pool moves on.  All three run in the
-        parent process, on the thread driving :meth:`map`.
+        ``on_partial(task_index, value)`` receives every value a task
+        passes to ``emit`` before finishing; ``on_retry(task_index)``
+        fires when a crashed worker's task is re-queued (discard that
+        task's partials); ``on_result`` fires on task completion, before
+        the pool moves on.  All three run in the parent process, on the
+        thread driving :meth:`map`.
         """
-        global _INPROCESS_PARTIAL
         batch = list(items)
         if self.workers <= 1 or len(batch) <= 1:
             self.last_assignments = {index: 0 for index in range(len(batch))}
             collected = []
             for index, item in enumerate(batch):
-                if on_partial is not None:
-                    _INPROCESS_PARTIAL = (on_partial, index)
-                try:
-                    value = function(item)
-                finally:
-                    _INPROCESS_PARTIAL = None
+                emit = (
+                    _discard
+                    if on_partial is None
+                    else functools.partial(on_partial, index)
+                )
+                value = function(item, emit)
                 if on_result is not None:
                     on_result(index, value)
                 collected.append(value)
@@ -321,7 +318,9 @@ def _run_pool(
         reader, writer = context.Pipe(duplex=False)
         process = context.Process(
             target=_pool_worker,
-            args=(worker_index, function, task_queue, writer),
+            args=(
+                worker_index, function, task_queue, writer, on_partial is not None
+            ),
             daemon=True,
         )
         process.start()
@@ -437,15 +436,15 @@ def _run_pool(
                 # emitting worker; anything else is a stale straggler
                 # from a crashed (or already completed) attempt.
                 if (
-                    on_partial is not None
-                    and task_index not in results
+                    task_index not in results
                     and attempt == attempts[task_index]
                     and in_flight.get(worker_index) == task_index
                 ):
                     on_partial(task_index, pickle.loads(payload))
                 continue
             if kind == "done":
-                _, task_index, worker_index, busy, payload = message
+                _, task_index, worker_index, busy, payload, metrics = message
+                registry.merge(metrics)
                 results[task_index] = pickle.loads(payload)
                 assignments[task_index] = worker_index
                 in_flight[worker_index] = None
@@ -479,5 +478,4 @@ __all__ = [
     "MAX_TASK_ATTEMPTS",
     "ParallelError",
     "WorkStealingPool",
-    "emit_partial",
 ]

@@ -1,10 +1,8 @@
 """Tests for the binary ground-program serializer.
 
 The contract: ``loads_ground(dumps_ground(p))`` reproduces every field
-of the program structurally, the encoding is meaningfully smaller than
-a pickle of the same program, and the publish/shared cache behaves like
-a fork warm path (hit without a blob after publish, decode-on-miss with
-one).
+of the program structurally, and the encoding is meaningfully smaller
+than a pickle of the same program.
 """
 
 import pickle
@@ -14,14 +12,7 @@ import pytest
 from repro.asp import Control
 from repro.asp.grounder import Grounder
 from repro.asp.parser import parse_program
-from repro.asp.serialize import (
-    SerializeError,
-    clear_shared_programs,
-    dumps_ground,
-    loads_ground,
-    publish,
-    shared_program,
-)
+from repro.asp.serialize import SerializeError, dumps_ground, loads_ground
 
 RICH_PROGRAM = """
 item(1..3). weight(1, 4). weight(2, -2). weight(3, 7).
@@ -96,28 +87,3 @@ class TestRejections:
         with pytest.raises(SerializeError):
             dumps_ground(program)
 
-
-class TestSharedCache:
-    def setup_method(self):
-        clear_shared_programs()
-
-    def teardown_method(self):
-        clear_shared_programs()
-
-    def test_publish_then_lookup_is_identity(self):
-        program = rich_ground()
-        digest, _blob = publish(program)
-        assert shared_program(digest) is program
-
-    def test_miss_with_blob_decodes_and_caches(self):
-        program = rich_ground()
-        digest, blob = publish(program)
-        clear_shared_programs()
-        decoded = shared_program(digest, blob)
-        assert decoded.rules == program.rules
-        # second lookup hits the cache entry created by the decode
-        assert shared_program(digest) is decoded
-
-    def test_miss_without_blob_raises(self):
-        with pytest.raises(KeyError):
-            shared_program("0" * 64)

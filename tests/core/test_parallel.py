@@ -13,11 +13,11 @@ import os
 
 import pytest
 
-from repro.asp import serialize
 from repro.asp.solver import ProjectionIncomplete, StableModelSolver
 from repro.epa import EpaEngine, EpaError, FaultRef, StaticRequirement
 from repro.epa import engine as engine_module
-from repro.parallel import ParallelError, emit_partial
+from repro.observability.metrics import get_registry
+from repro.parallel import ParallelError, WorkStealingPool
 from repro.modeling import RelationshipType, SystemModel, standard_cps_library
 from tests.cdcl_reference import cdcl_outcomes, cdcl_reference, rag1
 
@@ -44,16 +44,23 @@ def chain_model():
     return model
 
 
-def _square(value):  # must be module-level: pool workers pickle it
+def _square(value, emit):  # must be module-level: pool workers pickle it
     return value * value
 
 
-def _die(payload):  # simulates a worker killed by the OS (OOM, signal)
+def _die(item, emit):  # simulates a worker killed by the OS (OOM, signal)
     os._exit(1)
 
 
-def _explode(payload):  # a cube that raises instead of finishing
-    raise RuntimeError("cube %d failed" % payload["index"])
+def _die_on_cube(context, item, emit):  # a ``_sweep_worker`` stand-in
+    _die(item, emit)
+
+
+def _count_task(value, emit):  # records one metric in its own process
+    get_registry().counter(
+        "repro_test_pool_tasks_total", "tasks run by the pool metrics test"
+    ).inc()
+    return value
 
 
 class TestShardedAnalyze:
@@ -72,7 +79,7 @@ class TestShardedAnalyze:
         assert stats["solving"]["models"] >= 10
 
     def test_crashed_worker_becomes_epa_error(self, monkeypatch):
-        monkeypatch.setattr(engine_module, "_sweep_worker", _die)
+        monkeypatch.setattr(engine_module, "_sweep_worker", _die_on_cube)
         engine = EpaEngine(chain_model(), REQ, workers=4)
         with pytest.raises(EpaError):
             engine.analyze(max_faults=1)
@@ -86,28 +93,8 @@ class TestShardedAnalyze:
         assert stats["epa"]["parallel"]["fallbacks"] == 0
         assert stats["solving"]["models"] == aggregate.scenarios == 10
 
-    def test_sweeps_leave_no_published_context(self, monkeypatch):
-        # every sweep publishes a ground program and a solver template
-        # for its workers; none may outlive the sweep, or a what-if
-        # session grows by one entry per deployment it re-analyzes
-        contexts = dict(engine_module._CUBE_CONTEXTS)
-        programs = dict(serialize._SHARED)
-        engine = EpaEngine(chain_model(), REQ, fault_mitigations=MITIGATIONS)
-        sharded = EpaEngine(
-            chain_model(), REQ, fault_mitigations=MITIGATIONS, workers=2
-        )
-        for deployment in ({}, {"s": ("shielding",)}, {"c": ("hardening",)}):
-            engine.analyze(active_mitigations=deployment, max_faults=2)
-            engine.aggregate(active_mitigations=deployment, max_faults=2)
-            sharded.analyze(active_mitigations=deployment, max_faults=2)
-        monkeypatch.setattr(engine_module, "_sweep_worker", _explode)
-        with pytest.raises(RuntimeError):
-            engine.analyze(max_faults=2)
-        assert engine_module._CUBE_CONTEXTS == contexts
-        assert serialize._SHARED == programs
 
-
-def _sleep_square(payload):  # skewed task cost: (seconds, value)
+def _sleep_square(payload, emit):  # skewed task cost: (seconds, value)
     seconds, value = payload
     import time
 
@@ -115,7 +102,7 @@ def _sleep_square(payload):  # skewed task cost: (seconds, value)
     return value * value
 
 
-def _die_once(payload):  # crashes the first time only (flag-file trick)
+def _die_once(payload, emit):  # crashes the first time only (flag-file trick)
     flag, value = payload
     if os.path.exists(flag):
         return value * value
@@ -124,18 +111,18 @@ def _die_once(payload):  # crashes the first time only (flag-file trick)
     os._exit(1)
 
 
-def _raise_tagged(value):
+def _raise_tagged(value, emit):
     raise KeyError("nope-%d" % value)
 
 
-def _die_while_shipping(payload):
+def _die_while_shipping(payload, emit):
     """Item 1's first attempt dies while a large partial is in flight:
     the parent is still busy with the small partial before it."""
     import time
 
     flag, value = payload
-    emit_partial(("small", value))
-    emit_partial(("large", value, b"x" * (1 << 20)))
+    emit(("small", value))
+    emit(("large", value, b"x" * (1 << 20)))
     if value == 1 and not os.path.exists(flag):
         with open(flag, "w"):
             pass
@@ -146,16 +133,12 @@ def _die_while_shipping(payload):
 
 class TestWorkStealingPool:
     def test_preserves_submission_order(self):
-        from repro.parallel import WorkStealingPool
-
         pool = WorkStealingPool(4)
         items = list(range(17))
         assert pool.map(_square, items) == [v * v for v in items]
         assert sorted(pool.last_assignments) == items
 
     def test_degenerate_runs_inline(self):
-        from repro.parallel import WorkStealingPool
-
         pool = WorkStealingPool(1)
         assert pool.map(_square, [2, 3]) == [4, 9]
         assert pool.last_assignments == {0: 0, 1: 0}
@@ -163,14 +146,10 @@ class TestWorkStealingPool:
         assert WorkStealingPool(8).map(_square, [5]) == [25]
 
     def test_invalid_worker_count_rejected(self):
-        from repro.parallel import WorkStealingPool
-
         with pytest.raises(ValueError):
             WorkStealingPool(0)
 
     def test_skewed_tasks_trigger_steals(self):
-        from repro.observability.metrics import get_registry
-        from repro.parallel import WorkStealingPool
 
         # home tags are index % workers: even items land on worker 0 and
         # sleep, odd items land on worker 1 and return immediately —
@@ -186,8 +165,6 @@ class TestWorkStealingPool:
         assert steals.value > before
 
     def test_crashed_worker_retries_and_recovers(self, tmp_path):
-        from repro.parallel import WorkStealingPool
-
         # the task kills its worker once, then succeeds on the retry:
         # the pool must respawn the worker and still return every result
         flag = str(tmp_path / "died-once")
@@ -196,7 +173,7 @@ class TestWorkStealingPool:
         assert results == [value * value for value in range(4)]
 
     def test_repeated_crashes_exhaust_attempts(self):
-        from repro.parallel import MAX_TASK_ATTEMPTS, WorkStealingPool
+        from repro.parallel import MAX_TASK_ATTEMPTS
 
         with pytest.raises(ParallelError) as excinfo:
             WorkStealingPool(2).map(_die, list(range(4)))
@@ -207,8 +184,6 @@ class TestWorkStealingPool:
     ):
         import threading
         import time
-
-        from repro.parallel import WorkStealingPool
 
         # the worker dies while its large partial is still being
         # written; the respawned worker's messages must get through
@@ -232,15 +207,11 @@ class TestWorkStealingPool:
         assert outcome["results"] == list(range(4))
 
     def test_empty_batch(self):
-        from repro.parallel import WorkStealingPool
-
         pool = WorkStealingPool(4)
         assert pool.map(_square, []) == []
         assert pool.last_assignments == {}
 
     def test_more_workers_than_items(self):
-        from repro.parallel import WorkStealingPool
-
         # only as many workers as items are spawned: every lane that ran
         # a task is one of the first three
         pool = WorkStealingPool(8)
@@ -249,8 +220,6 @@ class TestWorkStealingPool:
         assert set(pool.last_assignments.values()) <= {0, 1, 2}
 
     def test_inprocess_exception_propagates_unwrapped(self):
-        from repro.parallel import WorkStealingPool
-
         # no process boundary was crossed: nothing to chain
         with pytest.raises(KeyError) as excinfo:
             WorkStealingPool(1).map(_raise_tagged, [1, 2])
@@ -258,8 +227,6 @@ class TestWorkStealingPool:
         assert "nope-1" in str(excinfo.value)
 
     def test_function_exception_carries_worker_traceback(self):
-        from repro.parallel import WorkStealingPool
-
         with pytest.raises(KeyError) as excinfo:
             WorkStealingPool(2).map(_raise_tagged, [1, 2, 3])
         cause = excinfo.value.__cause__
@@ -268,8 +235,6 @@ class TestWorkStealingPool:
         assert "_raise_tagged" in cause.worker_traceback
 
     def test_dead_worker_warns_before_the_respawn(self, tmp_path):
-        from repro.observability.metrics import get_registry
-        from repro.parallel import WorkStealingPool
 
         stalled = get_registry().counter(
             "repro_worker_stalled_total",
@@ -298,6 +263,17 @@ class TestWorkStealingPool:
         assert stalled.value > stalled_before
         assert died[0][3] == respawns_before
         assert respawns.value > respawns_before
+
+    def test_worker_metrics_reach_the_parent_once(self):
+        # every task bumps the counter once in whichever process runs
+        # it; the parent must see each bump exactly once
+        registry = get_registry()
+        for workers in (2, 1):
+            registry.reset()
+            assert WorkStealingPool(workers).map(_count_task, range(4)) == [
+                0, 1, 2, 3
+            ]
+            assert registry.counter("repro_test_pool_tasks_total").value == 4
 
 
 def _force_fallback(monkeypatch):
@@ -469,3 +445,55 @@ class TestParallelByteIdentity:
             assert sharded.key() == serial.key()
             assert sharded.violated == serial.violated
             assert sharded.severity_rank == serial.severity_rank
+
+
+class TestSweepState:
+    """A sweep's state travels with its pool task, nowhere else."""
+
+    def test_concurrent_in_process_sweeps_stay_apart(self):
+        import sys
+        import threading
+
+        bounds = (2, 3)
+        references = {
+            max_faults: _tank().analyze(max_faults=max_faults).outcomes
+            for max_faults in bounds
+        }
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # interleave the sweeps finely
+        try:
+            for _trial in range(3):
+                barrier = threading.Barrier(len(bounds), timeout=30)
+                outcomes = {}
+
+                def sweep(max_faults):
+                    engine = _tank()
+                    barrier.wait()
+                    outcomes[max_faults] = engine.analyze(
+                        max_faults=max_faults
+                    ).outcomes
+
+                threads = [
+                    threading.Thread(target=sweep, args=(max_faults,))
+                    for max_faults in bounds
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert outcomes == references
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_spawn_workers_rebuild_the_bound_context(self, monkeypatch):
+        chain = lambda: EpaEngine(chain_model(), REQ, fault_mitigations=MITIGATIONS)
+        aggregate = chain().aggregate(max_faults=2).dumps()
+        outcomes = chain().analyze(max_faults=2).outcomes
+        monkeypatch.setattr(
+            engine_module,
+            "WorkStealingPool",
+            functools.partial(WorkStealingPool, context="spawn"),
+        )
+        assert chain().aggregate(max_faults=2, workers=2).dumps() == aggregate
+        assert chain().analyze(max_faults=2, workers=2).outcomes == outcomes

@@ -11,8 +11,8 @@ Four contracts:
   objects are alive;
 * **checkpoint/resume** — a killed sweep resumes from its token to the
   same bytes, and a token from a different configuration is refused;
-* **channel plumbing** — :func:`repro.parallel.emit_partial` and the
-  pool's ``on_partial``/``on_retry``/``on_result`` callbacks behave
+* **channel plumbing** — the ``emit`` the pool passes each task and its
+  ``on_partial``/``on_retry``/``on_result`` callbacks behave
   identically in-process and across worker processes, and drop stale
   partials from crashed attempts.
 """
@@ -20,6 +20,7 @@ Four contracts:
 import gc
 import os
 import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -44,7 +45,7 @@ from repro.epa.aggregate import AggregateError
 from repro.epa.results import ScenarioOutcome
 from repro.modeling import RelationshipType, SystemModel, standard_cps_library
 from repro.observability import MemoryTraceSink
-from repro.parallel import WorkStealingPool, emit_partial
+from repro.parallel import WorkStealingPool
 from repro.security.fleet import FleetSpec, fleet_engine
 from tests.cdcl_reference import cdcl_reference, rag1
 
@@ -278,6 +279,38 @@ class TestCheckpointResume:
                 max_faults=2, checkpoint=path
             )
 
+    def test_changed_magnitudes_refused(self, tmp_path, monkeypatch):
+        # magnitudes never reach the ground program, only the fold: a
+        # token folded under "VH" must not be resumed under "L"
+        import repro.epa.engine as engine_module
+
+        path = str(tmp_path / "sweep.ckpt")
+        real_write = engine_module.write_checkpoint
+
+        def dying_write(target, digest, completed, aggregate):
+            real_write(target, digest, completed, aggregate)
+            raise KeyboardInterrupt("simulated kill")
+
+        monkeypatch.setattr(engine_module, "write_checkpoint", dying_write)
+        with pytest.raises(KeyboardInterrupt):
+            EpaEngine(chain_model(), REQ).aggregate(
+                max_faults=2, checkpoint=path, checkpoint_every=1
+            )
+        monkeypatch.setattr(engine_module, "write_checkpoint", real_write)
+        low = [replace(requirement, magnitude="L") for requirement in REQ]
+        with pytest.raises(EpaError):
+            EpaEngine(chain_model(), low).aggregate(
+                max_faults=2, checkpoint=path, checkpoint_every=1
+            )
+
+    def test_changed_antichain_cap_refused(self, tmp_path):
+        path = str(tmp_path / "sweep.ckpt")
+        EpaEngine(chain_model(), REQ).aggregate(max_faults=2, checkpoint=path)
+        with pytest.raises(EpaError, match="antichain cap"):
+            EpaEngine(chain_model(), REQ).aggregate(
+                max_faults=2, checkpoint=path, max_minimal_sets=1
+            )
+
 
 class TestCubeFactor:
     def test_default_and_explicit(self):
@@ -322,14 +355,14 @@ class TestCubeFactor:
         assert models == sorted(models, reverse=True)
 
 
-def _emit_three(value):
+def _emit_three(value, emit):
     """Ship two partials then return (module-level: workers pickle it)."""
-    emit_partial(("part", value, 1))
-    emit_partial(("part", value, 2))
+    emit(("part", value, 1))
+    emit(("part", value, 2))
     return value * 10
 
 
-def _emit_or_die(item):
+def _emit_or_die(item, emit):
     """Emit a partial, then crash on the first attempt of item 1.
 
     The sentinel file makes the crash happen exactly once across the
@@ -337,7 +370,7 @@ def _emit_or_die(item):
     the retry finds it and succeeds.
     """
     value, die_path = item
-    emit_partial(("part", value))
+    emit(("part", value))
     if value == 1:
         try:
             with open(die_path, "x"):
@@ -351,7 +384,18 @@ def _emit_or_die(item):
 
 class TestResultChannel:
     def test_emit_partial_without_channel_is_noop(self):
-        assert emit_partial(("orphan",)) is False
+        # without on_partial, emit discards: tasks still finish and
+        # nothing but results reaches the parent, in-process and across
+        # worker processes alike
+        for workers, items in ((1, [5]), (2, [0, 1, 2, 3])):
+            done = []
+            results = WorkStealingPool(workers).map(
+                _emit_three,
+                items,
+                on_result=lambda index, value: done.append((index, value)),
+            )
+            assert results == [value * 10 for value in items]
+            assert sorted(done) == list(enumerate(results))
 
     def test_in_process_channel(self):
         pool = WorkStealingPool(1)

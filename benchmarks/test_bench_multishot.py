@@ -1,19 +1,21 @@
 """Benchmarks of the multi-shot mitigation sweeps.
 
 The paper's Sec. IV-D what-if loops — "what does this deployment cost
-the attacker?", "what does each extra unit of budget buy?" — issue many
+the attacker?", "what does each extra unit of budget buy?", "what does
+the scenario space look like under this deployment?" — issue many
 solves over one program.  These benches time the multi-shot paths
 (ground once, flip externals per solve); ``run_bench.py`` compares the
 medians against the recorded fresh-control-per-query baselines, so the
 speedup column in ``BENCH_asp.json`` is the sweep-level win of solver
-reuse.  Both benches assert ``reground_avoided > 0`` — a multi-shot
-sweep that silently fell back to regrounding would still be correct,
-just not the thing being measured.
+reuse.  Every bench asserts its ``reground_avoided`` count — a
+multi-shot sweep that silently fell back to regrounding would still be
+correct, just not the thing being measured.
 """
 
 import itertools
 import random
 
+from repro.asp import clear_ground_cache
 from repro.casestudy import build_system_model, static_requirements
 from repro.epa import EpaEngine
 from repro.epa.optimal import attack_cost_of_mitigation
@@ -64,6 +66,37 @@ def test_bench_attack_cost_sweep_multishot(benchmark):
     multishot = engine.statistics["solving"]["multishot"]
     assert multishot["reground_avoided"] > 0
     assert multishot["solves"] == len(deployments)
+
+
+def test_bench_reanalysis_sweep(benchmark):
+    """16 full re-analyses at max_faults=2 on one engine (water tank):
+    every sweep after the first runs on the engine's sweep template."""
+    deployments = deployment_grid()
+
+    def sweep():
+        # a cold grounding per round, as a fresh session pays it
+        clear_ground_cache()
+        engine = EpaEngine(
+            build_system_model(),
+            static_requirements(),
+            fault_mitigations=MITIGATIONS,
+        )
+        reports = [
+            engine.analyze(active_mitigations=deployment, max_faults=2)
+            for deployment in deployments
+        ]
+        return engine, reports
+
+    engine, reports = benchmark.pedantic(sweep, rounds=3, iterations=1)
+    # the tank's 22 fault modes within two faults; hardening covers no
+    # fault the tank declares, so every deployment sees the same space
+    assert [len(report) for report in reports] == [254] * len(deployments)
+    stats = engine.statistics
+    # one grounding for the session: the template's
+    assert stats["grounding"]["cache"]["misses"] == 1
+    assert "hits" not in stats["grounding"]["cache"]
+    multishot = stats["solving"]["multishot"]
+    assert multishot["reground_avoided"] == len(deployments) - 1
 
 
 def test_bench_budget_sweep_multishot(benchmark):

@@ -78,7 +78,7 @@ from .grounder import Grounder, GroundingError
 from .ground import GroundProgram
 from .parser import parse_program
 from .solver import Model, StableModelSolver
-from .syntax import Atom, Program
+from .syntax import Atom, Choice, ChoiceElement, Program, Rule
 from .terms import Number, String, Symbol, Term
 
 #: process-wide grounding LRU: program text -> (ground program, stats)
@@ -221,8 +221,6 @@ class Control:
         Strings become symbols when they look like identifiers and quoted
         strings otherwise; ints become numbers; terms pass through.
         """
-        from .syntax import Rule
-
         args = tuple(to_term(a) for a in arguments)
         self._program.rules.append(Rule(Atom(predicate, args), ()))
         self._invalidate()
@@ -259,7 +257,10 @@ class Control:
         target = _external_atom(external, arguments)
         if target not in self._externals:
             self._externals[target] = value
-            self.add("{ %s }." % target)
+            # appended as an AST, like add_fact: engines declare dozens
+            # of externals, and parsing ``{ a }.`` per atom adds up
+            self._program.rules.append(Rule(Choice((ChoiceElement(target),)), ()))
+            self._invalidate()
         return target
 
     def assign_external(

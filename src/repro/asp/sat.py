@@ -560,34 +560,44 @@ class Solver:
             return False
         return True
 
-    def push_level(self, literal: int) -> Optional[int]:
-        """Open a decision level, assert ``literal``, unit-propagate.
+    def push_level(self, *literals: int) -> Optional[int]:
+        """Open one decision level, assert ``literals``, unit-propagate.
 
-        Returns ``None`` on success and a conflict indicator otherwise
-        (a conflicting clause index, or ``-1`` when the literal is
-        already falsified).  A level is opened even on conflict, so the
+        Every literal is asserted on the new level before a single
+        propagation pass runs, so pinning many literals at once (a
+        cube's assumptions, or every remaining branch atom false) costs
+        one level and one pass, and reaches the same fixpoint — or the
+        same conflict — as pushing them one level each.  Returns
+        ``None`` on success and a conflict indicator otherwise (a
+        conflicting clause index, or ``-1`` when a literal is already
+        falsified).  A level is opened even on conflict, so the
         caller's undo discipline is uniform: every ``push_level`` is
         balanced by a :meth:`pop_to_level` regardless of outcome.
 
         Together with :meth:`pop_to_level` this is the cube-and-conquer
         worker loop: the caller walks its own DFS over a chosen branch
         set with plain propagation — no conflict analysis, no learning,
-        no decision-heap maintenance.  Counters still tick, so the work
-        shows up in :attr:`statistics`.
+        no decision-heap maintenance.  Counters still tick (one choice
+        per level), so the work shows up in :attr:`statistics`.
         """
-        var = literal if literal > 0 else -literal
-        self._ensure_var(var)
-        self._trail_lim.append(len(self._trail))
+        assign = self._assign
+        trail = self._trail
+        self._trail_lim.append(len(trail))
         self._decisions_total += 1
-        value = self._assign[var]
-        if value != UNASSIGNED:
-            if (value == TRUE) != (literal > 0):
-                return -1
-            return None
-        self._assign[var] = TRUE if literal > 0 else FALSE
-        self._level[var] = len(self._trail_lim)
-        self._reason[var] = None
-        self._trail.append(literal)
+        level = len(self._trail_lim)
+        for literal in literals:
+            var = literal if literal > 0 else -literal
+            if var > self._num_vars:
+                self._ensure_var(var)
+            value = assign[var]
+            if value != UNASSIGNED:
+                if (value == TRUE) != (literal > 0):
+                    return -1
+                continue
+            assign[var] = TRUE if literal > 0 else FALSE
+            self._level[var] = level
+            self._reason[var] = None
+            trail.append(literal)
         conflict = self._propagate()
         if conflict is not None:
             self._conflicts_total += 1

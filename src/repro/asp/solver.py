@@ -691,18 +691,27 @@ class StableModelSolver:
         project: Sequence[Atom],
         on_model,
         assumptions: Sequence[Tuple[Atom, bool]] = (),
+        max_true: Optional[int] = None,
     ) -> int:
         """Enumerate stable models by propagation DFS over ``project``.
 
-        The cube-and-conquer worker loop: ``assumptions`` pin the cube,
-        then the solver walks a chronological DFS over the free
-        projection atoms (false branch first), deriving everything else
-        by unit propagation.  At each consistent leaf the candidate is
-        checked for unfounded sets and, if stable, ``on_model`` is
-        called with the **transient** raw assignment array (index 0
-        unused, values +1/-1; probe it via :meth:`atom_var` before
-        returning — the next DFS step mutates it in place).  Returns the
-        number of stable models found.
+        The cube-and-conquer worker loop: ``assumptions`` (a cube plus
+        whatever else the caller pins, e.g. external truth values) are
+        asserted on one decision level, then the solver walks a
+        chronological DFS over the free projection atoms (false branch
+        first), deriving everything else by unit propagation.  At each
+        consistent leaf the candidate is checked for unfounded sets and,
+        if stable, ``on_model`` is called with the **transient** raw
+        assignment array (index 0 unused, values +1/-1; probe it via
+        :meth:`atom_var` before returning — the next DFS step mutates it
+        in place).  Returns the number of stable models found.
+
+        ``max_true`` bounds the true projection atoms — pinned, decided
+        or propagated alike — exactly as ``:- #count{...} > max_true.``
+        would (``None`` = unbounded): a node over the bound is
+        rejected, and once the bound is spent the true branch is
+        skipped and every remaining free projection atom is asserted
+        false on one level with one propagation pass.
 
         Requirements, checked at runtime: the projection atoms must
         functionally determine every answer set (same contract as
@@ -768,20 +777,37 @@ class StableModelSolver:
             finally:
                 sat.pop_to_level(level)
 
-        def walk(position: int) -> int:
+        # the bound counts true projection atoms: positive trail
+        # literals are the true variables, so a set intersection with
+        # the trail (or the slice one push added) counts them.
+        # Unbounded, the count can only reach the bound at the all-true
+        # leaf, so the spent-bound tail never runs
+        projected = frozenset(branch_vars)
+        bound = len(branch_vars) if max_true is None else max_true
+
+        def walk(position: int, spent: int) -> int:
             while position < len(branch_vars) and assignment[branch_vars[position]] != 0:
                 position += 1
             if position == len(branch_vars):
                 return leaf()
-            var = branch_vars[position]
             level = sat.decision_level
             found = 0
-            if sat.push_level(-var) is None:
-                found += walk(position + 1)
-            sat.pop_to_level(level)
-            if sat.push_level(var) is None:
-                found += walk(position + 1)
-            sat.pop_to_level(level)
+            if spent == bound:
+                # the bound is spent: the one remaining scenario has
+                # every free projection atom false
+                tail = [-v for v in branch_vars[position:] if assignment[v] == 0]
+                if sat.push_level(*tail) is None:
+                    found = leaf()
+                sat.pop_to_level(level)
+                return found
+            var = branch_vars[position]
+            for literal in (-var, var):
+                start = len(trail)
+                if sat.push_level(literal) is None:
+                    now = spent + len(projected.intersection(trail[start:]))
+                    if now <= bound:
+                        found += walk(position + 1, now)
+                sat.pop_to_level(level)
             return found
 
         # DFS depth equals the number of free projection atoms
@@ -790,13 +816,10 @@ class StableModelSolver:
         recursion_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(recursion_limit, len(branch_vars) + 1000))
         try:
-            conflict = False
-            for literal in literals:
-                if sat.push_level(literal) is not None:
-                    conflict = True
-                    break
-            if not conflict:
-                walk(0)
+            if sat.push_level(*literals) is None:
+                spent = len(projected.intersection(trail))
+                if spent <= bound:
+                    walk(0, spent)
         finally:
             sys.setrecursionlimit(recursion_limit)
             sat.pop_to_level(base_level)

@@ -15,21 +15,31 @@ section).  Pass ``trace=`` a sink to stream grounder/solver events plus
 
 Enumeration: every full sweep — :meth:`EpaEngine.analyze` and
 :meth:`EpaEngine.aggregate`, serial or sharded — runs through one cube
-sweep.  The parent grounds once, splits the fault-choice space into
-size-bounded cubes, largest first (see :mod:`repro.asp.cubes`), binds
-the ground program plus a solver template and probe tables into one
-worker function (:class:`_SweepContext`; fork-started workers inherit
-it with the process, spawn-started ones unpickle it once), and maps
-that function over the cubes on a
-:class:`~repro.parallel.WorkStealingPool` (with one worker the pool runs
-in-process, so serial is simply the one-worker case).  The sweep's
-state lives in that call alone, so engines sweeping on separate
-threads do not interfere (one engine is not shared across threads).
-Each cube runs the propagation-driven projected enumeration
+sweep.  The parent grounds once per engine: its first sweep builds a
+sweep template (:class:`_SweepTemplate` — the point control's ground
+program, with the deployment as externals and no fault bound, plus one
+solver and its probe tables) that every later sweep reuses, so the
+what-if loop of Fig. 1 re-analyzes deployment after deployment without
+grounding or encoding anything.  A sweep turns what varies into
+assumptions on the template (the deployment's external truth values, a
+restriction's disallowed faults, each cube's pins) and the fault bound
+into the DFS's ``max_true``; splits the fault-choice space into
+size-bounded cubes, largest first (see :mod:`repro.asp.cubes`); binds
+template and assumptions into one worker function
+(:class:`_SweepContext`; fork-started workers inherit it with the
+process, spawn-started ones unpickle it once); and maps that function
+over the cubes on a :class:`~repro.parallel.WorkStealingPool` (with one
+worker the pool runs in-process, so serial is simply the one-worker
+case).  Every sweep pushes and pops on the template's one solver
+trail, so an engine serves only the thread that built it (its sweeps,
+point queries and blocking cores raise :class:`EpaError` anywhere
+else); engines built on separate threads do not interfere.  Each cube
+runs the propagation-driven projected enumeration
 (:meth:`~repro.asp.solver.StableModelSolver.project_models`) and reads
 outcomes straight off the assignment through the probe tables; a cube
 whose leaves propagation cannot settle (:class:`ProjectionIncomplete`)
-is redone on the CDCL enumerator.  The parent folds the shipped chunks
+is redone on the CDCL enumerator over the sweep's bounded program,
+ground where the cube runs.  The parent folds the shipped chunks
 into the outcome list of an :class:`EpaReport` (``analyze``) or into a
 :class:`~repro.epa.aggregate.ScenarioAggregate` (``aggregate``).  Cubes
 partition the scenario space, so the result is the same for every
@@ -42,7 +52,10 @@ Point queries: by default :meth:`EpaEngine.analyze_scenario` keeps one
 persistent multi-shot :class:`~repro.asp.Control` that declares the
 mitigation deployments (``active_mitigation``) as external atoms, so
 what-if queries flip assumptions instead of regrounding program text
-(``incremental=False`` builds a fresh control per query).
+(``incremental=False`` builds a fresh control per query).  Its ground
+program is the sweep template's, so sweeps and point queries share one
+grounding even when a trace sink bypasses the process-wide ground
+cache.
 """
 
 from __future__ import annotations
@@ -50,6 +63,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
+import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
@@ -135,11 +149,14 @@ class EpaEngine:
         every solve the engine issues.  ``incremental`` governs point
         queries only: by default :meth:`analyze_scenario` reuses one
         persistent multi-shot control, ``incremental=False`` builds a
-        fresh control per query (full sweeps always take the cube
-        sweep).  ``workers`` sets the default process-pool width of the
-        sweeps (``None``/``1`` = in-process); point queries always run
-        in-process.  ``cube_factor`` overrides the cube oversubscription
-        factor (default: ``REPRO_CUBE_FACTOR`` or 4; see
+        fresh control per query.  Full sweeps always take the cube
+        sweep on the engine's one template, ground once per engine
+        whatever ``incremental`` says.  ``workers`` sets the default
+        process-pool width of the sweeps (``None``/``1`` =
+        in-process); point queries always run in-process.  The engine
+        serves only the thread that built it.  ``cube_factor``
+        overrides the cube oversubscription factor (default:
+        ``REPRO_CUBE_FACTOR`` or 4; see
         :func:`repro.asp.cubes.resolve_cube_factor`): a sweep cuts at
         least ``max(2, workers × factor)`` cubes, none holding more
         than that share of its scenarios (or
@@ -174,6 +191,10 @@ class EpaEngine:
         }
         self._base_program: Optional[Program] = None
         self._point_control: Optional[Control] = None
+        self._template: Optional[_SweepTemplate] = None
+        # every sweep pushes and pops on the template's one solver
+        # trail, so the engine answers only the thread that built it
+        self._thread = threading.get_ident()
         # separate multi-shot controls for unsat-core queries: they
         # carry extra blocking machinery point queries must not see
         self._core_controls: Dict[int, Control] = {}
@@ -250,36 +271,21 @@ class EpaEngine:
         active_mitigations: Mapping[str, Sequence[str]],
         provenance: bool = False,
     ) -> Control:
-        control = Control(trace=self._trace, provenance=provenance)
-        control._program.extend(self._assemble_base_program())
-        for component, mitigations in sorted(dict(active_mitigations).items()):
-            for mitigation in mitigations:
-                control.add_fact(
-                    "active_mitigation", component, _mitigation_symbol(mitigation)
-                )
-        return control
-
-    def _scenario_space(
-        self,
-        deployment: Mapping[str, Sequence[str]],
-        max_faults: int,
-        restrict: Optional[Sequence[FaultRef]],
-    ) -> Control:
-        """A fresh control whose stable models are one sweep's scenarios."""
-        control = self._base_control(deployment)
-        control.add(scenario_choice(max_faults))
-        if restrict is not None:
-            for fault in restrict:
-                control.add_fact("allowed_fault", fault.component, fault.fault)
-            control.add(":- active_fault(C, F), not allowed_fault(C, F).")
-        return control
+        return _deployed_control(
+            self._assemble_base_program(),
+            active_mitigations,
+            trace=self._trace,
+            provenance=provenance,
+        )
 
     def _incremental_control(self) -> Control:
         """The persistent multi-shot control for point queries.
 
         Mitigation deployments are declared as externals, so later
         queries only flip assumptions: one grounding, one SAT encoding,
-        learnt clauses shared across the session.
+        learnt clauses shared across the session.  Its ground program
+        is also the sweep template's (:meth:`_sweep_template`), so
+        point queries and sweeps share one grounding.
         """
         if self._point_control is None:
             control = Control(trace=self._trace, multishot=True)
@@ -352,22 +358,29 @@ class EpaEngine:
                 potential.append(ref)
         return potential
 
+    def _mitigation_assumptions(
+        self, pairs: Iterable[Tuple[str, str]]
+    ) -> List[Tuple[Atom, bool]]:
+        """Every ``active_mitigation`` external with its truth value:
+        true for ``pairs``, false otherwise (no external may stay free:
+        models must match a fresh control's exactly)."""
+        chosen = set(pairs)
+        return [
+            (
+                atom("active_mitigation", component, mitigation),
+                (component, mitigation) in chosen,
+            )
+            for component, mitigation in self._relevant_mitigation_pairs()
+        ]
+
     def _assign_mitigations(
         self, control: Control, pairs: Iterable[Tuple[str, str]]
     ) -> None:
-        """Pin every ``active_mitigation`` external: true for ``pairs``,
-        false otherwise — assignments persist on multi-shot controls,
-        so a mitigation dropped since the last call must be actively
-        flipped back (and no external may stay free: models must match
-        a fresh control's exactly)."""
-        chosen = set(pairs)
-        for component, mitigation in self._relevant_mitigation_pairs():
-            control.assign_external(
-                "active_mitigation",
-                component,
-                mitigation,
-                value=(component, mitigation) in chosen,
-            )
+        """Pin every ``active_mitigation`` external of a multi-shot
+        control — assignments persist there, so a mitigation dropped
+        since the last call must be actively flipped back."""
+        for external, value in self._mitigation_assumptions(pairs):
+            control.assign_external(external, value=value)
 
     # ------------------------------------------------------------------
     # analysis
@@ -392,6 +405,7 @@ class EpaEngine:
         parent's sink tagged ``worker=<i>``, so ``--trace`` composes
         with ``--workers N``.
         """
+        self._check_thread()
         deployment = _deployment(active_mitigations)
         with self._tracer.span("epa.analyze", max_faults=max_faults) as span:
             outcomes = self._sweep(
@@ -432,7 +446,13 @@ class EpaEngine:
         """
         deployment = _deployment(active_mitigations)
         restrict = list(restrict_faults) if restrict_faults is not None else None
-        control = self._scenario_space(deployment, max_faults, restrict)
+        control = _scenario_space(
+            self._assemble_base_program(),
+            deployment,
+            max_faults,
+            restrict,
+            trace=self._trace,
+        )
         # the only choice rule is the fault activation, so the choice
         # atoms functionally determine every model: project the
         # enumeration's blocking clauses onto them
@@ -480,6 +500,7 @@ class EpaEngine:
         same configuration and the same path.  A checkpoint written by
         a different sweep configuration is refused.
         """
+        self._check_thread()
         deployment = _deployment(active_mitigations)
         workers = self._sweep_width(workers)
         with self._tracer.span(
@@ -526,10 +547,16 @@ class EpaEngine:
     ) -> Union[List[ScenarioOutcome], ScenarioAggregate]:
         """The one enumeration path: a cube sweep on a work-stealing pool.
 
-        Grounds once, splits the fault-choice space over the
-        occurrence-ordered fault atoms into at least
-        ``max(2, workers × cube factor)`` cubes, none holding more than
-        that share of the ``max_faults``-bounded space (or
+        Grounds nothing: the engine's sweep template
+        (:meth:`_sweep_template`) is one unbounded scenario program
+        with the deployment as externals, and everything that varies
+        between sweeps becomes an assumption on it — the deployment as
+        external truth values, a restriction as false literals on the
+        disallowed fault atoms, each cube's pins — while ``max_faults``
+        bounds the projected DFS itself (``max_true``).  Splits the
+        fault-choice space over the occurrence-ordered fault atoms into
+        at least ``max(2, workers × cube factor)`` cubes, none holding
+        more than that share of the ``max_faults``-bounded space (or
         :data:`~repro.asp.cubes.FLOOR` scenarios), largest first (see
         :func:`~repro.asp.cubes.balanced_cubes`), and binds the sweep's
         worker state into the pool task as
@@ -548,31 +575,40 @@ class EpaEngine:
         checkpoint — crash-retried and fallen-back cubes discard their
         buffered partials, so nothing is ever double counted.
         """
+        template = self._sweep_template()
         restrict = list(restrict_faults) if restrict_faults is not None else None
-        control = self._scenario_space(deployment, max_faults, restrict)
-        ground = control.ground()
         choices = self._potential_faults(deployment)
         project = [
             atom("active_fault", ref.component, ref.fault) for ref in choices
         ]
+        assumptions = self._mitigation_assumptions(_active_pairs(deployment))
         cube_atoms = project
         if restrict is not None:
             allowed = {(f.component, f.fault) for f in restrict}
-            cube_atoms = [
-                choice_atom
-                for ref, choice_atom in zip(choices, project)
-                if (ref.component, ref.fault) in allowed
-            ]
+            cube_atoms = []
+            for ref, choice_atom in zip(choices, project):
+                if (ref.component, ref.fault) in allowed:
+                    cube_atoms.append(choice_atom)
+                else:
+                    assumptions.append((choice_atom, False))
+        max_true = max_faults if max_faults > 0 else None
         factor = resolve_cube_factor(self._cube_factor)
         cubes, scenario_total = balanced_cubes(
-            order_by_occurrence(ground, cube_atoms),
+            order_by_occurrence(template.program, cube_atoms),
             max(2, workers * factor),
-            max_faults if max_faults > 0 else None,
+            max_true,
         )
         context = _SweepContext(
-            ground,
+            template,
             project,
-            self._requirement_names,
+            assumptions,
+            max_true,
+            fallback=(
+                self._assemble_base_program(),
+                deployment,
+                max_faults,
+                restrict,
+            ),
             fold=(
                 None
                 if into is None
@@ -584,7 +620,7 @@ class EpaEngine:
         completed: Set[int] = set()
         if checkpoint is not None:
             config_digest = _sweep_digest(
-                ground, cubes, max_faults, into, deployment, restrict
+                template.program, cubes, max_faults, into, deployment, restrict
             )
             if os.path.exists(checkpoint):
                 completed, into = self._resume(checkpoint, config_digest)
@@ -698,8 +734,33 @@ class EpaEngine:
         self._stats.incr("summary.models.enumerated", scenarios)
         self._stats.add_time("summary.times.solve", searched_s)
         self._stats.add_time("summary.times.total", searched_s)
-        self._fold_statistics(control, scenarios)
+        self._note_analysis(scenarios)
         return result
+
+    def _sweep_template(self) -> _SweepTemplate:
+        """The engine's :class:`_SweepTemplate`, built on its first
+        sweep from the point control's ground program, so sweeps and
+        point queries share one grounding (its statistics merge into
+        :attr:`statistics` once, through the point control).  Every
+        later sweep reuses it and counts one
+        ``solving.multishot.reground_avoided``."""
+        if self._template is None:
+            self._template = _SweepTemplate(
+                self._incremental_control().ground(), self._requirement_names
+            )
+        else:
+            self._stats.incr("solving.multishot.reground_avoided")
+        return self._template
+
+    def _check_thread(self) -> None:
+        """Refuse calls from any thread but the one that built the
+        engine: sweeps share the template's solver trail, point queries
+        the persistent controls."""
+        if threading.get_ident() != self._thread:
+            raise EpaError(
+                "an EpaEngine serves only the thread that built it; "
+                "build one engine per thread"
+            )
 
     def _resume(
         self, checkpoint: str, config_digest: str
@@ -731,6 +792,7 @@ class EpaEngine:
         mirroring the paper's workflow where activating a mitigation
         "allows excluding this specific scenario from the evaluation".
         """
+        self._check_thread()
         deployment = _deployment(active_mitigations)
         if self._incremental:
             control = self._incremental_control()
@@ -802,6 +864,7 @@ class EpaEngine:
         (dropping any returned mitigation re-admits a violating
         scenario).
         """
+        self._check_thread()
         control = self._core_control(max_faults)
         active = _active_pairs(active_mitigations)
 
@@ -999,59 +1062,92 @@ def _build_probes(
     return probes
 
 
+class _SweepTemplate:
+    """The sweep state an engine builds once and keeps for its life.
+
+    The ground program every sweep enumerates (the point control's:
+    unbounded scenario choice, deployment as externals), one solver
+    template and the probe tables built from it.  Sweeps only pass it
+    assumptions, and the projected DFS leaves the solver's formula as
+    it found it, so one template serves every deployment, restriction
+    and bound.  Pickles as its compact RGP1 program
+    (:mod:`repro.asp.serialize`); the solver and probe tables are
+    rebuilt on arrival.
+    """
+
+    def __init__(
+        self, program: GroundProgram, requirement_names: Mapping[str, str]
+    ):
+        self.program = program
+        self.solver = StableModelSolver(program)
+        self.requirement_names = dict(requirement_names)
+        self.probes = _build_probes(
+            self.solver, program.possible_atoms, self.requirement_names
+        )
+
+    def __reduce__(self):
+        return (
+            _load_sweep_template,
+            (dumps_ground(self.program), self.requirement_names),
+        )
+
+
+def _load_sweep_template(
+    blob: bytes, requirement_names: Mapping[str, str]
+) -> _SweepTemplate:
+    """Unpickle a :class:`_SweepTemplate` from its RGP1 program blob."""
+    return _SweepTemplate(loads_ground(blob), requirement_names)
+
+
 class _SweepContext:
     """The state every cube task of one sweep shares.
 
-    The ground program (for the CDCL fallback), a solver template and
-    the probe tables built from it once, the projection atoms, the
-    requirement-name map, the fold spec (``None`` for outcome chunks,
-    else ``(requirements, magnitudes, antichain cap)``), the chunk size
-    and whether cubes record trace events.  :meth:`EpaEngine._sweep`
-    binds it into the pool task as ``functools.partial(_sweep_worker,
-    context)``: fork-started workers inherit it with the process,
-    copy-on-write; spawn-started workers unpickle it once per process,
-    the program crossing in its compact RGP1 form
-    (:mod:`repro.asp.serialize`) and the solver template and probe
-    tables rebuilt on arrival; the one-worker sweep uses it as is.
+    The engine's :class:`_SweepTemplate`, the projection atoms, the
+    sweep's assumptions (deployment externals and restriction), the
+    fault bound (``max_true``, ``None`` = unbounded), what the CDCL
+    fallback grounds (``fallback``: base program, deployment, bound,
+    restriction — see :meth:`bounded_program`), the fold spec
+    (``None`` for outcome chunks, else ``(requirements, magnitudes,
+    antichain cap)``), the chunk size and whether cubes record trace
+    events.  :meth:`EpaEngine._sweep` binds it into the pool task as
+    ``functools.partial(_sweep_worker, context)``: fork-started workers
+    inherit it with the process, copy-on-write; spawn-started workers
+    unpickle it once per process (the template rebuilding its solver
+    and probe tables from RGP1); the one-worker sweep uses it as is.
     """
 
     def __init__(
         self,
-        program: GroundProgram,
+        template: _SweepTemplate,
         project: Sequence[Atom],
-        requirement_names: Mapping[str, str],
+        assumptions: Sequence[Tuple[Atom, bool]],
+        max_true: Optional[int],
+        fallback: Tuple[
+            Program,
+            Mapping[str, Sequence[str]],
+            int,
+            Optional[Sequence[FaultRef]],
+        ],
         fold: Optional[Tuple[Sequence[str], Mapping[str, str], int]],
         chunk: int,
         traced: bool,
     ):
-        self.program = program
-        self.solver = StableModelSolver(program)
-        self.probes = _build_probes(
-            self.solver, program.possible_atoms, requirement_names
-        )
+        self.template = template
         self.project = list(project)
-        self.requirement_names = dict(requirement_names)
+        self.assumptions = list(assumptions)
+        self.max_true = max_true
+        self.fallback = fallback
         self.fold = fold
         self.chunk = chunk
         self.traced = traced
+        self._bounded: Optional[GroundProgram] = None
 
-    def __reduce__(self):
-        return (
-            _load_sweep_context,
-            (
-                dumps_ground(self.program),
-                self.project,
-                self.requirement_names,
-                self.fold,
-                self.chunk,
-                self.traced,
-            ),
-        )
-
-
-def _load_sweep_context(blob: bytes, *rest) -> _SweepContext:
-    """Unpickle a :class:`_SweepContext` from its RGP1 program blob."""
-    return _SweepContext(loads_ground(blob), *rest)
+    def bounded_program(self) -> GroundProgram:
+        """The sweep's bounded scenario program, for the CDCL fallback:
+        ground in the process that first needs it, then kept."""
+        if self._bounded is None:
+            self._bounded = _scenario_space(*self.fallback).ground()
+        return self._bounded
 
 
 def _probe_extract(
@@ -1134,12 +1230,13 @@ def _sweep_digest(
     """The configuration fingerprint a checkpoint is valid against.
 
     Covers everything that determines which scenarios each cube id
-    enumerates and how they fold — the ground program (fingerprinted
-    through its RGP1 encoding), the cube layout (and therefore workers
-    x cube factor), the fault bound, the aggregate's antichain cap,
-    requirement order and magnitudes, the deployment and any
-    restriction — so resuming under a different configuration is
-    refused instead of silently merging mismatched shards.
+    enumerates and how they fold — the engine's template program
+    (fingerprinted through its RGP1 encoding), the cube layout (and
+    therefore workers x cube factor), the fault bound, the aggregate's
+    antichain cap, requirement order and magnitudes, the deployment and
+    any restriction (assumptions on the template, so fingerprinted
+    here) — so resuming under a different configuration is refused
+    instead of silently merging mismatched shards.
     """
     parts = [
         hashlib.sha256(dumps_ground(ground)).hexdigest(),
@@ -1170,8 +1267,9 @@ def _sweep_worker(
 
     Runs in a pool worker (in-process for a one-worker sweep) with the
     sweep's :class:`_SweepContext` bound in: runs the
-    propagation-driven projected enumeration on the context's solver
-    template with the cube as assumptions, and every ``context.chunk``
+    propagation-driven projected enumeration on the engine's template
+    solver, assuming the sweep's assumptions plus the cube and bounding
+    it by the sweep's ``max_true``, and every ``context.chunk``
     scenarios passes a partial to ``emit`` — ``("outcomes", [...])``
     when ``context.fold`` is ``None``, else ``("agg", blob)``, a
     :class:`ScenarioAggregate` over ``fold = (requirements, magnitudes,
@@ -1180,7 +1278,8 @@ def _sweep_worker(
     :class:`ProjectionIncomplete` (a leaf propagation could not
     settle), the worker ships ``("reset",)`` (the parent drops the
     cube's buffered partials) and re-streams the cube from the complete
-    CDCL enumeration — slower, never wrong.
+    CDCL enumeration of the sweep's bounded program, ground in the
+    worker on its first fallback — slower, never wrong.
 
     Returns the envelope ``(stats, trace events)``: ``stats`` carries
     ``solving.models``, the cube's SAT counters and
@@ -1190,8 +1289,8 @@ def _sweep_worker(
     pool ships the task's metrics itself.
     """
     cube_id, cube = item
-    solver = context.solver
-    probes = context.probes
+    solver = context.template.solver
+    probes = context.template.probes
     chunk = context.chunk
     fold = context.fold
     batch: List[ScenarioOutcome] = []
@@ -1218,7 +1317,12 @@ def _sweep_worker(
     before = solver.statistics["solvers"]
     fallback = False
     try:
-        count = solver.project_models(context.project, on_model, assumptions=cube)
+        count = solver.project_models(
+            context.project,
+            on_model,
+            assumptions=context.assumptions + list(cube),
+            max_true=context.max_true,
+        )
         searched = {
             key: value - before[key]
             for key, value in solver.statistics["solvers"].items()
@@ -1229,10 +1333,12 @@ def _sweep_worker(
         fallback = True
         emit(("reset",))
         batch = []
-        reference = StableModelSolver(context.program)
+        reference = StableModelSolver(context.bounded_program())
         count = 0
         for model in reference.models(assumptions=cube, project=context.project):
-            batch.append(_model_extract(model, context.requirement_names))
+            batch.append(
+                _model_extract(model, context.template.requirement_names)
+            )
             count += 1
             if len(batch) >= chunk:
                 flush()
@@ -1259,6 +1365,42 @@ def _sweep_worker(
         "epa": {"parallel": {"fallbacks": int(fallback)}},
     }
     return stats, events
+
+
+def _deployed_control(
+    base: Program,
+    active_mitigations: Mapping[str, Sequence[str]],
+    trace: Optional[object] = None,
+    provenance: bool = False,
+) -> Control:
+    """A fresh control over ``base`` with a deployment as facts."""
+    control = Control(trace=trace, provenance=provenance)
+    control._program.extend(base)
+    for component, mitigations in sorted(dict(active_mitigations).items()):
+        for mitigation in mitigations:
+            control.add_fact(
+                "active_mitigation", component, _mitigation_symbol(mitigation)
+            )
+    return control
+
+
+def _scenario_space(
+    base: Program,
+    deployment: Mapping[str, Sequence[str]],
+    max_faults: int,
+    restrict: Optional[Sequence[FaultRef]],
+    trace: Optional[object] = None,
+) -> Control:
+    """A fresh control whose stable models are one sweep's scenarios:
+    the CDCL enumeration of :meth:`EpaEngine.analyze_stream` and of a
+    cube that falls back."""
+    control = _deployed_control(base, deployment, trace=trace)
+    control.add(scenario_choice(max_faults))
+    if restrict is not None:
+        for fault in restrict:
+            control.add_fact("allowed_fault", fault.component, fault.fault)
+        control.add(":- active_fault(C, F), not allowed_fault(C, F).")
+    return control
 
 
 def _deployment(

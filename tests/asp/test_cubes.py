@@ -1,14 +1,20 @@
-"""Tests for occurrence-ordered cube generation.
+"""Tests for occurrence-ordered cube generation and the bounded
+projected enumeration that runs each cube.
 
 The load-bearing property is the partition invariant: every assignment
 within the bound must extend *exactly one* cube, because the
 byte-identity of sharded enumeration rests on it.  The rest pins the
 layout contract — the size bound, the cube count, largest-first order,
-determinism — and the occurrence ordering.
+determinism — and the occurrence ordering.  The bound itself is
+enforced by ``StableModelSolver.project_models(..., max_true=k)``,
+checked here against the CDCL models of the same program with the
+bound as a ``#count`` constraint.
 """
 
 import itertools
 import math
+
+from hypothesis import given, settings, strategies as st
 
 from repro.asp import Control, atom
 from repro.asp.cubes import (
@@ -17,6 +23,7 @@ from repro.asp.cubes import (
     occurrence_scores,
     order_by_occurrence,
 )
+from repro.asp.solver import StableModelSolver
 
 
 def ground_of(text):
@@ -114,6 +121,147 @@ class TestBalancedCubes:
     def test_splits_follow_the_atom_order(self):
         cubes, _ = balanced_cubes(ATOMS[:3], 2)
         assert cubes == [((ATOMS[0], True),), ((ATOMS[0], False),)]
+
+
+def chain_program():
+    """The EPA scenario program of sensor -> controller -> actuator
+    (nine fault modes), unbounded, and its fault-activation atoms."""
+    from repro.epa.rules import epa_rule_base, scenario_choice
+    from repro.modeling import (
+        RelationshipType,
+        SystemModel,
+        standard_cps_library,
+        to_asp_text,
+    )
+
+    library = standard_cps_library()
+    model = SystemModel("chain")
+    library.instantiate(model, "sensor", "s")
+    library.instantiate(model, "controller", "c")
+    library.instantiate(model, "actuator", "v")
+    model.add_relationship("s", "c", RelationshipType.FLOW)
+    model.add_relationship("c", "v", RelationshipType.FLOW)
+    text = "\n".join(
+        [
+            to_asp_text(model),
+            epa_rule_base(),
+            scenario_choice(0),
+            "violated(rv) :- err(v, K), hazardous_kind(K).",
+        ]
+    )
+    faults = [
+        a
+        for a in Control(text).ground().possible_atoms
+        if a.predicate == "active_fault"
+    ]
+    return text, sorted(faults, key=str)
+
+
+def projections(models):
+    """Each model's true projection atoms, canonically ordered (a list:
+    enumerating a model twice must show)."""
+    return sorted(sorted(str(a) for a in model) for model in models)
+
+
+def bounded_projections(text, project, max_true, cube=()):
+    """What ``project_models(..., max_true=max_true)`` finds under the
+    cube, as true projection atoms per model."""
+    solver = StableModelSolver(Control(text).ground())
+    probes = [(a, solver.atom_var(a)) for a in project]
+    found = []
+
+    def on_model(assignment):
+        found.append(
+            [a for a, var in probes if var is not None and assignment[var] > 0]
+        )
+
+    count = solver.project_models(
+        project, on_model, assumptions=cube, max_true=max_true
+    )
+    assert count == len(found)
+    return projections(found)
+
+
+def reference_projections(text, project, max_true, cube=()):
+    """The CDCL models of the program plus the bound as a constraint
+    (and the cube as constraints), projected."""
+    elements = "; ".join("%d : %s" % (i, a) for i, a in enumerate(project))
+    lines = [text, ":- #count { %s } > %d." % (elements, max_true)]
+    for pinned, value in cube:
+        lines.append((":- not %s." if value else ":- %s.") % pinned)
+    models = Control("\n".join(lines)).solve()
+    return projections([a for a in project if a in m.atoms] for m in models)
+
+
+def assert_bound_oracle(text, project, cube=()):
+    for max_true in range(len(project) + 1):
+        assert bounded_projections(
+            text, project, max_true, cube
+        ) == reference_projections(text, project, max_true, cube), max_true
+
+
+@st.composite
+def bounded_choice_programs(draw):
+    """A choice over ``p(0..n-1)`` plus random derived atoms,
+    constraints and rules that force a ``p`` atom from earlier ones,
+    with a random cube over the ``p`` atoms."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    project = ["p(%d)" % i for i in range(n)]
+    lines = ["{ %s }." % "; ".join(project)]
+    derived = []
+    for index in range(draw(st.integers(min_value=0, max_value=4))):
+        kinds = ["derive", "constraint"] + (["force"] if n > 1 else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "force":
+            forced = draw(st.integers(min_value=1, max_value=n - 1))
+            head, pool = project[forced], project[:forced]
+        else:
+            head = "q(%d)" % index if kind == "derive" else ""
+            pool = project + derived
+        body = draw(
+            st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True)
+        )
+        literals = [
+            ("not %s" if draw(st.booleans()) else "%s") % name for name in body
+        ]
+        lines.append("%s :- %s." % (head, ", ".join(literals)))
+        if kind == "derive":
+            derived.append(head)
+    pinned = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    cube = [(atom("p", i), draw(st.booleans())) for i in pinned]
+    return "\n".join(lines), [atom("p", i) for i in range(n)], cube
+
+
+class TestBoundedProjection:
+    """``project_models(max_true=k)`` ≡ the program plus
+    ``:- #count{...} > k.``, for every ``k`` from 0 to n."""
+
+    def test_chain_program(self):
+        text, faults = chain_program()
+        assert len(faults) == 9
+        assert_bound_oracle(text, faults)
+
+    def test_cube_pins_count_toward_the_bound(self):
+        text, faults = chain_program()
+        cube = [(faults[0], True), (faults[4], True), (faults[7], False)]
+        assert_bound_oracle(text, faults, cube)
+        # two atoms pinned true already exceed a bound of one
+        assert bounded_projections(text, faults, 1, cube) == []
+        assert len(bounded_projections(text, faults, 2, cube)) == 1
+
+    def test_propagated_atoms_count_toward_the_bound(self):
+        # deciding p(0) propagates p(3): the pair costs two of the bound
+        text = "{ p(0); p(1); p(2); p(3) }. p(3) :- p(0)."
+        project = [atom("p", i) for i in range(4)]
+        assert_bound_oracle(text, project)
+        assert ["p(0)"] not in bounded_projections(text, project, 1)
+        assert ["p(0)", "p(3)"] in bounded_projections(text, project, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(bounded_choice_programs())
+    def test_random_choice_programs(self, case):
+        text, project, cube = case
+        assert_bound_oracle(text, project, cube)
 
 
 class TestOccurrenceOrdering:

@@ -87,7 +87,7 @@ class TestFallbackCubes:
     """Force every cube onto the CDCL fallback, inside pool workers."""
 
     def _force_fallback(self, monkeypatch):
-        def raiser(self, project, on_model, assumptions=()):
+        def raiser(self, project, on_model, assumptions=(), max_true=None):
             raise ProjectionIncomplete("forced by test")
 
         monkeypatch.setattr(StableModelSolver, "project_models", raiser)

@@ -280,7 +280,7 @@ def _force_fallback(monkeypatch):
     """Make every cube's projected enumeration give up at once, so the
     sweep redoes each cube on the CDCL enumerator."""
 
-    def raiser(self, project, on_model, assumptions=()):
+    def raiser(self, project, on_model, assumptions=(), max_true=None):
         raise ProjectionIncomplete("forced by test")
 
     monkeypatch.setattr(StableModelSolver, "project_models", raiser)
@@ -312,6 +312,13 @@ CHAIN_CASES = {
             FaultRef("v", "stuck_at_open"),
         ],
         "max_faults": 2,
+    },
+    # the engine's template has already swept under another deployment
+    # and bound: nothing of that sweep may leak into this one
+    "warm-template": {
+        "warm_up": {"active_mitigations": {"v": ("maintenance",)}, "max_faults": 1},
+        "active_mitigations": {"c": ("monitoring",)},
+        "max_faults": 3,
     },
 }
 
@@ -363,11 +370,15 @@ def _model_reference(factory, max_faults):
     return cdcl_reference(factory(), max_faults=max_faults)
 
 
-def _sweep(monkeypatch, factory, variant, **kwargs):
+def _sweep(monkeypatch, factory, variant, warm_up=None, **kwargs):
+    """Run one sweep variant; ``warm_up`` (sweep arguments) runs a first
+    sweep on the same engine, so the measured one reuses its template."""
     options, method, fallback = SWEEPS[variant]
     if fallback:
         _force_fallback(monkeypatch)
     engine = factory(**options)
+    if warm_up is not None:
+        getattr(engine, method)(**warm_up)
     return engine, getattr(engine, method)(**kwargs)
 
 
@@ -380,8 +391,12 @@ class TestParallelByteIdentity:
         chain = lambda **options: EpaEngine(
             chain_model(), REQ, fault_mitigations=MITIGATIONS, **options
         )
-        reference = cdcl_reference(chain(), **CHAIN_CASES[case])
-        engine, result = _sweep(monkeypatch, chain, variant, **CHAIN_CASES[case])
+        arguments = dict(CHAIN_CASES[case])
+        warm_up = arguments.pop("warm_up", None)
+        reference = cdcl_reference(chain(), **arguments)
+        engine, result = _sweep(
+            monkeypatch, chain, variant, warm_up=warm_up, **arguments
+        )
         assert rag1(engine, result) == reference
         if SWEEPS[variant][2]:
             assert engine.statistics["epa"]["parallel"]["fallbacks"] > 0
@@ -485,6 +500,33 @@ class TestSweepState:
                 assert outcomes == references
         finally:
             sys.setswitchinterval(interval)
+
+    def test_engine_refuses_other_threads(self):
+        import threading
+
+        engine = EpaEngine(chain_model(), REQ)
+        calls = {
+            "analyze": lambda: engine.analyze(max_faults=1),
+            "aggregate": lambda: engine.aggregate(max_faults=1),
+            "analyze_scenario": lambda: engine.analyze_scenario(()),
+            "blocking_core": lambda: engine.blocking_core({}, max_faults=1),
+        }
+        refused = {}
+
+        def run():
+            for name, call in calls.items():
+                try:
+                    call()
+                except EpaError as error:
+                    refused[name] = str(error)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert sorted(refused) == sorted(calls)
+        # the building thread is still served
+        assert len(engine.analyze(max_faults=1)) == 10
 
     def test_spawn_workers_rebuild_the_bound_context(self, monkeypatch):
         chain = lambda: EpaEngine(chain_model(), REQ, fault_mitigations=MITIGATIONS)

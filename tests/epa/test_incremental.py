@@ -4,9 +4,11 @@ An incremental :class:`~repro.epa.EpaEngine` answers single-scenario
 queries on one persistent multi-shot control by flipping externals and
 assumptions; these answers must be identical to the fresh-control path
 (``incremental=False``) that regrounds per call.  Full sweeps take the
-cube sweep whatever ``incremental`` says, so one live engine re-analyzed
-under a sequence of deployments and restrictions must match the CDCL
-reference enumeration (:mod:`tests.cdcl_reference`) at every step — on
+cube sweep whatever ``incremental`` says — every sweep on the engine's
+one template, with the deployment, restriction and bound as assumptions
+— so one live engine re-analyzed under a sequence of deployments,
+bounds and restrictions must match the CDCL reference enumeration
+(:mod:`tests.cdcl_reference`) at every step — on
 the three-component chain model, the water-tank case study, and the
 deployment sweeps of ``epa.optimal``.
 """
@@ -16,6 +18,7 @@ import pytest
 from repro.epa import EpaEngine, FaultRef, StaticRequirement
 from repro.epa.optimal import attack_cost_of_mitigation
 from repro.modeling import RelationshipType, SystemModel, standard_cps_library
+from repro.observability import MemoryTraceSink
 from tests.cdcl_reference import cdcl_outcomes
 
 REQ = [
@@ -67,18 +70,34 @@ class TestChainDifferential:
         assert fresh.analyze(max_faults=max_faults).outcomes == expected
 
     def test_deployment_sweep_on_one_engine(self):
-        incremental, _ = engines()
-        deployments = [
-            {},
-            {"s": ("shielding",)},
-            {"c": ("hardening",)},
-            {"s": ("shielding",), "c": ("monitoring",), "v": ("maintenance",)},
-            {},  # back to empty: nothing of a deployment lingers
+        sink = MemoryTraceSink()
+        incremental = EpaEngine(
+            chain_model(), REQ, fault_mitigations=MITIGATIONS, trace=sink
+        )
+        _, fresh = engines()
+        session = [
+            ({}, 2),
+            ({"s": ("shielding",)}, 1),
+            ({"c": ("hardening",)}, 3),
+            ({"s": ("shielding",), "c": ("monitoring",), "v": ("maintenance",)}, 0),
+            ({}, 2),  # back to empty: nothing of a deployment lingers
         ]
-        for deployment in deployments:
+        faults = (FaultRef("s", "no_signal"), FaultRef("c", "compromised"))
+        for deployment, max_faults in session:
             assert incremental.analyze(
-                active_mitigations=deployment, max_faults=2
-            ).outcomes == reference(active_mitigations=deployment, max_faults=2)
+                active_mitigations=deployment, max_faults=max_faults
+            ).outcomes == reference(
+                active_mitigations=deployment, max_faults=max_faults
+            )
+            ours = incremental.analyze_scenario(faults, deployment)
+            theirs = fresh.analyze_scenario(faults, deployment)
+            assert (ours.key(), ours.violated) == (theirs.key(), theirs.violated)
+        # sweeps and point queries share the engine's one scenario-program
+        # grounding (the trace sink bypasses the process-wide ground cache)
+        assert len(sink.named("grounder.done")) == 1
+        multishot = incremental.statistics["solving"]["multishot"]
+        # sweeps after the first plus point queries after the first
+        assert multishot["reground_avoided"] == 2 * (len(session) - 1)
 
     def test_restrict_faults(self):
         incremental, _ = engines()

@@ -76,9 +76,8 @@ STRICT_TOLERANCE = {
 
 #: minimum speedup vs the baseline a bench must keep under ``--check``:
 #: the multi-shot budget sweep must hold the gains of the solver-core
-#: work (lazy heap maintenance, binary-implication fast path,
-#: learnt-clause economy — see docs/performance.md) over its
-#: fresh-control baseline, and the 2-worker fleet sweep must stay 1.5x
+#: work (lazy heap maintenance, binary-implication fast path — see
+#: docs/performance.md) over its fresh-control baseline, and the 2-worker fleet sweep must stay 1.5x
 #: faster than the serial sweep of the same run (the balanced cube
 #: layout, see docs/parallelism.md; 2 cores)
 SPEEDUP_FLOORS = {

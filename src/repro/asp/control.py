@@ -66,13 +66,7 @@ from typing import (
     Union,
 )
 
-from ..observability import (
-    NULL_SINK,
-    SolveStats,
-    Timer,
-    Tracer,
-    finalize_solver_stats,
-)
+from ..observability import NULL_SINK, SolveStats, Timer, Tracer
 from ..observability.metrics import get_registry
 from .grounder import Grounder, GroundingError
 from .ground import GroundProgram
@@ -123,9 +117,6 @@ _GROUND_SECONDS = _METRICS.histogram(
 _SAT_LEARNT_DELETED = _METRICS.counter(
     "repro_sat_learnt_deleted_total", "learnt clauses deleted by reduce-DB"
 )
-_SAT_LBD_AVG = _METRICS.gauge(
-    "repro_sat_lbd_avg", "average literal block distance of learnt clauses"
-)
 
 
 class Control:
@@ -137,20 +128,13 @@ class Control:
         trace: Optional[object] = None,
         multishot: bool = False,
         provenance: bool = False,
-        heuristics: Optional[Dict[str, object]] = None,
     ):
-        """``heuristics`` tunes the SAT backend of every solver this
-        control builds (keys ``restart_base``, ``reduce_base``,
-        ``minimize_learnts`` — see :class:`~repro.asp.sat.Solver`);
-        ``None`` keeps the defaults (and the env-var knob
-        ``REPRO_REDUCE_BASE``)."""
         self._program = Program()
         self._trace = trace if trace is not None else NULL_SINK
         self._tracer = Tracer(self._trace)
         self._stats = SolveStats()
         self._multishot = multishot
         self._provenance = provenance
-        self._heuristics = dict(heuristics) if heuristics else None
         self._externals: "OrderedDict[Atom, Optional[bool]]" = OrderedDict()
         self._solver: Optional[StableModelSolver] = None
         self._solver_snapshot: Dict[str, object] = {}
@@ -348,13 +332,9 @@ class Control:
         """A solver for one call: fresh, or the persistent multi-shot one."""
         ground = self.ground()
         if not self._multishot:
-            return StableModelSolver(
-                ground, trace=self._trace, heuristics=self._heuristics
-            )
+            return StableModelSolver(ground, trace=self._trace)
         if self._solver is None:
-            self._solver = StableModelSolver(
-                ground, trace=self._trace, heuristics=self._heuristics
-            )
+            self._solver = StableModelSolver(ground, trace=self._trace)
             self._solver_snapshot = {}
         else:
             self._stats.incr("solving.multishot.reground_avoided")
@@ -491,9 +471,6 @@ class Control:
         solving.merge(snapshot)
         solving["variables"] = variables
         solving["tight"] = tight
-        # lbd_avg is derived, not summable: recompute over the merged
-        # cumulative counters after every record
-        _SAT_LBD_AVG.set(finalize_solver_stats(solving.child("solvers")))
         self._stats.incr("summary.calls")
         self._stats.incr("summary.models.enumerated", models)
         self._stats.incr("summary.models.optimal", optimal)

@@ -9,7 +9,9 @@ classic conflict-driven clause-learning solver with:
 * phase saving: each variable remembers its last assigned polarity and
   is re-decided that way (initially negative, favouring minimal models),
   so restarts and enumeration re-enter nearby search regions cheaply;
-* Luby-sequence restarts;
+* Luby-sequence restarts: restart i comes :data:`RESTART_BASE` times
+  the i-th Luby number conflicts after the one before, counted inside
+  one call;
 * incremental interface: clauses may be added between ``solve`` calls and
   each call may carry *assumptions* (fixed first decisions), which makes
   the ASP layer's enumeration, brave/cautious reasoning and
@@ -17,13 +19,14 @@ classic conflict-driven clause-learning solver with:
 * a glucose-style learnt-clause economy: every learnt clause gets an
   LBD (literal block distance — the number of distinct decision levels
   among its literals) and an activity bumped when it participates in
-  conflict analysis; a periodic reduce-DB pass at restart boundaries
-  deletes the worst half of the deletable learnts (highest LBD first,
-  lowest activity as tie-break).  Binaries, glue clauses (LBD <= 2),
-  locked clauses (currently a propagation reason) and everything that
-  is not a CDCL learnt — problem clauses, solution-recording blocking
-  clauses, multishot guard clauses — are never deleted, so enumeration
-  and retraction semantics are untouched;
+  conflict analysis; once :data:`REDUCE_BASE` learnts are tracked, a
+  reduce-DB pass at the next restart deletes the worst half of the
+  deletable learnts (highest LBD first, lowest activity as
+  tie-break).  Binaries, glue clauses (LBD <= 2), locked clauses
+  (currently a propagation reason) and everything that is not a CDCL
+  learnt — problem clauses, solution-recording blocking clauses,
+  multishot guard clauses — are never deleted, so enumeration and
+  retraction semantics are untouched;
 * conflict-clause minimization: recursive self-subsumption over the
   implication graph drops learnt literals whose negation is already
   implied by the rest of the clause, so clauses get shorter before they
@@ -38,6 +41,12 @@ classic conflict-driven clause-learning solver with:
   layer — plain integer attributes bumped in the hot loop, snapshotted
   at stage boundaries.
 
+Restarts, reduce-DB and minimization are fixed behaviour: no argument,
+option or environment variable tunes them, and none of them changes
+which models a search finds.  Tests drive them harder by patching
+:data:`RESTART_BASE` and :data:`REDUCE_BASE`, which each solve reads
+afresh.
+
 Literal convention follows DIMACS: variables are positive integers, a
 literal is ``+v`` or ``-v``.
 """
@@ -45,7 +54,6 @@ literal is ``+v`` or ``-v``.
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 
@@ -57,32 +65,14 @@ TRUE = 1
 FALSE = -1
 UNASSIGNED = 0
 
-#: learnt clauses before the first reduce-DB pass (growing afterwards)
-DEFAULT_REDUCE_BASE = 2000
+#: Luby restart multiplier: conflicts inside one ``solve_raw`` call
+#: before its first restart (read at solve time)
+RESTART_BASE = 32
+#: tracked learnt clauses before the first reduce-DB pass; each pass
+#: raises the threshold by half as many (read at solve time)
+REDUCE_BASE = 2000
 #: LBD at or below which a learnt clause is never deleted
 GLUE_LBD = 2
-
-_UNSET = object()
-
-
-def resolve_reduce_base(explicit: object = _UNSET) -> Optional[int]:
-    """The effective ``reduce_base``: explicit > env > default.
-
-    ``REPRO_REDUCE_BASE=0`` (or an explicit ``None``) disables the
-    reduce-DB pass entirely; otherwise the value must be >= 1.
-    """
-    if explicit is not _UNSET:
-        if explicit is None:
-            return None
-        value = int(explicit)  # type: ignore[call-overload]
-        if value < 1:
-            raise SatError("reduce_base must be >= 1")
-        return value
-    env = os.environ.get("REPRO_REDUCE_BASE")
-    if env:
-        value = int(env)
-        return None if value == 0 else resolve_reduce_base(value)
-    return DEFAULT_REDUCE_BASE
 
 
 def _luby(i: int) -> int:
@@ -102,32 +92,10 @@ def _luby(i: int) -> int:
 class Solver:
     """Incremental CDCL SAT solver."""
 
-    def __init__(
-        self,
-        trace: Optional[object] = None,
-        restart_base: int = 32,
-        reduce_base: object = _UNSET,
-        minimize_learnts: bool = True,
-    ) -> None:
-        """``restart_base`` is the Luby restart multiplier (conflicts
-        before the first restart).
-
-        ``reduce_base`` is the learnt-clause count that triggers the
-        first reduce-DB pass (``None`` disables deletion entirely;
-        default :data:`DEFAULT_REDUCE_BASE`, overridable through
-        ``REPRO_REDUCE_BASE``, where ``0`` means off).
-        ``minimize_learnts`` toggles recursive conflict-clause
-        minimization.  The model sets computed are identical whatever
-        the knobs; the search path (and thus the witness order) may
-        differ."""
+    def __init__(self, trace: Optional[object] = None) -> None:
         from ..observability import NULL_SINK
 
-        if restart_base < 1:
-            raise SatError("restart_base must be >= 1")
         self._trace = trace if trace is not None else NULL_SINK
-        self._restart_base = int(restart_base)
-        self._reduce_base = resolve_reduce_base(reduce_base)
-        self._minimize_learnts = bool(minimize_learnts)
         self._num_vars = 0
         #: clause store; reduce-DB tombstones deleted learnts to ``None``
         #: (indexes are stable: watches and reasons refer to them)
@@ -167,9 +135,8 @@ class Solver:
         self._learnt_meta: Dict[int, List[float]] = {}
         self._clause_inc = 1.0
         self._clause_decay = 0.999
-        #: learnt count that triggers the next reduce-DB pass
-        self._reduce_limit = self._reduce_base or 0
-        self._lbd_sum = 0
+        #: reduce-DB passes so far (each raises the next pass's threshold)
+        self._reduce_passes = 0
         self._learnt_deleted_total = 0
 
     # ------------------------------------------------------------------
@@ -200,13 +167,8 @@ class Solver:
         ``choices`` counts decision-heuristic branches (assumption
         decisions excluded), ``propagations`` counts literals dequeued
         by unit propagation, ``learnt`` counts learnt nogoods including
-        learnt units.  Counters accumulate across ``solve`` calls.
-
-        ``lbd_sum`` is the summed literal-block distance over all learnt
-        clauses — shipped as a sum (not an average) so multishot deltas
-        and cross-worker merges stay exact; presentation layers derive
-        ``lbd_avg = lbd_sum / learnt``.  ``learnt_deleted`` counts
-        reduce-DB victims.
+        learnt units, and ``learnt_deleted`` counts reduce-DB victims.
+        Counters accumulate across ``solve`` calls.
         """
         return {
             "choices": self._decisions_total,
@@ -214,7 +176,6 @@ class Solver:
             "propagations": self._propagations_total,
             "restarts": self._restarts_total,
             "learnt": self._learnt_total,
-            "lbd_sum": self._lbd_sum,
             "learnt_deleted": self._learnt_deleted_total,
         }
 
@@ -722,7 +683,7 @@ class Solver:
         learnt[0] = literal
         if len(learnt) == 1:
             return learnt, 0, 1
-        if len(learnt) > 2 and self._minimize_learnts:
+        if len(learnt) > 2:
             # a 2-literal learnt can never shrink (its non-asserting
             # literal would need every antecedent at level 0, which
             # propagation would already have applied)
@@ -852,7 +813,7 @@ class Solver:
                 deleted=len(victims),
                 kept=len(self._learnt_meta),
             )
-        self._reduce_limit += max(1, (self._reduce_base or 0) // 2)
+        self._reduce_passes += 1
 
     # ------------------------------------------------------------------
     # decision heuristic
@@ -922,7 +883,7 @@ class Solver:
                 return None
         restarts = 0
         conflicts_since_restart = 0
-        restart_limit = self._restart_base * _luby(1)
+        restart_limit = RESTART_BASE * _luby(1)
         while True:
             conflict = self._propagate()
             if conflict is not None:
@@ -944,7 +905,6 @@ class Solver:
                 back_level = max(back_level, 0)
                 self._backtrack(back_level)
                 self._learnt_total += 1
-                self._lbd_sum += lbd
                 if len(learnt) == 1:
                     if not self._enqueue(learnt[0], None):
                         self._unsat = True
@@ -966,11 +926,10 @@ class Solver:
                     restarts += 1
                     self._restarts_total += 1
                     conflicts_since_restart = 0
-                    restart_limit = self._restart_base * _luby(restarts + 1)
+                    restart_limit = RESTART_BASE * _luby(restarts + 1)
                     self._backtrack_lazy(0)
-                    if (
-                        self._reduce_base is not None
-                        and len(self._learnt_meta) >= self._reduce_limit
+                    if len(self._learnt_meta) >= REDUCE_BASE + (
+                        self._reduce_passes * max(1, REDUCE_BASE // 2)
                     ):
                         self._reduce_learnts()
                     self._trace.emit(

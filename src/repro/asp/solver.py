@@ -113,17 +113,12 @@ class StableModelSolver:
         self,
         program: GroundProgram,
         trace: Optional[object] = None,
-        heuristics: Optional[Dict[str, object]] = None,
     ):
-        """``heuristics`` tunes the SAT backend's search (keys
-        ``restart_base``, ``reduce_base``, ``minimize_learnts`` — see
-        :class:`~repro.asp.sat.Solver`).  ``None`` keeps the historical
-        byte-identical defaults."""
         from ..observability import NULL_SINK
 
         self._program = program
         self._trace = trace if trace is not None else NULL_SINK
-        self._sat = SatSolver(trace=self._trace, **(heuristics or {}))
+        self._sat = SatSolver(trace=self._trace)
         self._true = self._sat.new_var()
         self._sat.add_clause([self._true])
         self._atom_var: Dict[Atom, int] = {}

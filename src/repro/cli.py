@@ -59,7 +59,6 @@ import argparse
 import cProfile
 import hashlib
 import json
-import os
 import sys
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
@@ -231,19 +230,6 @@ def _start_solving_command(
     share a config digest are supposed to produce the same numbers.
     """
     get_registry().reset()
-    # the SAT economy knob travels as an environment variable so spawned
-    # worker processes inherit it; validation happens here, once, with
-    # the CLI's error reporting instead of a deep solver traceback
-    from .asp.sat import SatError, resolve_reduce_base
-
-    try:
-        if getattr(args, "reduce_base", None) is not None:
-            # 0 mirrors REPRO_REDUCE_BASE=0: reduce-DB off
-            resolve_reduce_base(args.reduce_base or None)
-            os.environ["REPRO_REDUCE_BASE"] = str(args.reduce_base)
-    except SatError as error:
-        print(str(error), file=sys.stderr)
-        raise SystemExit(2)
     run = _SolvingRun(command, config_digest(config))
     if getattr(args, "ledger", False) or getattr(args, "runs_root", None):
         run.recorder = RunRecorder(
@@ -746,15 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
         "1/(workers x K) of the scenarios or 256, whichever is more "
         "(default 4, or env REPRO_CUBE_FACTOR; higher = finer-grained "
         "work stealing, see docs/parallelism.md)",
-    )
-    observability.add_argument(
-        "--reduce-base",
-        type=int,
-        default=None,
-        metavar="N",
-        help="learnt clauses kept before a reduce-DB pass deletes the "
-        "worst half (default 2000, or env REPRO_REDUCE_BASE; 0 = never "
-        "delete; see docs/performance.md)",
     )
     observability.add_argument(
         "--progress",

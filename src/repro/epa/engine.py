@@ -78,12 +78,7 @@ from ..asp.serialize import dumps_ground, loads_ground
 from ..asp.solver import ProjectionIncomplete, StableModelSolver
 from ..asp.syntax import Atom, Program
 from ..asp.terms import Number
-from ..observability import (
-    NULL_SINK,
-    SolveStats,
-    Tracer,
-    finalize_solver_stats,
-)
+from ..observability import NULL_SINK, SolveStats, Tracer
 from ..observability.health import default_on_stall
 from ..observability.metrics import record_peak_rss
 from ..observability.progress import ProgressTracker
@@ -212,12 +207,6 @@ class EpaEngine:
             merged.merge(self._point_control.statistics)
         for control in self._core_controls.values():
             merged.merge(control.statistics)
-        # lbd_avg is a derived quotient, not a summable counter: the
-        # merges above summed lbd_sum/learnt exactly, so recompute the
-        # average over the merged totals
-        solvers = merged.get_path("solving.solvers")
-        if isinstance(solvers, SolveStats):
-            finalize_solver_stats(solvers)
         return merged
 
     # ------------------------------------------------------------------

@@ -88,7 +88,6 @@ from .spans import NOOP_SPAN, Span, Tracer, current_span
 from .stats import (
     SolveStats,
     StatsError,
-    finalize_solver_stats,
     format_statistics,
 )
 from .timing import Counter, Timer
@@ -138,7 +137,6 @@ __all__ = [
     "current_span",
     "default_on_stall",
     "diff_runs",
-    "finalize_solver_stats",
     "format_statistics",
     "gc_runs",
     "get_registry",

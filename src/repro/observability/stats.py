@@ -186,21 +186,6 @@ class SolveStats(MutableMapping):
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
-def finalize_solver_stats(solvers: MutableMapping) -> float:
-    """Derive presentation-level solver stats in place; returns lbd_avg.
-
-    The SAT layer ships ``lbd_sum`` as a summable integer so multishot
-    deltas and cross-worker merges stay exact; this helper computes the
-    derived ``lbd_avg`` (0.0 when nothing was learnt) at presentation
-    time.  Safe to call repeatedly — it overwrites, never accumulates.
-    """
-    learnt = solvers.get("learnt") or 0
-    lbd_sum = solvers.get("lbd_sum") or 0
-    avg = round(lbd_sum / learnt, 4) if learnt else 0.0
-    solvers["lbd_avg"] = avg
-    return avg
-
-
 def format_statistics(stats: Mapping[str, Any]) -> str:
     """Render a stats tree as a clingo-style terminal summary block.
 
@@ -281,18 +266,8 @@ def format_statistics(stats: Mapping[str, Any]) -> str:
         restarts = number("solving.solvers.restarts") or 0
         emit("Conflicts", "%d (Restarts: %d)" % (number("solving.solvers.conflicts") or 0, restarts))
         emit("Propagations", "%d" % (number("solving.solvers.propagations") or 0))
-        learnt = number("solving.solvers.learnt") or 0
-        emit("Learnt", "%d nogoods" % learnt)
-        lbd_sum = number("solving.solvers.lbd_sum")
-        if lbd_sum is not None and learnt:
-            emit(
-                "LBD",
-                "%.2f avg (deleted: %d)"
-                % (
-                    lbd_sum / learnt,
-                    number("solving.solvers.learnt_deleted") or 0,
-                ),
-            )
+        deleted = number("solving.solvers.learnt_deleted") or 0
+        emit("Learnt", "%d nogoods (deleted: %d)" % (number("solving.solvers.learnt") or 0, deleted))
     loop_nogoods = number("solving.loop_nogoods")
     if loop_nogoods is not None:
         emit(
@@ -306,6 +281,5 @@ def format_statistics(stats: Mapping[str, Any]) -> str:
 __all__ = [
     "SolveStats",
     "StatsError",
-    "finalize_solver_stats",
     "format_statistics",
 ]

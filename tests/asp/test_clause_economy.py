@@ -1,27 +1,30 @@
-"""Tests for the learnt-clause economy (LBD-based reduce-DB, conflict
+"""Tests for the learnt-clause economy (LBD-ranked reduce-DB, conflict
 minimization) and the restart cadence.
 
 The economy's whole contract is "same answers, fewer clauses": deleting
 high-LBD learnts and shrinking conflict clauses may only ever change how
-fast the search runs, never what it returns.  These tests pin that
-contract — enumeration stays complete and byte-identical with the
-economy on or off, blocking clauses survive every reduce pass, the
-``restart_base`` knob leaves the set of answer sets untouched and the
-default configuration stays byte-identical to the historical solver —
-plus the knob validation and the statistics counters.
+fast the search runs, never what it returns.  The mechanisms have no
+knobs, so these tests steer them by patching the module constants
+``RESTART_BASE`` and ``REDUCE_BASE`` (which every solve reads afresh)
+and, for "minimization off", ``Solver._minimize_learnt``.  They pin that
+enumeration stays complete and byte-identical with the economy forced
+on or switched off, that blocking clauses survive every reduce pass,
+the constants' schedule (and that no argument or environment variable
+reaches it), the default search path, and the statistics counter.
 """
+
+import sys
 
 import pytest
 
-from repro.asp import Control
-from repro.asp.sat import (
-    DEFAULT_REDUCE_BASE,
-    SatError,
-    Solver,
-    resolve_reduce_base,
-)
+from repro.asp import Control, sat
+from repro.asp.sat import Solver
 from repro.asp.solver import StableModelSolver
-from repro.observability import finalize_solver_stats, format_statistics
+from repro.observability import (
+    MemoryTraceSink,
+    format_statistics,
+    get_registry,
+)
 
 #: ASP program with enough conflict structure to learn clauses
 PROGRAM = """
@@ -32,12 +35,29 @@ r :- p(3), p(4).
 :- p(5), p(6), p(7).
 """
 
-#: heuristics that force the economy to run hard: restart after every
-#: conflict, reduce the learnt DB as soon as it holds a single clause
-AGGRESSIVE = {"reduce_base": 1, "restart_base": 1}
 
-#: heuristics that switch the economy off entirely
-ECONOMY_OFF = {"reduce_base": None, "minimize_learnts": False}
+def keep_every_literal(self, learnt):
+    """``Solver._minimize_learnt`` with minimization off."""
+    return learnt
+
+
+#: ``(target, name, value)`` patches that force the economy to run hard:
+#: restart after every conflict, reduce the learnt DB as soon as it
+#: tracks a single clause
+AGGRESSIVE = ((sat, "RESTART_BASE", 1), (sat, "REDUCE_BASE", 1))
+
+#: patches that stop conflict minimization
+MINIMIZATION_OFF = ((Solver, "_minimize_learnt", keep_every_literal),)
+
+#: patches that switch the economy off entirely: reduce-DB never fires
+ECONOMY_OFF = ((sat, "REDUCE_BASE", sys.maxsize),) + MINIMIZATION_OFF
+
+
+def force(monkeypatch, patches):
+    """Apply ``patches`` through ``monkeypatch`` (a fixture or one of
+    its ``context()`` blocks)."""
+    for target, name, value in patches:
+        monkeypatch.setattr(target, name, value)
 
 
 def pigeonhole(solver, pigeons, holes):
@@ -53,184 +73,253 @@ def pigeonhole(solver, pigeons, holes):
     return grid
 
 
-class TestKnobValidation:
-    def test_reduce_base_zero_rejected(self):
-        with pytest.raises(SatError, match="reduce_base must be >= 1"):
-            Solver(reduce_base=0)
+class TestSearchConstants:
+    """The mechanisms' only settings are two module constants, read at
+    solve time; no argument or environment variable reaches them."""
 
-    def test_reduce_base_negative_rejected(self):
-        with pytest.raises(SatError, match="reduce_base must be >= 1"):
-            Solver(reduce_base=-5)
+    def test_defaults(self):
+        assert (sat.RESTART_BASE, sat.REDUCE_BASE, sat.GLUE_LBD) == (
+            32,
+            2000,
+            2,
+        )
 
-    def test_reduce_base_none_disables(self):
-        assert Solver(reduce_base=None)._reduce_base is None
+    def test_constants_read_at_solve_time(self, monkeypatch):
+        """A solver follows the constants in force when it solves, not
+        those in force when it was built."""
+        built_before = Solver()
+        pigeonhole(built_before, 5, 4)
+        with monkeypatch.context() as patch:
+            force(patch, AGGRESSIVE)
+            built_during = Solver()
+            pigeonhole(built_during, 5, 4)
+            # solved while the patch is in force
+            assert built_before.solve() is None
+        # solved once it is undone
+        assert built_during.solve() is None
+        forced = built_before.statistics
+        assert forced["restarts"] > 0
+        assert forced["learnt_deleted"] > 0
+        default = built_during.statistics
+        assert (default["restarts"], default["learnt_deleted"]) == (0, 0)
 
-    def test_env_defaults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_REDUCE_BASE", raising=False)
-        assert resolve_reduce_base() == DEFAULT_REDUCE_BASE
+    def test_reduce_waits_for_a_restart(self, monkeypatch):
+        """Reduce-DB runs only at a restart: five pigeons in four holes
+        are refuted after 28 conflicts, before the first restart at 32,
+        so even a threshold of one tracked learnt deletes nothing."""
+        monkeypatch.setattr(sat, "REDUCE_BASE", 1)
+        solver = Solver()
+        pigeonhole(solver, 5, 4)
+        assert solver.solve() is None
+        stats = solver.statistics
+        assert (
+            stats["conflicts"],
+            stats["restarts"],
+            stats["learnt_deleted"],
+        ) == (28, 0, 0)
 
-    def test_env_zero_disables_reduce(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REDUCE_BASE", "0")
-        assert resolve_reduce_base() is None
+    @pytest.mark.parametrize("base", [1, 4])
+    def test_reduce_threshold_grows_by_half_per_pass(self, monkeypatch, base):
+        """At every restart a reduce-DB pass runs exactly when the
+        tracked learnts reach ``REDUCE_BASE`` plus ``max(1, REDUCE_BASE
+        // 2)`` for each earlier pass."""
+        monkeypatch.setattr(sat, "RESTART_BASE", 1)
+        monkeypatch.setattr(sat, "REDUCE_BASE", base)
+        #: (passes before the restart, learnts tracked when it decided,
+        #: whether a pass ran)
+        decisions = []
 
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REDUCE_BASE", "123")
-        assert resolve_reduce_base() == 123
+        class RestartProbe(MemoryTraceSink):
+            passes = deleted = 0
+
+            def emit(self, name, **payload):
+                super().emit(name, **payload)
+                if name == "sat.reduce":
+                    self.deleted = payload["deleted"]
+                elif name == "sat.restart":
+                    tracked = len(solver._learnt_meta) + self.deleted
+                    ran = solver._reduce_passes > self.passes
+                    decisions.append((self.passes, tracked, ran))
+                    self.passes = solver._reduce_passes
+                    self.deleted = 0
+
+        solver = Solver(trace=RestartProbe())
+        pigeonhole(solver, 5, 4)
+        assert solver.solve() is None
+        step = max(1, base // 2)
+        assert [ran for _, _, ran in decisions] == [
+            tracked >= base + passes * step for passes, tracked, _ in decisions
+        ]
+        assert sum(ran for _, _, ran in decisions) >= 2
+
+    def test_environment_does_not_steer_reduce(self, monkeypatch):
+        """The retired ``REPRO_REDUCE_BASE`` variable no longer reaches
+        the solver: with restarts forced, pigeonhole 5/4 tracks far
+        fewer than 2,000 learnts, so nothing is deleted."""
+        monkeypatch.setenv("REPRO_REDUCE_BASE", "1")
+        monkeypatch.setattr(sat, "RESTART_BASE", 1)
+        solver = Solver()
+        pigeonhole(solver, 5, 4)
+        assert solver.solve() is None
+        assert solver.statistics["restarts"] > 0
+        assert solver.statistics["learnt_deleted"] == 0
+
+    @pytest.mark.parametrize(
+        "name", ["restart_base", "reduce_base", "minimize_learnts"]
+    )
+    def test_retired_solver_arguments_rejected(self, name):
+        # a retired knob fails loudly instead of being silently ignored
+        with pytest.raises(TypeError):
+            Solver(**{name: 1})
+
+    def test_retired_heuristics_argument_rejected(self):
+        with pytest.raises(TypeError):
+            Control(PROGRAM, heuristics={})
+        with pytest.raises(TypeError):
+            StableModelSolver(Control(PROGRAM).ground(), heuristics={})
 
 
 class TestReduceDb:
-    def test_reduce_actually_deletes(self):
-        solver = Solver(reduce_base=1, restart_base=1)
+    def test_reduce_actually_deletes(self, monkeypatch):
+        force(monkeypatch, AGGRESSIVE)
+        solver = Solver()
         pigeonhole(solver, 5, 4)
         assert solver.solve() is None
         stats = solver.statistics
         assert stats["learnt_deleted"] > 0
         assert stats["learnt"] > 0
 
-    def test_verdicts_unchanged_by_economy(self):
+    def test_verdicts_unchanged_by_economy(self, monkeypatch):
         for pigeons, holes, expect_sat in ((4, 4, True), (5, 4, False)):
-            on = Solver(**AGGRESSIVE)
-            off = Solver(**ECONOMY_OFF)
-            pigeonhole(on, pigeons, holes)
-            pigeonhole(off, pigeons, holes)
-            assert (on.solve() is not None) is expect_sat
-            assert (off.solve() is not None) is expect_sat
+            for patches in (AGGRESSIVE, ECONOMY_OFF):
+                with monkeypatch.context() as patch:
+                    force(patch, patches)
+                    solver = Solver()
+                    pigeonhole(solver, pigeons, holes)
+                    assert (solver.solve() is not None) is expect_sat
 
-    def test_blocking_clauses_survive_every_reduce(self):
+    def test_blocking_clauses_survive_every_reduce(self, monkeypatch):
         """Enumeration via blocking clauses stays complete under the
         most aggressive reduce schedule: were a blocking clause ever
         deleted, an already-seen model would reappear (a duplicate) —
         so equality of the duplicate-free model lists proves blocking
         clauses survive every pass."""
 
-        def enumerate_all(heuristics):
-            solver = StableModelSolver(
-                Control(PROGRAM).ground(), heuristics=heuristics
-            )
-            return [frozenset(m.atoms) for m in solver.models()]
+        def enumerate_all(patches):
+            with monkeypatch.context() as patch:
+                force(patch, patches)
+                solver = StableModelSolver(Control(PROGRAM).ground())
+                return [frozenset(m.atoms) for m in solver.models()]
 
         reference = enumerate_all(ECONOMY_OFF)
         aggressive = enumerate_all(AGGRESSIVE)
         assert len(aggressive) == len(set(aggressive))  # no duplicates
         assert set(aggressive) == set(reference)
-        # identical knobs replay byte-identically, deletes included
+        # identical settings replay byte-identically, deletes included
         assert enumerate_all(AGGRESSIVE) == aggressive
 
-    def test_aggressive_enumeration_really_reduced(self):
-        solver = StableModelSolver(
-            Control(PROGRAM).ground(), heuristics=AGGRESSIVE
-        )
+    def test_aggressive_enumeration_really_reduced(self, monkeypatch):
+        force(monkeypatch, AGGRESSIVE)
+        solver = StableModelSolver(Control(PROGRAM).ground())
         models = list(solver.models())
         assert models
         # proves the blocking-clause test above exercised reduce passes
         assert solver.statistics["solvers"]["restarts"] > 0
+        assert solver.statistics["solvers"]["learnt_deleted"] > 0
 
 
-class TestHeuristicKnobs:
-    """``restart_base`` steers the search, not the semantics."""
+class TestSearchSettings:
+    """Forcing the economy or stopping minimization steers the search,
+    not the semantics."""
 
-    #: small choice program whose answer sets the knob must not change
-    KNOB_PROGRAM = """
+    #: small choice program whose answer sets no setting may change
+    CHOICE_PROGRAM = """
     { p(1..6) } 3.
     q :- p(1), p(2).
     :- p(5), p(6).
     """
 
-    def model_sets(self, heuristics=None):
-        solver = StableModelSolver(
-            Control(self.KNOB_PROGRAM).ground(), heuristics=heuristics
-        )
-        return {frozenset(m.atoms) for m in solver.models()}
+    def search(self):
+        """The program's answer sets and the search counters."""
+        solver = StableModelSolver(Control(self.CHOICE_PROGRAM).ground())
+        models = {frozenset(m.atoms) for m in solver.models()}
+        return models, solver.statistics["solvers"]
 
     @pytest.mark.parametrize(
-        "heuristics",
+        "patches",
         [
-            {"restart_base": 8},
-            {"restart_base": 1},
-            {"reduce_base": 1},
-            {"reduce_base": None},
-            {"minimize_learnts": False},
-            {"restart_base": 1, "reduce_base": 1, "minimize_learnts": False},
+            ((sat, "RESTART_BASE", 1),),
+            AGGRESSIVE,
+            MINIMIZATION_OFF,
+            AGGRESSIVE + MINIMIZATION_OFF,
+        ],
+        ids=[
+            "restart-every-conflict",
+            "forced-economy",
+            "minimization-off",
+            "forced-economy-unminimized",
         ],
     )
-    def test_knobs_preserve_answer_sets(self, heuristics):
-        assert self.model_sets(heuristics) == self.model_sets()
-
-    def test_invalid_restart_base_rejected(self):
-        with pytest.raises(SatError):
-            Solver(restart_base=0)
-
-    def test_unknown_knob_rejected(self):
-        # a misspelt or retired key fails loudly instead of being ignored
-        with pytest.raises(TypeError):
-            StableModelSolver(
-                Control(self.KNOB_PROGRAM).ground(), heuristics={"seed": 1}
-            )
-
-    def test_control_forwards_knobs(self):
-        control = Control(self.KNOB_PROGRAM, heuristics=AGGRESSIVE)
-        assert {frozenset(m.atoms) for m in control.solve()} == (
-            self.model_sets()
-        )
-        # the aggressive cadence really reached the backend
-        solvers = control.statistics.get_path("solving.solvers")
-        assert solvers["restarts"] > 0
-        assert solvers["learnt_deleted"] > 0
-
-    def test_default_config_enumeration_order_unchanged(self):
-        # not just the same set: the same order, byte for byte
-        plain = [
-            frozenset(m.atoms)
-            for m in StableModelSolver(
-                Control(self.KNOB_PROGRAM).ground()
-            ).models()
-        ]
-        explicit = [
-            frozenset(m.atoms)
-            for m in StableModelSolver(
-                Control(self.KNOB_PROGRAM).ground(), heuristics={}
-            ).models()
-        ]
-        assert plain == explicit
+    def test_settings_preserve_answer_sets(self, monkeypatch, patches):
+        reference, default_counters = self.search()
+        force(monkeypatch, patches)
+        models, counters = self.search()
+        assert models == reference
+        # the setting really steered the search
+        assert counters != default_counters
 
 
 class TestConflictMinimization:
-    def test_minimization_preserves_verdicts(self):
-        on = Solver(minimize_learnts=True)
-        off = Solver(minimize_learnts=False)
+    def test_minimization_preserves_verdicts(self, monkeypatch):
+        on = Solver()
         pigeonhole(on, 5, 4)
-        pigeonhole(off, 5, 4)
         assert on.solve() is None
+        force(monkeypatch, MINIMIZATION_OFF)
+        off = Solver()
+        pigeonhole(off, 5, 4)
         assert off.solve() is None
 
-    def test_minimization_never_grows_lbd_sum(self):
-        # minimized clauses span at most the original decision levels
-        on = Solver(minimize_learnts=True)
-        off = Solver(minimize_learnts=False)
-        pigeonhole(on, 5, 4)
-        pigeonhole(off, 5, 4)
-        on.solve()
-        off.solve()
-        assert on.statistics["learnt"] == off.statistics["learnt"]
-        assert on.statistics["lbd_sum"] <= off.statistics["lbd_sum"]
+    def test_minimization_only_drops_literals(self, monkeypatch):
+        """Each minimized clause is the first-UIP clause with some
+        literals left out, the asserting literal still first; on
+        pigeonhole 5/4 some clauses really shrink."""
+        calls = []
+        minimize = Solver._minimize_learnt
+
+        def recording(self, learnt):
+            kept = minimize(self, learnt)
+            calls.append((list(learnt), list(kept)))
+            return kept
+
+        monkeypatch.setattr(Solver, "_minimize_learnt", recording)
+        solver = Solver()
+        pigeonhole(solver, 5, 4)
+        assert solver.solve() is None
+        assert calls
+        for learnt, kept in calls:
+            assert kept[0] == learnt[0]
+            remaining = iter(learnt)
+            assert all(literal in remaining for literal in kept)
+        assert any(len(kept) < len(learnt) for learnt, kept in calls)
 
 
 class TestEconomyStatistics:
-    def test_solver_counters_present(self):
-        solver = Solver(**AGGRESSIVE)
+    def test_solver_counters_present(self, monkeypatch):
+        force(monkeypatch, AGGRESSIVE)
+        solver = Solver()
         pigeonhole(solver, 5, 4)
         solver.solve()
         stats = solver.statistics
-        for key in ("lbd_sum", "learnt_deleted"):
-            assert key in stats
-        assert stats["lbd_sum"] > 0
-
-    def test_finalize_solver_stats(self):
-        solvers = {"learnt": 4, "lbd_sum": 10}
-        assert finalize_solver_stats(solvers) == 2.5
-        assert solvers["lbd_avg"] == 2.5
-        empty = {"learnt": 0, "lbd_sum": 0}
-        assert finalize_solver_stats(empty) == 0.0
+        # summable leaves only: no derived or per-clause quantities
+        assert set(stats) == {
+            "choices",
+            "conflicts",
+            "propagations",
+            "restarts",
+            "learnt",
+            "learnt_deleted",
+        }
+        assert stats["learnt_deleted"] > 0
 
     def test_format_statistics_renders_economy_lines(self):
         text = format_statistics(
@@ -240,28 +329,77 @@ class TestEconomyStatistics:
                         "choices": 10,
                         "conflicts": 5,
                         "learnt": 4,
-                        "lbd_sum": 10,
                         "learnt_deleted": 2,
                     }
                 }
             }
         )
-        assert "LBD" in text
-        assert "2.50 avg (deleted: 2)" in text
+        assert "Learnt       : 4 nogoods (deleted: 2)" in text
+        assert "LBD" not in text
 
-    def test_control_stats_carry_lbd_average(self):
+    def test_multishot_deltas_stay_exact(self, monkeypatch):
+        force(monkeypatch, AGGRESSIVE)
+        control = Control(PROGRAM, multishot=True)
+        control.solve()
+        first = control.statistics.get_path("solving.solvers.learnt_deleted")
+        control.solve()
+        second = control.statistics.get_path("solving.solvers.learnt_deleted")
+        # summable counter: never shrinks across multishot calls
+        assert second >= first > 0
+
+    def test_control_stats_carry_economy_counters(self):
         control = Control(PROGRAM)
         control.solve()
         solvers = control.statistics.get_path("solving.solvers")
-        assert solvers is not None
-        assert "lbd_sum" in solvers
-        assert "lbd_avg" in solvers
+        # the solver's summable leaves, nothing derived from them
+        assert set(solvers) == set(Solver().statistics)
+        assert solvers["learnt"] > 0
+        # the default constants never restart this enumeration
+        assert (solvers["restarts"], solvers["learnt_deleted"]) == (0, 0)
 
-    def test_multishot_deltas_stay_exact(self):
-        control = Control(PROGRAM, heuristics=AGGRESSIVE)
+    def test_control_reaches_forced_economy(self, monkeypatch):
+        reference = {frozenset(m.atoms) for m in Control(PROGRAM).solve()}
+        force(monkeypatch, AGGRESSIVE)
+        control = Control(PROGRAM)
+        assert {frozenset(m.atoms) for m in control.solve()} == reference
+        solvers = control.statistics.get_path("solving.solvers")
+        assert solvers["restarts"] > 0
+        assert solvers["learnt_deleted"] > 0
+
+    def test_deleted_metric_counts_each_victim_once(self, monkeypatch):
+        """``repro_sat_learnt_deleted_total`` grows by the reduce-DB
+        victims of each call, with no double count across multishot
+        calls on one solver."""
+        force(monkeypatch, AGGRESSIVE)
+        metric = get_registry().counter("repro_sat_learnt_deleted_total")
+        before = metric.value
+        control = Control(PROGRAM, multishot=True)
         control.solve()
-        first = control.statistics.get_path("solving.solvers.lbd_sum")
         control.solve()
-        second = control.statistics.get_path("solving.solvers.lbd_sum")
-        # summable counter: never shrinks across multishot calls
-        assert second >= first >= 0
+        deleted = control.statistics.get_path("solving.solvers.learnt_deleted")
+        assert deleted > 0
+        assert metric.value - before == deleted
+
+
+class TestDefaultSearchPath:
+    """At the default constants the search takes the path it has always
+    taken: the knob removal moved no conflict and no restart."""
+
+    QUEENS_14 = "\n".join(
+        [
+            "row(1..14).",
+            "1 { queen(R, C) : row(C) } 1 :- row(R).",
+            ":- queen(R1, C), queen(R2, C), R1 < R2.",
+            ":- queen(R1, C1), queen(R2, C2), R1 < R2, R2 - R1 = C2 - C1.",
+            ":- queen(R1, C1), queen(R2, C2), R1 < R2, R2 - R1 = C1 - C2.",
+        ]
+    )
+
+    def test_first_14_queens_model(self):
+        solver = StableModelSolver(Control(self.QUEENS_14).ground())
+        model = next(iter(solver.models()))
+        queens = [a for a in model.atoms if a.predicate == "queen"]
+        assert len(queens) == 14
+        counters = solver.statistics["solvers"]
+        # one restart, at the 32nd of 37 conflicts
+        assert (counters["conflicts"], counters["restarts"]) == (37, 1)

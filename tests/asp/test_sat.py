@@ -2,18 +2,44 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
+from repro.asp import sat
 from repro.asp.sat import SatError, Solver, WeightedCounter, _luby
+from repro.observability import MemoryTraceSink
 
-#: knob settings the random cross-check runs under: the defaults, the
-#: learnt-clause economy driven as hard as it goes, and the economy off
-KNOB_SETTINGS = {
-    "default": {},
-    "aggressive": {"restart_base": 1, "reduce_base": 1},
-    "economy-off": {"reduce_base": None, "minimize_learnts": False},
+
+def keep_every_literal(self, learnt):
+    """``Solver._minimize_learnt`` with minimization off."""
+    return learnt
+
+
+#: ``(target, name, value)`` patches the random cross-check runs under:
+#: the defaults, the learnt-clause economy driven as hard as it goes
+#: (restart after every conflict, reduce at one tracked learnt), and
+#: the economy off (reduce-DB never fires, no minimization)
+ECONOMY_SETTINGS = {
+    "default": (),
+    "aggressive": ((sat, "RESTART_BASE", 1), (sat, "REDUCE_BASE", 1)),
+    "economy-off": (
+        (sat, "REDUCE_BASE", sys.maxsize),
+        (Solver, "_minimize_learnt", keep_every_literal),
+    ),
 }
+
+
+def pigeonhole(solver, pigeons, holes):
+    """Encode pigeons-into-holes; UNSAT when pigeons > holes."""
+    grid = [
+        [solver.new_var() for _ in range(holes)] for _ in range(pigeons)
+    ]
+    for p in range(pigeons):
+        solver.add_clause(grid[p])
+        for h in range(holes):
+            for q in range(p + 1, pigeons):
+                solver.add_clause([-grid[p][h], -grid[q][h]])
 
 
 def random_cnf(seed, variables=12, clauses=51):
@@ -164,13 +190,15 @@ class TestRandomCrossCheck:
     """Conflict analysis, clause minimization and reduce-DB against
     exhaustive evaluation: enumerating every model through blocking
     clauses must find exactly the satisfying assignments, each one a
-    real model, under every knob setting."""
+    real model, under every economy setting."""
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("setting", sorted(KNOB_SETTINGS))
-    def test_model_count_matches_brute_force(self, setting, seed):
+    @pytest.mark.parametrize("setting", sorted(ECONOMY_SETTINGS))
+    def test_model_count_matches_brute_force(self, monkeypatch, setting, seed):
+        for target, name, value in ECONOMY_SETTINGS[setting]:
+            monkeypatch.setattr(target, name, value)
         cnf = random_cnf(seed)
-        solver = Solver(**KNOB_SETTINGS[setting])
+        solver = Solver()
         variables = [solver.new_var() for _ in range(12)]
         assert variables == list(range(1, 13))
         for clause in cnf:
@@ -266,3 +294,32 @@ class TestLuby:
         assert [_luby(i) for i in range(1, 16)] == [
             1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8,
         ]
+
+    def test_default_base_restarts_and_traces(self):
+        """Six pigeons in five holes restart on the Luby schedule at the
+        default base of 32 (intervals 32, 32, 64, 32 conflicts), and
+        each restart emits one numbered ``sat.restart`` event."""
+        sink = MemoryTraceSink()
+        solver = Solver(trace=sink)
+        pigeonhole(solver, 6, 5)
+        assert solver.solve() is None
+        stats = solver.statistics
+        assert (stats["conflicts"], stats["restarts"]) == (166, 4)
+        assert [
+            (event.payload["number"], event.payload["conflicts"])
+            for event in sink.named("sat.restart")
+        ] == [(1, 32), (2, 64), (3, 128), (4, 160)]
+
+    def test_restarts_follow_luby_schedule(self):
+        """Seven pigeons in six holes are refuted in one call after 984
+        conflicts and 14 restarts, the i-th coming 32 times the i-th
+        Luby number of conflicts after the one before."""
+        sink = MemoryTraceSink()
+        solver = Solver(trace=sink)
+        pigeonhole(solver, 7, 6)
+        assert solver.solve() is None
+        stats = solver.statistics
+        assert (stats["conflicts"], stats["restarts"]) == (984, 14)
+        assert [
+            event.payload["conflicts"] for event in sink.named("sat.restart")
+        ] == list(itertools.accumulate(32 * _luby(i) for i in range(1, 15)))

@@ -274,6 +274,13 @@ class TestObservabilityFlags:
         assert "pipeline.phase" in names
         assert "repro_stage_seconds" in metrics_path.read_text()
 
+    def test_reduce_base_flag_is_gone(self, capsys, model_file):
+        # the SAT search has no CLI knob: the retired flag is an error
+        with pytest.raises(SystemExit) as exit_info:
+            self._analyze(model_file, "--reduce-base", "1")
+        assert exit_info.value.code == 2
+        assert "--reduce-base" in capsys.readouterr().err
+
     def test_workers_help_mentions_composition(self):
         parser = build_parser()
         help_text = parser.format_help()

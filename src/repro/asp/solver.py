@@ -23,6 +23,8 @@ optimization bound improvements).  Pass ``trace=`` a
 from __future__ import annotations
 
 import itertools
+import sys
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -36,6 +38,10 @@ from .sat import Solver as SatSolver
 from .sat import WeightedCounter
 from .syntax import Atom
 from .terms import Number
+
+#: serializes :meth:`StableModelSolver.project_models`' raises of the
+#: process-wide recursion limit
+_RECURSION_LIMIT_LOCK = threading.Lock()
 
 
 class SolverError(Exception):
@@ -95,6 +101,16 @@ class _Support:
 
 class StableModelSolver:
     """Build the encoding once, then enumerate models.
+
+    The encoding walks the ground rules in order: one variable per
+    atom, and an auxiliary variable only for a conjunction (rule body,
+    choice or aggregate condition, weak-constraint body) of two or more
+    literals not fixed at decision level 0.  A fact's unit clause fixes
+    it as soon as it is added, and a fixed literal is implied by the
+    formula, so later conjunctions drop it when true and collapse to
+    ``-true`` when it is false; a fact after its readers only leaves a
+    sound auxiliary in place.  Unbounded choice rules build no
+    per-element indicators: only a cardinality counter reads them.
 
     By default the solver is single-shot: enumeration installs permanent
     blocking clauses and optimization permanently pins the optimum, so a
@@ -172,29 +188,32 @@ class StableModelSolver:
 
     def _body_literal(self, rule: GroundRule) -> int:
         """A literal equivalent to the rule body conjunction."""
-        literals: List[int] = []
-        for atom in rule.pos:
-            literals.append(self._var(atom))
-        for atom in rule.neg:
-            literals.append(-self._var(atom))
-        for aggregate in rule.aggregates:
-            literals.append(self._aggregate_literal(aggregate))
-        if not literals:
-            return self._true
-        if len(literals) == 1:
-            return literals[0]
-        aux = self._sat.new_var()
-        self._sat.add_iff_and(aux, literals)
-        return aux
+        return self._conjunction(
+            [self._var(atom) for atom in rule.pos]
+            + [-self._var(atom) for atom in rule.neg]
+            + [self._aggregate_literal(g) for g in rule.aggregates]
+        )
 
     def _conjunction(self, literals: Sequence[int]) -> int:
-        literals = [l for l in literals if l != self._true]
-        if not literals:
+        """A literal equivalent to the conjunction of ``literals``, with
+        the literals fixed at decision level 0 folded in as constants
+        (see the class docstring)."""
+        sat = self._sat
+        assignment = sat.assignment_view()
+        kept: List[int] = []
+        for literal in literals:
+            var = literal if literal > 0 else -literal
+            if sat.fixed_at_top(var):
+                if (assignment[var] > 0) != (literal > 0):
+                    return -self._true
+                continue
+            kept.append(literal)
+        if not kept:
             return self._true
-        if len(literals) == 1:
-            return literals[0]
-        aux = self._sat.new_var()
-        self._sat.add_iff_and(aux, literals)
+        if len(kept) == 1:
+            return kept[0]
+        aux = sat.new_var()
+        sat.add_iff_and(aux, kept)
         return aux
 
     def _disjunction(self, literals: Sequence[int]) -> int:
@@ -315,6 +334,7 @@ class StableModelSolver:
                 self._rule_records.append((rule, body))
                 continue
             choice = rule.head
+            bounded = choice.lower is not None or choice.upper is not None
             indicator_items: List[Tuple[int, int]] = []
             for atom, condition_pos, condition_neg in choice.elements:
                 condition = self._conjunction(
@@ -326,9 +346,11 @@ class StableModelSolver:
                     _Support(support, rule.pos + condition_pos)
                 )
                 self._derivable.add(atom)
-                chosen = self._conjunction([self._var(atom), condition])
-                indicator_items.append((chosen, 1))
-            if choice.lower is not None or choice.upper is not None:
+                if bounded:
+                    # only the cardinality counter reads the indicators
+                    chosen = self._conjunction([self._var(atom), condition])
+                    indicator_items.append((chosen, 1))
+            if bounded:
                 counter = WeightedCounter(self._sat, indicator_items)
                 if choice.lower is not None and choice.lower > 0:
                     self._sat.add_clause([-body, counter.geq(choice.lower)])
@@ -805,18 +827,19 @@ class StableModelSolver:
                 sat.pop_to_level(level)
             return found
 
-        # DFS depth equals the number of free projection atoms
-        import sys
-
-        recursion_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(recursion_limit, len(branch_vars) + 1000))
+        # DFS depth equals the number of free projection atoms.  The
+        # limit is process-wide and another thread's DFS may be deep, so
+        # it is only ever raised, under a lock so that no stale reading
+        # can lower it again
+        with _RECURSION_LIMIT_LOCK:
+            if sys.getrecursionlimit() < len(branch_vars) + 1000:
+                sys.setrecursionlimit(len(branch_vars) + 1000)
         try:
             if sat.push_level(*literals) is None:
                 spent = len(projected.intersection(trail))
                 if spent <= bound:
                     walk(0, spent)
         finally:
-            sys.setrecursionlimit(recursion_limit)
             sat.pop_to_level(base_level)
         return count
 

@@ -13,6 +13,8 @@ bound as a ``#count`` constraint.
 
 import itertools
 import math
+import sys
+import threading
 
 from hypothesis import given, settings, strategies as st
 
@@ -262,6 +264,65 @@ class TestBoundedProjection:
     def test_random_choice_programs(self, case):
         text, project, cube = case
         assert_bound_oracle(text, project, cube)
+
+
+class TestConcurrentDepth:
+    """The DFS recurses once per free projection atom and raises the
+    process-wide recursion limit to fit; engines may sweep on separate
+    threads, so a short sweep must never lower the limit under a deep
+    one still running."""
+
+    def test_short_sweeps_leave_a_deep_sweep_room(self):
+        deep_atoms = [atom("a", i) for i in range(1, 1101)]
+        deep = StableModelSolver(ground_of("{ a(1..1100) }."))
+        short_atoms = [atom("b", i) for i in range(1, 4)]
+        short = StableModelSolver(ground_of("{ b(1..3) }."))
+        deep_done = threading.Event()
+        finished = []
+        errors = []
+
+        def run_deep():
+            try:
+                count = deep.project_models(
+                    deep_atoms, lambda assignment: None, max_true=1
+                )
+                finished.append(("deep", count))
+            except RecursionError as error:
+                errors.append(error)
+            finally:
+                deep_done.set()
+
+        def run_short():
+            try:
+                while True:
+                    count = short.project_models(
+                        short_atoms, lambda assignment: None
+                    )
+                    if deep_done.is_set():
+                        break
+                finished.append(("short", count))
+            except RecursionError as error:
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        limit = sys.getrecursionlimit()
+        sys.setswitchinterval(1e-5)  # interleave the two DFS finely
+        try:
+            threads = [
+                threading.Thread(target=run_short, daemon=True),
+                threading.Thread(target=run_deep, daemon=True),
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            sys.setrecursionlimit(limit)
+        assert errors == []
+        # the empty scenario plus one per single true atom
+        assert sorted(finished) == [("deep", 1101), ("short", 8)]
 
 
 class TestOccurrenceOrdering:

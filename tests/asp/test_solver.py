@@ -3,7 +3,8 @@
 import pytest
 
 from repro.asp import Control, atom
-from repro.asp.solver import SolverError
+from repro.asp.ground import GroundChoice, GroundProgram, GroundRule
+from repro.asp.solver import SolverError, StableModelSolver
 
 
 def answer_sets(text):
@@ -217,3 +218,81 @@ class TestDeterminism:
         first = [sorted(map(str, m.atoms)) for m in Control(text).solve()]
         second = [sorted(map(str, m.atoms)) for m in Control(text).solve()]
         assert first == second
+
+
+def encoded_variables(program):
+    """SAT variables of the encoding: ``true``, one per atom, plus
+    auxiliaries."""
+    if isinstance(program, str):
+        program = Control(program).ground()
+    return StableModelSolver(program).statistics["variables"]
+
+
+class TestEncodingShape:
+    """A literal fixed at decision level 0 is implied by the formula,
+    so the encoder drops it from every conjunction; an auxiliary
+    variable stands only for two or more unfixed literals."""
+
+    def test_fact_in_body_builds_no_auxiliary(self):
+        # true, f, x, y, h: with f fixed, `h :- f, x.` is `h :- x.`
+        assert encoded_variables("f. { x; y }. h :- f, x.") == 5
+
+    def test_two_unfixed_literals_build_one_auxiliary(self):
+        assert encoded_variables("f. { x; y }. h :- f, x, y.") == 6
+
+    def test_body_negating_a_fact_is_false(self):
+        # the grounder drops `g :- x, not f.` next to the fact `f.`, so
+        # the ground program is built directly
+        f, x, g = atom("f"), atom("x"), atom("g")
+        program = GroundProgram(
+            rules=[
+                GroundRule(f),
+                GroundRule(GroundChoice(((x, (), ()),))),
+                GroundRule(g, pos=(x,), neg=(f,)),
+            ],
+            possible_atoms=[f, x, g],
+        )
+        assert encoded_variables(program) == 4
+        models = list(StableModelSolver(program).models())
+        assert {frozenset(map(str, m.atoms)) for m in models} == {
+            frozenset({"f"}),
+            frozenset({"f", "x"}),
+        }
+
+    def test_unbounded_choice_builds_no_indicators(self):
+        assert encoded_variables("{ a; b; c }.") == 4
+        # true, x, a, b, c: each element's support is its condition x
+        assert encoded_variables("{ x }. { a : x; b : x; c : x }.") == 5
+
+    def test_bounded_choice_still_builds_its_counter(self):
+        assert encoded_variables("1 { a; b; c } 2.") > 4
+        # three `atom and condition` indicators feed the counter
+        assert (
+            encoded_variables("{ x }. 1 { a : x; b : x; c : x } 2.")
+            > encoded_variables("{ x }. { a : x; b : x; c : x }.") + 3
+        )
+        assert len(answer_sets("{ x }. 1 { a : x; b : x; c : x } 2.")) == 6
+
+    def test_water_tank_auxiliaries_conjoin_unfixed_literals(self, monkeypatch):
+        from repro.casestudy import build_system_model, static_requirements
+        from repro.epa import EpaEngine
+
+        program = EpaEngine(
+            build_system_model(), static_requirements()
+        )._sweep_template().program
+        conjoined = []
+        conjunction = StableModelSolver._conjunction
+
+        def recording(solver, literals):
+            before = solver._sat.num_vars
+            literal = conjunction(solver, literals)
+            if literal > before:
+                conjoined.append(list(literals))
+            return literal
+
+        monkeypatch.setattr(StableModelSolver, "_conjunction", recording)
+        sat = StableModelSolver(program)._sat
+        assert conjoined
+        for literals in conjoined:
+            unfixed = [l for l in literals if not sat.fixed_at_top(abs(l))]
+            assert len(unfixed) >= 2, literals

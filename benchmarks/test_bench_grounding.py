@@ -1,22 +1,24 @@
 """Grounding-throughput benches.
 
 Not a paper artifact — these stress the semi-naive grounder's join
-machinery (argument indexing, delta rounds, ground-program caching)
-rather than the solver, complementing ``test_bench_asp_classic.py``:
+machinery (argument indexing, delta rounds, the fact path) rather than
+the solver, complementing ``test_bench_asp_classic.py``:
 
 * transitive closure over a dense digraph — a quadratic recursive join
   whose cost is entirely in candidate selection (the classic
   Datalog-engine stressor);
-* a multi-component ArchiMate model sweep — the EPA engine's real
-  grounding profile (hundreds of facts, the rule base of Sec. IV),
-  repeated across mitigation configurations so the process-wide ground
-  cache gets exercised the way the CEGAR and mitigation-optimization
-  loops exercise it.
+* the two sweep templates ``repro assess --max-faults 1`` grounds on
+  the water tank — the EPA engine's real grounding profile (hundreds of
+  facts, the rule base of Sec. IV, deployment externals), from cold
+  caches every round;
+* a multi-component ArchiMate model sweep across mitigation
+  placements — one engine, so one template grounding for the whole run
+  and sweeps over it.
 """
 
 import pytest
 
-from repro.asp import Control, clear_ground_cache
+from repro.asp import Control, clear_ground_cache, clear_intern_caches
 from repro.epa import EpaEngine, StaticRequirement
 from repro.modeling import SystemModel
 from repro.modeling.elements import RelationshipType
@@ -62,6 +64,31 @@ def test_bench_transitive_closure(benchmark):
     )
 
 
+def test_bench_ground_assessment_templates(benchmark):
+    """Ground the sweep templates of the phase-4 and phase-5 engines
+    that ``repro assess --max-faults 1`` builds, from cold caches."""
+    # imported here: run_bench.py imports this module for its closure
+    # program with only benchmarks/ on the path
+    from tests.asp.test_grounder_differential import assessment_engine
+
+    def fresh_controls():
+        # a cold grounding per round, as a fresh `repro assess` pays it;
+        # building the engines and their programs is not timed
+        clear_ground_cache()
+        clear_intern_caches()
+        controls = tuple(
+            assessment_engine(refined)._incremental_control()
+            for refined in (False, True)
+        )
+        return controls, {}
+
+    def ground(*controls):
+        return [control.ground() for control in controls]
+
+    grounds = benchmark.pedantic(ground, setup=fresh_controls, rounds=5)
+    assert [len(ground.rules) for ground in grounds] == [724, 882]
+
+
 def chain_model(components):
     """A serving chain alternating controllers and sensors."""
     library = standard_cps_library()
@@ -87,9 +114,9 @@ def test_bench_epa_model_sweep(benchmark):
         requirements,
         fault_mitigations={"drift": ("calibration",)},
     )
-    # sweep over mitigation placements: each configuration rebuilds the
-    # control around the same model facts, which is exactly the reuse
-    # pattern the process-wide ground cache exists for
+    # sweep over mitigation placements: the engine grounds its sweep
+    # template once (on its first sweep) and every placement, in every
+    # round, sweeps that template under deployment assumptions
     placements = [{}] + [
         {identifier: ("calibration",)}
         for identifier in identifiers

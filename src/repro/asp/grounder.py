@@ -3,10 +3,14 @@
 The grounder performs a semi-naive bottom-up fixpoint over the *possible
 atom* set (atoms derivable when default negation and aggregates are
 ignored), instantiating each rule's variables by joining its positive
-body literals against that set.  Constraints, weak constraints and
-``#minimize`` statements do not derive atoms, so they are instantiated in
-a final pass over the complete atom set; aggregate elements are likewise
-grounded at the end so no late-arriving elements are missed.
+body literals against that set.  A round joins a rule only through
+pivots whose predicate gained atoms in the previous round, each probed
+through a per-round argument index, and plain ground facts bypass the
+join altogether (see ``docs/performance.md``).  Constraints, weak
+constraints and ``#minimize`` statements do not derive atoms, so they
+are instantiated in a final pass over the complete atom set; aggregate
+elements are likewise grounded at the end so no late-arriving elements
+are missed.
 
 Standard ASP safety is enforced: every variable of a rule must occur in a
 positive body literal (or be bound through an ``=`` comparison against a
@@ -105,45 +109,50 @@ def _expand_ground_args(arguments: Sequence[Term]) -> Iterator[Tuple[Term, ...]]
 
 
 class _PredicateExtension:
-    """All derived atoms of one predicate signature, three ways at once.
+    """All derived atoms of one predicate signature, four ways at once.
 
     ``atoms`` is the full extension in derivation order; ``rounds[r]`` is
-    the semi-naive delta — exactly the atoms first derived in round ``r``
-    (replacing the old per-atom round dict + filter); ``index`` maps
-    ``(argument position, ground term)`` to the atoms carrying that term
-    there, so a join candidate lookup with any bound pattern argument
-    touches only the matching bucket instead of the whole extension.
+    the semi-naive delta — exactly the atoms first derived in round ``r``;
+    ``index`` maps ``(argument position, ground term)`` to the atoms
+    carrying that term there, so a join candidate lookup with any bound
+    pattern argument touches only the matching bucket instead of the
+    whole extension; ``delta_index[r]`` is the same index over
+    ``rounds[r]``, so a semi-naive pivot with a bound argument touches
+    only its bucket of the delta.  Every bucket keeps derivation order.
     """
 
-    __slots__ = ("atoms", "rounds", "index")
+    __slots__ = ("atoms", "rounds", "index", "delta_index")
 
     def __init__(self) -> None:
         self.atoms: List[Atom] = []
         self.rounds: List[List[Atom]] = []
         self.index: Dict[Tuple[int, Term], List[Atom]] = {}
+        self.delta_index: List[Dict[Tuple[int, Term], List[Atom]]] = []
 
     def add(self, atom: Atom, round_number: int) -> None:
         self.atoms.append(atom)
         rounds = self.rounds
         while len(rounds) <= round_number:
             rounds.append([])
+            self.delta_index.append({})
         rounds[round_number].append(atom)
-        index = self.index
-        for position, argument in enumerate(atom.arguments):
-            key = (position, argument)
-            bucket = index.get(key)
-            if bucket is None:
-                index[key] = [atom]
-            else:
-                bucket.append(atom)
+        for index in (self.index, self.delta_index[round_number]):
+            for position, argument in enumerate(atom.arguments):
+                key = (position, argument)
+                bucket = index.get(key)
+                if bucket is None:
+                    index[key] = [atom]
+                else:
+                    bucket.append(atom)
 
 
 class Grounder:
     """Grounds one :class:`Program` into a :class:`GroundProgram`.
 
     ``indexing=False`` selects the naive reference join — first-ready
-    literal order and full extension scans — kept as the differential
-    baseline for the indexed fast path (see
+    literal order, full extension and delta scans, every pivot joined in
+    every round and facts instantiated like any rule — kept as the
+    differential baseline for the indexed fast path (see
     ``tests/asp/test_grounder_differential.py``).  Both modes produce the
     same ground program up to rule order.
     """
@@ -199,13 +208,30 @@ class Grounder:
             else:
                 derivation_rules.append(rule)
 
-        # Keyed ground instances: (rule_index, frozen binding) -> instance
-        instances: Dict[Tuple[int, Tuple], Tuple[Rule, Binding]] = {}
+        # Keyed ground instances: (rule_index, frozen binding) -> instance.
+        # A plain fact's binding is None: it has nothing to bind or lower.
+        instances: Dict[Tuple[int, Tuple], Tuple[Rule, Optional[Binding]]] = {}
+        # the semi-naive pivots of each rule: (body position, signature)
+        pivots = [
+            [
+                (position, element.atom.signature)
+                for position, element in enumerate(rule.body)
+                if isinstance(element, Literal) and not element.negated
+            ]
+            for rule in derivation_rules
+        ]
 
         self._round = 0
         new_atoms: List[Atom] = []
         # round 0: instantiate every derivation rule against the empty set
         for index, rule in enumerate(derivation_rules):
+            if self._indexing and _is_plain_fact(rule):
+                # its head is its only ground instance, certain and in
+                # lowered form already; it never pivots a later round
+                instances[(index, ())] = (rule, None)
+                new_atoms.extend(self._add_atom(rule.head))
+                self._certain.add(rule.head)
+                continue
             for binding in self._solve_body(rule.body, pivot=None):
                 key = self._instance_key(index, rule, binding)
                 if key not in instances:
@@ -215,17 +241,15 @@ class Grounder:
             while new_atoms:
                 self._round += 1
                 previous_round = self._round - 1
+                # a pivot can only match atoms its predicate gained in the
+                # previous round: the indexed mode skips the others unjoined
+                fresh = {atom.signature for atom in new_atoms}
                 round_new: List[Atom] = []
                 for index, rule in enumerate(derivation_rules):
-                    positives = [
-                        position
-                        for position, element in enumerate(rule.body)
-                        if isinstance(element, Literal) and not element.negated
-                    ]
-                    if not positives:
-                        continue
                     seen_bindings: Set[Tuple] = set()
-                    for pivot in positives:
+                    for pivot, signature in pivots[index]:
+                        if self._indexing and signature not in fresh:
+                            continue
                         for binding in self._solve_body(
                             rule.body, pivot=pivot, pivot_round=previous_round
                         ):
@@ -262,6 +286,11 @@ class Grounder:
         origins = self._origins
         # Lower every recorded instance now that the atom set is complete.
         for rule, binding in instances.values():
+            if binding is None:
+                ground.rules.append(GroundRule(rule.head))
+                if origins is not None:
+                    origins.append(RuleOrigin(rule, ()))
+                continue
             lowered = self._lower_rule(rule, binding)
             ground.rules.extend(lowered)
             if origins is not None and lowered:
@@ -491,8 +520,12 @@ class Grounder:
         Indexed mode is selectivity-aware: fully ground comparisons go
         first (free pruning, zero branching), then the ready positive
         literal with the *smallest* candidate extension (looked up via
-        the argument index), then binding ``=`` comparisons.  Naive mode
-        keeps the historical first-ready order as the reference.
+        the argument index), then binding ``=`` comparisons.  The pivot
+        is ranked by its whole delta and narrowed through the delta
+        index only once it is picked, so the narrowing never reorders
+        the join: the bindings and their order stay those of a scan of
+        the whole delta.  Naive mode keeps the historical first-ready
+        order as the reference.
         """
         if not self._indexing:
             for index, (position, element) in enumerate(elements):
@@ -510,16 +543,20 @@ class Grounder:
                 ):
                     return (index, None, ())
             return None
-        best: Optional[Tuple[int, int, Optional[Atom], Sequence[Atom]]] = None
+        best: Optional[Tuple[int, int, Atom, Optional[Sequence[Atom]]]] = None
         binder: Optional[int] = None
         for index, (position, element) in enumerate(elements):
             if isinstance(element, Literal):
                 if element.negated or not self._literal_ready(element, binding):
                     continue
                 pattern = element.atom.substitute(binding)
-                restrict = pivot_round if position == pivot else None
-                candidates = self._candidate_atoms(pattern, restrict)
-                size = len(candidates)
+                candidates: Optional[Sequence[Atom]]
+                if position == pivot:
+                    candidates = None  # narrowed below if picked
+                    size = len(self._delta(pattern, pivot_round))
+                else:
+                    candidates = self._candidate_atoms(pattern, None)
+                    size = len(candidates)
                 if best is None or size < best[0]:
                     best = (size, index, pattern, candidates)
                     if size == 0:
@@ -536,7 +573,10 @@ class Grounder:
                     ):
                         binder = index
         if best is not None:
-            return (best[1], best[2], best[3])
+            _, index, pattern, candidates = best
+            if candidates is None:
+                candidates = self._candidate_atoms(pattern, pivot_round)
+            return (index, pattern, candidates)
         if binder is not None:
             return (binder, None, ())
         return None
@@ -621,46 +661,40 @@ class Grounder:
             return relation >= 0
         raise GroundingError("unknown comparison operator %r" % operator)
 
+    def _delta(self, pattern: Atom, round_number: int) -> Sequence[Atom]:
+        """The atoms of ``pattern``'s predicate first derived in
+        ``round_number`` (the semi-naive delta)."""
+        extension = self._extensions.get(pattern.signature)
+        if extension is None or round_number >= len(extension.rounds):
+            return ()
+        return extension.rounds[round_number]
+
     def _candidate_atoms(
         self, pattern: Atom, restrict_round: Optional[int]
     ) -> Sequence[Atom]:
         """Candidate atoms for a (partially bound) pattern, without copying.
 
         The returned sequence is owned by the extension and must not be
-        mutated.  With a round restriction the per-round delta list is
-        returned directly; otherwise the argument index narrows the scan
-        to the smallest bucket keyed by a ground pattern argument.  The
-        naive reference mode always scans the full extension.
+        mutated.  The argument index narrows the scan to the smallest
+        bucket keyed by a ground pattern argument: of the whole extension,
+        or with a round restriction of that round's delta.  The naive
+        reference mode always scans the whole extension or delta.
         """
         extension = self._extensions.get(pattern.signature)
         if extension is None:
             return ()
         if restrict_round is not None:
             self._index_delta_hits += 1
-            rounds = extension.rounds
-            if restrict_round < len(rounds):
-                return rounds[restrict_round]
-            return ()
+            delta = self._delta(pattern, restrict_round)
+            if not (self._indexing and delta):
+                return delta
+            bucket = _narrowest(pattern, extension.delta_index[restrict_round])
+            return delta if bucket is None else bucket
         if self._indexing and pattern.arguments and not pattern.is_ground():
-            best: Optional[List[Atom]] = None
-            index = extension.index
-            for position, argument in enumerate(pattern.arguments):
-                if not argument.is_ground():
-                    continue
-                try:
-                    key_term = evaluate(argument)
-                except TermError:
-                    # intervals and the like: matched positionally later
-                    continue
-                bucket = index.get((position, key_term))
-                if bucket is None:
-                    self._index_hits += 1
-                    return ()
-                if best is None or len(bucket) < len(best):
-                    best = bucket
-            if best is not None:
+            bucket = _narrowest(pattern, extension.index)
+            if bucket is not None:
                 self._index_hits += 1
-                return best
+                return bucket
         elif self._indexing and pattern.is_ground() and pattern.arguments:
             # fully bound pattern: a membership probe, no scan at all
             try:
@@ -919,6 +953,48 @@ def _origin_of(rule: Rule, binding: Binding) -> RuleOrigin:
         )
     )
     return RuleOrigin(rule, items)
+
+
+def _narrowest(
+    pattern: Atom, index: Dict[Tuple[int, Term], List[Atom]]
+) -> Optional[Sequence[Atom]]:
+    """The smallest ``index`` bucket keyed by a ground argument of
+    ``pattern``: ``()`` when one such key has no bucket, ``None`` when no
+    argument can serve as a key."""
+    best: Optional[List[Atom]] = None
+    for position, argument in enumerate(pattern.arguments):
+        if not argument.is_ground():
+            continue
+        try:
+            key_term = evaluate(argument)
+        except TermError:
+            # intervals and the like: matched positionally later
+            continue
+        bucket = index.get((position, key_term))
+        if bucket is None:
+            return ()
+        if best is None or len(bucket) < len(best):
+            best = bucket
+    return best
+
+
+def _is_plain_fact(rule: Rule) -> bool:
+    """True for a bodiless rule whose head is already a ground atom in
+    evaluated form: no variable, no arithmetic and no interval."""
+    return (
+        not rule.body
+        and isinstance(rule.head, Atom)
+        and all(_is_value(argument) for argument in rule.head.arguments)
+    )
+
+
+def _is_value(term: Term) -> bool:
+    """True when ``term`` evaluates to itself."""
+    if isinstance(term, (Number, Symbol, String)):
+        return True
+    if isinstance(term, Function):
+        return all(_is_value(argument) for argument in term.arguments)
+    return False
 
 
 def _arithmetic_bound(term: Term) -> bool:

@@ -277,11 +277,7 @@ class _Parser:
                 atom = self._parse_atom()
                 condition: Tuple[syntax.Literal, ...] = ()
                 if self._accept("OP", ":"):
-                    condition = tuple(
-                        literal
-                        for literal in self._parse_condition_literals()
-                        if isinstance(literal, syntax.Literal)
-                    )
+                    condition = self._parse_plain_condition("choice")
                 elements.append(syntax.ChoiceElement(atom, condition))
                 if not self._accept("OP", ";"):
                     break
@@ -301,6 +297,23 @@ class _Parser:
         while self._accept("OP", ","):
             literals.append(self._parse_body_literal())
         return literals
+
+    def _parse_plain_condition(self, construct: str) -> Tuple[syntax.Literal, ...]:
+        """A condition of plain literals only; ``construct`` names the
+        element kind in the error raised at the first other element."""
+        literals: List[syntax.Literal] = []
+        while True:
+            token = self._peek()
+            literal = self._parse_body_literal()
+            if not isinstance(literal, syntax.Literal):
+                raise ParseError(
+                    "%s conditions must be plain literals" % construct,
+                    token.line,
+                    token.column,
+                )
+            literals.append(literal)
+            if not self._accept("OP", ","):
+                return tuple(literals)
 
     # ------------------------------------------------------------------
     # bodies
@@ -322,15 +335,17 @@ class _Parser:
                 inner = self._parse_body_literal()
                 return inner
         if self._check("DIRECTIVE"):
-            return self._parse_aggregate(lower=None, lower_op=None, negated=negated)
+            return self._parse_aggregate(left_guard=None, negated=negated)
         term = self._parse_term()
         if self._check_comparison_op():
+            token = self._peek()
             operator = self._read_comparison_op()
             if self._check("DIRECTIVE"):
-                aggregate = self._parse_aggregate(
-                    lower=term, lower_op=operator, negated=negated
+                # `t OP #agg{...}` guards the aggregate as `#agg{...} OP' t`
+                return self._parse_aggregate(
+                    left_guard=(_MIRRORED.get(operator, operator), term, token),
+                    negated=negated,
                 )
-                return aggregate
             right = self._parse_term()
             comparison = syntax.Comparison(operator, term, right)
             if negated:
@@ -366,10 +381,16 @@ class _Parser:
 
     def _parse_aggregate(
         self,
-        lower: Optional[Term],
-        lower_op: Optional[str],
+        left_guard: Optional[Tuple[str, Term, _Token]],
         negated: bool,
     ) -> syntax.Aggregate:
+        """Parse ``#agg{...}`` and its right guard, if any.
+
+        ``left_guard`` is a left guard already read and mirrored into
+        right-guard form: ``(operator, term, operator token)``.  Each
+        guard bounds one side of the aggregate's value (``=`` both), and
+        a side bounded twice is an error.
+        """
         function = self._expect("DIRECTIVE").text
         if function not in syntax.AGGREGATE_FUNCTIONS:
             raise self._error("unknown aggregate function %r" % function)
@@ -382,59 +403,44 @@ class _Parser:
                     terms.append(self._parse_term())
                 condition: Tuple[syntax.Literal, ...] = ()
                 if self._accept("OP", ":"):
-                    parsed = self._parse_condition_literals()
-                    condition = tuple(
-                        literal
-                        for literal in parsed
-                        if isinstance(literal, syntax.Literal)
-                    )
-                    if len(condition) != len(parsed):
-                        raise self._error(
-                            "aggregate conditions must be plain literals"
-                        )
+                    condition = self._parse_plain_condition("aggregate")
                 elements.append(syntax.AggregateElement(tuple(terms), condition))
                 if not self._accept("OP", ";"):
                     break
         self._expect("OP", "}")
-        upper: Optional[Term] = None
-        upper_strict = False
+        guards = [] if left_guard is None else [left_guard]
         if self._check_comparison_op():
+            token = self._peek()
             operator = self._read_comparison_op()
-            bound = self._parse_term()
-            if operator in ("<=",):
+            guards.append((operator, self._parse_term(), token))
+        lower: Optional[Term] = None
+        upper: Optional[Term] = None
+        for operator, bound, token in guards:
+            if operator in ("<=", "<", "=") and upper is not None:
+                raise ParseError(
+                    "aggregate has two upper bounds", token.line, token.column
+                )
+            if operator in (">=", ">", "=") and lower is not None:
+                raise ParseError(
+                    "aggregate has two lower bounds", token.line, token.column
+                )
+            if operator == "<=":
                 upper = bound
             elif operator == "<":
                 upper = BinaryOperation("-", bound, Number(1))
             elif operator == ">=":
-                lower = bound if lower is None else lower
-                if lower is not bound:
-                    raise self._error("aggregate has two lower bounds")
+                lower = bound
             elif operator == ">":
                 lower = BinaryOperation("+", bound, Number(1))
             elif operator == "=":
-                upper = bound
-                lower = bound
+                lower = upper = bound
             else:
-                raise self._error("unsupported aggregate guard %r" % operator)
-            del upper_strict
-        normalized_lower = self._normalize_lower(lower, lower_op)
-        return syntax.Aggregate(
-            function, tuple(elements), normalized_lower, upper, negated
-        )
-
-    def _normalize_lower(
-        self, lower: Optional[Term], lower_op: Optional[str]
-    ) -> Optional[Term]:
-        """Rewrite a left guard ``t OP #agg{...}`` into a lower bound."""
-        if lower is None:
-            return None
-        if lower_op in (None, "<="):
-            return lower
-        if lower_op == "<":
-            return BinaryOperation("+", lower, Number(1))
-        if lower_op == "=":
-            return lower
-        raise ParseError("unsupported left aggregate guard %r" % lower_op, 0, 0)
+                raise ParseError(
+                    "unsupported aggregate guard %r" % operator,
+                    token.line,
+                    token.column,
+                )
+        return syntax.Aggregate(function, tuple(elements), lower, upper, negated)
 
     # ------------------------------------------------------------------
     # terms
@@ -535,6 +541,15 @@ _NEGATED_COMPARISON = {
     "<=": ">",
     ">": "<=",
     ">=": "<",
+}
+
+#: a left guard ``t OP #agg{...}`` read as the right guard ``#agg{...} OP' t``
+_MIRRORED = {
+    "=": "=",
+    "<": ">",
+    "<=": ">=",
+    ">": "<",
+    ">=": "<=",
 }
 
 

@@ -2,21 +2,36 @@
 
 The grounder keeps a deliberately naive reference join path
 (``Grounder(program, indexing=False)``: first-ready literal order, full
-extension scans).  These tests ground the same programs through both
-paths and require identical ground programs — same Herbrand base, same
-rule multiset, same weak constraints — on the paper's listings, the
-water-tank case study, and hypothesis-generated random programs.  Any
-divergence means the argument indexes or the selectivity reordering
-changed semantics, not just speed.
+extension and delta scans, no skipped pivots, no fact path).  These
+tests ground the same programs through both paths and require
+identical ground programs — same Herbrand base, same rule multiset,
+same weak constraints — on the paper's listings, the water-tank case
+study, the refinement engine's sweep template, and hypothesis-generated
+random programs.  Any divergence means the argument indexes, the
+skipped pivots, the fact path or the selectivity reordering changed
+semantics, not just speed.  One more test pins the indexed path's rule
+order across hash seeds.
 """
+
+import os
+import subprocess
+import sys
 
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.asp import parse_program
 from repro.asp.grounder import Grounder
-from repro.casestudy import build_system_model
+from repro.casestudy import (
+    build_system_model,
+    refined_system_model,
+    static_requirements,
+)
+from repro.epa import EpaEngine
 from repro.epa.rules import epa_rule_base
 from repro.modeling.to_asp import to_asp_program
+from repro.security.data import builtin_catalog
+from repro.security.mapping import candidate_mutations, mitigations_for_mutation
 
 LISTING_1 = """
 component(engineering_workstation). component(hmi).
@@ -103,31 +118,131 @@ def test_water_tank_epa_program_matches_naive():
     assert naive_grounder.statistics["index"]["hits"] == 0
 
 
+def assessment_engine(refined):
+    """The EPA engine of ``repro assess`` on the water tank: phase 4's,
+    or with ``refined`` phase 5's on the refined model (both built as
+    :class:`repro.core.pipeline.AssessmentPipeline` builds them)."""
+    catalog = builtin_catalog()
+    model = build_system_model()
+    fault_mitigations = {}
+    for mutation in candidate_mutations(model, catalog):
+        applicable = mitigations_for_mutation(catalog, mutation)
+        if applicable:
+            fault_mitigations[mutation.fault] = tuple(applicable)
+    if refined:
+        model = refined_system_model()
+    return EpaEngine(
+        model,
+        static_requirements(),
+        fault_mitigations=fault_mitigations,
+        extra_mutations=tuple(
+            mutation
+            for mutation in candidate_mutations(model, catalog)
+            if mutation.origin_kind != "fault"
+        ),
+    )
+
+
+def test_refined_assessment_template_matches_naive():
+    """The sweep template of the refinement engine: deployment
+    externals, security-born faults and the refined model's facts."""
+    program = assessment_engine(refined=True)._incremental_control()._program
+    indexed = Grounder(program, indexing=True).ground()
+    naive = Grounder(program, indexing=False).ground()
+    assert len(indexed.rules) == 882
+    assert _signature(indexed) == _signature(naive)
+
+
+#: prints the water-tank assessment template's ground rules in order
+RENDER_TEMPLATE = """
+import sys
+sys.path.insert(0, %r)
+from test_grounder_differential import assessment_engine
+program = assessment_engine(refined=False)._sweep_template().program
+print("\\n".join(repr(rule) for rule in program.rules))
+"""
+
+
+def test_template_rule_order_ignores_the_hash_seed():
+    """Rule order numbers the SAT variables, so it feeds every pinned
+    search counter and the checkpoint digest: no set or dict iteration
+    order in the grounder may steer it."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    source = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    renderings = []
+    for seed in ("0", "3"):
+        environment = dict(os.environ, PYTHONHASHSEED=seed)
+        environment["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [source, environment.get("PYTHONPATH")])
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", RENDER_TEMPLATE % here],
+            env=environment,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        renderings.append(completed.stdout.splitlines())
+    assert len(renderings[0]) == 724
+    assert renderings[0] == renderings[1]
+
+
 ATOMS = ["p", "q", "r"]
+
+#: fact arguments: plain values, and the forms the indexed grounder's
+#: fact path must leave to the general one (intervals, arithmetic,
+#: function terms, which are plain only with plain arguments)
+FACT_ARGUMENTS = st.one_of(
+    st.integers(min_value=1, max_value=4).map(str),
+    st.sampled_from(["a", "f(1)", "f(a)", "1..3", "2+1", "5-3", "f(1+1)", "-1"]),
+)
+
+#: body-literal arguments: the rule variables, plus constants so that a
+#: pivot is probed through a bound argument from the first lookup on
+BODY_ARGUMENTS = st.sampled_from(["X", "Y", "X", "Y", "1", "2", "a", "f(1)"])
 
 
 @st.composite
 def random_rule_programs(draw):
-    """Small non-ground programs over unary/binary predicates."""
+    """Small non-ground programs over binary predicates.
+
+    Facts may be duplicated and may carry intervals, arithmetic and
+    function terms; rules may be recursive (the head predicate in the
+    body), carry constants in body literals and negation; choice rules
+    have conditions.  Every rule binds its head variables through
+    ``num/1`` or a leading body literal, so every program is safe.
+    """
     lines = ["num(1..%d)." % draw(st.integers(min_value=2, max_value=4))]
-    n_facts = draw(st.integers(min_value=1, max_value=4))
-    for _ in range(n_facts):
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
         predicate = draw(st.sampled_from(ATOMS))
-        a = draw(st.integers(min_value=1, max_value=4))
-        b = draw(st.integers(min_value=1, max_value=4))
-        lines.append("%s(%d, %d)." % (predicate, a, b))
-    n_rules = draw(st.integers(min_value=1, max_value=4))
-    for _ in range(n_rules):
+        a, b = draw(FACT_ARGUMENTS), draw(FACT_ARGUMENTS)
+        lines.append("%s(%s, %s)." % (predicate, a, b))
+        if draw(st.booleans()):
+            lines.append(lines[-1])  # a duplicate fact
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
         head = draw(st.sampled_from(ATOMS + ["s"]))
-        # X and Y are always bound through num/1, so every rule is safe
-        # regardless of what the drawn extra literals contribute
-        body = ["num(X)", "num(Y)"]
-        body_size = draw(st.integers(min_value=0, max_value=2))
-        variables = ["X", "Y"]
-        for i in range(body_size):
-            predicate = draw(st.sampled_from(ATOMS))
+        shape = draw(st.sampled_from(["num", "literal", "recursive", "choice"]))
+        if shape == "recursive":
+            step = draw(st.sampled_from(ATOMS))
+            lines.append("%s(X, Z) :- %s(X, Y), %s(Y, Z)." % (head, head, step))
+            continue
+        if shape == "choice":
+            condition = draw(st.sampled_from(ATOMS))
+            argument = draw(st.sampled_from(["Y", "1", "a"]))
+            lines.append(
+                "{ %s(X, %s) : %s(X, %s) } :- num(X)."
+                % (head, argument, condition, argument)
+            )
+            continue
+        if shape == "num":
+            body = ["num(X)", "num(Y)"]
+        else:
+            body = ["%s(X, Y)" % draw(st.sampled_from(ATOMS + [head]))]
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            predicate = draw(st.sampled_from(ATOMS + [head]))
             body.append(
-                "%s(%s, %s)" % (predicate, variables[i % 2], variables[(i + 1) % 2])
+                "%s(%s, %s)"
+                % (predicate, draw(BODY_ARGUMENTS), draw(BODY_ARGUMENTS))
             )
         if draw(st.booleans()):
             negated = draw(st.sampled_from(ATOMS))

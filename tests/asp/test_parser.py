@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.asp import parse_program, parse_term
+from repro.asp import Control, parse_program, parse_term
 from repro.asp.parser import ParseError
 from repro.asp.syntax import (
     Aggregate,
@@ -166,6 +166,22 @@ class TestChoices:
         assert isinstance(rule.head, Choice)
         assert rule.body[0].atom.predicate == "b"
 
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            # would have 16 models with the comparison dropped, 4 with it
+            ("q(1..4). { p(X) : q(X), X > 2 }.", 25),
+            # would have 4 models with the comparison dropped, 3 with it
+            ("q(1..4). 1 { p(X) : q(X), X != 1 } 1.", 27),
+        ],
+    )
+    def test_comparison_in_condition_rejected(self, text, column):
+        with pytest.raises(ParseError, match="choice conditions must be plain"):
+            parse_program(text)
+        with pytest.raises(ParseError) as excinfo:
+            parse_program(text)
+        assert (excinfo.value.line, excinfo.value.column) == (1, column)
+
 
 class TestAggregates:
     def test_count_with_upper_guard(self):
@@ -198,6 +214,79 @@ class TestAggregates:
         program = parse_program("p :- not #count { X : q(X) } >= 1.")
         aggregate = program.rules[0].body[0]
         assert aggregate.negated
+
+
+def _models(text):
+    return sorted(
+        sorted(str(atom) for atom in model.atoms) for model in Control(text).solve()
+    )
+
+
+P3 = ["p(1)", "p(2)", "p(3)"]
+
+
+class TestAggregateGuards:
+    """Every guard form against ``p(1..3)``, whose count is 3."""
+
+    @pytest.mark.parametrize(
+        "guarded, holds",
+        [
+            ("3 = #count { X : p(X) }", True),
+            ("2 = #count { X : p(X) }", False),
+            ("2 < #count { X : p(X) }", True),
+            ("3 < #count { X : p(X) }", False),
+            ("3 <= #count { X : p(X) }", True),
+            ("4 <= #count { X : p(X) }", False),
+            ("4 > #count { X : p(X) }", True),
+            ("3 > #count { X : p(X) }", False),
+            ("3 >= #count { X : p(X) }", True),
+            ("2 >= #count { X : p(X) }", False),
+            ("#count { X : p(X) } = 3", True),
+            ("#count { X : p(X) } = 2", False),
+            ("#count { X : p(X) } < 4", True),
+            ("#count { X : p(X) } < 3", False),
+            ("#count { X : p(X) } <= 3", True),
+            ("#count { X : p(X) } <= 2", False),
+            ("#count { X : p(X) } > 2", True),
+            ("#count { X : p(X) } > 3", False),
+            ("#count { X : p(X) } >= 3", True),
+            ("#count { X : p(X) } >= 4", False),
+            ("1 < #count { X : p(X) } < 4", True),
+            ("3 < #count { X : p(X) } < 5", False),
+            ("3 >= #count { X : p(X) } >= 3", True),
+            ("2 >= #count { X : p(X) } >= 1", False),
+        ],
+    )
+    def test_guard(self, guarded, holds):
+        expected = [P3 + ["q"]] if holds else [P3]
+        assert _models("p(1..3). q :- %s." % guarded) == expected
+
+    def test_left_equality_guard_in_a_constraint(self):
+        # read as `2 <= #count`, the constraint would kill the only model
+        assert _models("p(1..4). :- 2 = #count { X : p(X) }.") == [
+            ["p(1)", "p(2)", "p(3)", "p(4)"]
+        ]
+
+    def test_left_equality_bounds_both_sides(self):
+        aggregate = parse_program("q :- 2 = #count { X : p(X) }.").rules[0].body[0]
+        assert aggregate.lower == Number(2) and aggregate.upper == Number(2)
+
+    @pytest.mark.parametrize(
+        "guarded, message, column",
+        [
+            ("5 <= #count { X : p(X) } > 2", "two lower bounds", 40),
+            ("1 < #count { X : p(X) } > 2", "two lower bounds", 39),
+            ("2 = #count { X : p(X) } <= 3", "two upper bounds", 39),
+            ("4 > #count { X : p(X) } < 2", "two upper bounds", 39),
+            ("1 <= #count { X : p(X) } = 2", "two lower bounds", 40),
+            ("2 != #count { X : p(X) }", "unsupported aggregate guard", 17),
+            ("#count { X : p(X) } != 2", "unsupported aggregate guard", 35),
+        ],
+    )
+    def test_second_guard_on_a_bounded_side_rejected(self, guarded, message, column):
+        with pytest.raises(ParseError, match=message) as excinfo:
+            parse_program("p(1..3). q :- %s." % guarded)
+        assert (excinfo.value.line, excinfo.value.column) == (1, column)
 
 
 class TestDirectives:

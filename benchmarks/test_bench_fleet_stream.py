@@ -126,19 +126,19 @@ def test_fleet_checkpoint_kill_resume(tmp_path, monkeypatch):
 
     monkeypatch.setattr(engine_module, "write_checkpoint", dying_write)
     with pytest.raises((KeyboardInterrupt, EpaError)):
-        fleet_engine(spec, cube_factor=8).aggregate(
+        fleet_engine(spec).aggregate(
             max_faults=spec.max_faults, checkpoint=path, checkpoint_every=1
         )
     monkeypatch.setattr(engine_module, "write_checkpoint", real_write)
 
     # the kill left a valid token covering a strict subset of the cubes
     assert writes == [1, 2]
-    resumed = fleet_engine(spec, cube_factor=8).aggregate(
+    resumed = fleet_engine(spec).aggregate(
         max_faults=spec.max_faults, checkpoint=path, checkpoint_every=1
     )
     assert resumed.dumps() == reference.dumps()
     # a mismatched configuration must refuse the token, not mis-merge
     with pytest.raises(EpaError):
-        fleet_engine(spec, cube_factor=8).aggregate(
+        fleet_engine(spec).aggregate(
             max_faults=spec.max_faults + 1, checkpoint=path
         )

@@ -29,18 +29,13 @@ Two ingredients:
     them in order runs close to longest-job-first and its lanes finish
     together.
 
-A sweep asks for ``max(2, workers × factor)`` cubes; the
-oversubscription *factor* defaults to :data:`DEFAULT_CUBE_FACTOR` and
-is configurable per engine (``cube_factor=``), on the CLI
-(``--cube-factor``) or via the ``REPRO_CUBE_FACTOR`` environment
-variable — the multi-core tuning knob (see ``docs/parallelism.md``): a
-higher factor caps each cube at a smaller share of the space, at the
-cost of more per-cube setup.
+An EPA sweep asks for ``max(2, workers × 4)`` cubes (the engine's
+``CUBE_FACTOR``; see ``docs/parallelism.md``): four cubes per worker
+let the work-stealing pool even out its lanes at negligible per-cube
+setup.
 
 Exports: :func:`occurrence_scores`, :func:`order_by_occurrence`,
-:func:`balanced_cubes`, :func:`space_size`,
-:func:`resolve_cube_factor`, :data:`DEFAULT_CUBE_FACTOR`,
-:data:`FLOOR`.
+:func:`balanced_cubes`, :func:`space_size`, :data:`FLOOR`.
 """
 
 from __future__ import annotations
@@ -48,7 +43,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ground import GroundChoice, GroundProgram
@@ -56,38 +50,12 @@ from .syntax import Atom
 
 Cube = Tuple[Tuple[Atom, bool], ...]
 
-#: cubes generated per worker when no explicit factor is configured
-DEFAULT_CUBE_FACTOR = 4
-
 #: the size bound never drops below this many scenarios: smaller cubes
 #: are split only to reach the cube count.  Every cube costs about
 #: 0.1 ms of setup and dispatch, so without the floor a
 #: ``max_faults=1`` assessment sweep (48 atoms, 49 scenarios) would be
 #: cut into one-scenario cubes and run slower, not better balanced
 FLOOR = 256
-
-
-def resolve_cube_factor(explicit: Optional[int] = None) -> int:
-    """The oversubscription factor: explicit > env > default.
-
-    An explicit argument wins; otherwise the ``REPRO_CUBE_FACTOR``
-    environment variable is consulted; otherwise
-    :data:`DEFAULT_CUBE_FACTOR`.  Values below 1 (from either source)
-    raise ``ValueError`` — a zero factor would generate no cubes.
-    """
-    if explicit is None:
-        raw = os.environ.get("REPRO_CUBE_FACTOR", "").strip()
-        if not raw:
-            return DEFAULT_CUBE_FACTOR
-        try:
-            explicit = int(raw)
-        except ValueError:
-            raise ValueError(
-                "REPRO_CUBE_FACTOR must be an integer, got %r" % raw
-            )
-    if explicit < 1:
-        raise ValueError("cube factor must be >= 1, got %d" % explicit)
-    return explicit
 
 
 def occurrence_scores(
@@ -213,11 +181,9 @@ def balanced_cubes(
 
 __all__ = [
     "Cube",
-    "DEFAULT_CUBE_FACTOR",
     "FLOOR",
     "balanced_cubes",
     "occurrence_scores",
     "order_by_occurrence",
-    "resolve_cube_factor",
     "space_size",
 ]

@@ -285,11 +285,15 @@ class _Parser:
         upper: Optional[Term] = None
         if self._check("NUMBER") or self._check("VARIABLE") or self._check("IDENT"):
             upper = self._parse_term()
-        # Normalize `n { ... }` (exact) written as `{...} = n` is not
-        # supported; equality bounds use `lower { } upper` with lower==upper.
-        if self._accept("OP", "="):
-            bound = self._parse_term()
-            return syntax.Choice(tuple(elements), bound, bound)
+        # `{ ... } = n` bounds both sides, so no other bound may join it
+        if self._check("OP", "="):
+            token = self._advance()
+            for bound, side in ((upper, "upper"), (lower, "lower")):
+                if bound is not None:
+                    raise ParseError(
+                        "choice has two %s bounds" % side, token.line, token.column
+                    )
+            lower = upper = self._parse_term()
         return syntax.Choice(tuple(elements), lower, upper)
 
     def _parse_condition_literals(self) -> List[object]:
@@ -336,6 +340,7 @@ class _Parser:
                 return inner
         if self._check("DIRECTIVE"):
             return self._parse_aggregate(left_guard=None, negated=negated)
+        start = self._peek()
         term = self._parse_term()
         if self._check_comparison_op():
             token = self._peek()
@@ -356,6 +361,14 @@ class _Parser:
         atom = self._term_to_atom(term)
         if atom is None:
             raise self._error("expected an atom, comparison or aggregate in body")
+        if any(_has_interval(argument) for argument in atom.arguments):
+            # the grounder matches body literals, it does not expand them
+            raise ParseError(
+                "interval in body literal %s; bind a variable instead, "
+                "as in p(X), X = 1..2" % atom,
+                start.line,
+                start.column,
+            )
         return syntax.Literal(atom, negated)
 
     def _looks_like_atom_named_not(self) -> bool:
@@ -457,14 +470,10 @@ class _Parser:
         while True:
             if self._accept("OP", "+"):
                 left = BinaryOperation("+", left, self._parse_multiplicative())
-            elif self._check("OP", "-") and not self._at_guard_position():
-                self._advance()
+            elif self._accept("OP", "-"):
                 left = BinaryOperation("-", left, self._parse_multiplicative())
             else:
                 return left
-
-    def _at_guard_position(self) -> bool:
-        return False
 
     def _parse_multiplicative(self) -> Term:
         left = self._parse_unary()
@@ -551,6 +560,18 @@ _MIRRORED = {
     ">": "<",
     ">=": "<=",
 }
+
+
+def _has_interval(term: Term) -> bool:
+    if isinstance(term, Interval):
+        return True
+    if isinstance(term, Function):
+        return any(_has_interval(argument) for argument in term.arguments)
+    if isinstance(term, BinaryOperation):
+        return _has_interval(term.left) or _has_interval(term.right)
+    if isinstance(term, UnaryMinus):
+        return _has_interval(term.operand)
+    return False
 
 
 def _make_abs(inner: Term) -> Term:

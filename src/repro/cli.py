@@ -35,12 +35,9 @@ FILE`` wraps the run in :mod:`cProfile` and dumps the stats file.  See
 ``docs/observability.md``.  They also take ``--workers N`` to shard
 the scenario sweeps over a process pool — results are identical to a
 sequential run, and worker trace events/metrics are folded back tagged
-``worker=<i>`` (see ``docs/performance.md``), and ``--cube-factor K``
-to oversubscribe the cube split (at least K cubes per worker, none
-holding more than ``1/(workers × K)`` of the scenarios or 256,
-whichever is more; default 4, also via ``REPRO_CUBE_FACTOR``).  ``analyze --stream`` switches to the
-bounded-memory streaming sweep (``--checkpoint FILE`` makes it
-resumable; see ``docs/streaming.md``).
+``worker=<i>`` (see ``docs/performance.md``).  ``analyze --stream``
+switches to the bounded-memory streaming sweep (``--checkpoint FILE``
+makes it resumable; see ``docs/streaming.md``).
 
 The same commands take ``--progress`` (a live scenarios/sec + cubes +
 ETA line on stderr, also exported as ``repro_progress_*`` gauges),
@@ -219,15 +216,13 @@ def _start_solving_command(
     config: Mapping[str, Any],
 ) -> _SolvingRun:
     """Shared prologue of the solving commands: a clean metrics slate
-    for this run, learnt-clause-economy knobs exported where every
-    solver construction (including pool workers) reads them, the run
-    recorder / progress tracker when requested, and an optional
-    profiler around the solve.
+    for this run, the run recorder / progress tracker when requested,
+    and an optional profiler around the solve.
 
     ``config`` is the command's *result-determining* configuration —
     model content digest, requirements, bounds — deliberately excluding
-    performance knobs (workers, cube factor): runs that
-    share a config digest are supposed to produce the same numbers.
+    the worker count, a performance setting: runs that share a config
+    digest are supposed to produce the same numbers.
     """
     get_registry().reset()
     run = _SolvingRun(command, config_digest(config))
@@ -319,7 +314,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 args.requirement,
                 trace=sink,
                 workers=args.workers,
-                cube_factor=getattr(args, "cube_factor", None),
                 progress=run.tracker,
             )
             if args.stream or args.checkpoint:
@@ -558,7 +552,6 @@ def _cmd_assess(args: argparse.Namespace) -> int:
                 budget=args.budget,
                 trace=sink,
                 workers=args.workers,
-                cube_factor=getattr(args, "cube_factor", None),
                 progress=run.tracker,
             )
             result = pipeline.run(model, refined_model=refined)
@@ -722,16 +715,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard scenario sweeps over N worker processes "
         "(results are identical to a sequential run; worker trace "
         "events and metrics fold back tagged worker=<i>)",
-    )
-    observability.add_argument(
-        "--cube-factor",
-        type=int,
-        default=None,
-        metavar="K",
-        help="cut at least K cubes per worker, none holding more than "
-        "1/(workers x K) of the scenarios or 256, whichever is more "
-        "(default 4, or env REPRO_CUBE_FACTOR; higher = finer-grained "
-        "work stealing, see docs/parallelism.md)",
     )
     observability.add_argument(
         "--progress",

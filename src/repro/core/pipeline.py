@@ -127,12 +127,10 @@ class AssessmentPipeline:
         fail_on_validation_errors: bool = True,
         trace: Optional[object] = None,
         workers: Optional[int] = None,
-        cube_factor: Optional[int] = None,
         progress: Optional[object] = None,
     ):
         """``workers`` shards the hazard-identification sweeps (phase
-        4/5) over a process pool and ``cube_factor`` sets their cube
-        oversubscription factor (both forwarded to the EPA engines, see
+        4/5) over a process pool (forwarded to the EPA engines, see
         :class:`~repro.epa.EpaEngine`); results are identical to a
         sequential run.  ``progress`` is an optional
         :class:`~repro.observability.progress.ProgressTracker` fed by
@@ -144,7 +142,6 @@ class AssessmentPipeline:
         self.fail_on_validation_errors = fail_on_validation_errors
         self._trace = trace if trace is not None else NULL_SINK
         self.workers = workers
-        self.cube_factor = cube_factor
         self.progress = progress
 
     def run(
@@ -216,7 +213,6 @@ class AssessmentPipeline:
                     extra_mutations=tuple(security_born),
                     trace=self._trace,
                     workers=self.workers,
-                    cube_factor=self.cube_factor,
                     progress=self.progress,
                 )
                 phases.append(
@@ -263,7 +259,6 @@ class AssessmentPipeline:
                         ),
                         trace=self._trace,
                         workers=self.workers,
-                        cube_factor=self.cube_factor,
                         progress=self.progress,
                     )
                     detailed = refined_engine.analyze(

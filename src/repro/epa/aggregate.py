@@ -21,25 +21,24 @@ completion order, and a materialized :class:`EpaReport` folded after the
 fact all serialize to byte-identical blobs.  Differential tests pin
 this.
 
-The same codec carries sweep *checkpoints*: :func:`write_checkpoint`
-atomically persists a compact resume token — the sweep's config digest,
-the completed cube ids and the merged partial aggregate — using the
-varint primitives of the RGP1 ground-program codec
-(:mod:`repro.asp.serialize`), so a killed million-scenario run restarts
-where it left off (see ``docs/streaming.md``).
+The same varints carry sweep *checkpoints*: :func:`write_checkpoint`
+atomically persists a compact resume token (RCK1) — the sweep's config
+digest, the completed cube ids and the merged partial aggregate — so a
+killed million-scenario run restarts where it left off (see
+``docs/streaming.md``).  Both forms are plain bytes, never a pickle,
+and a blob cut short raises :class:`SerializeError`.
 
 Exports: :class:`ScenarioAggregate`, :class:`CheckpointState`,
 :func:`read_checkpoint`, :func:`write_checkpoint`,
-:data:`DEFAULT_MAX_MINIMAL_SETS`.
+:class:`SerializeError`, :data:`DEFAULT_MAX_MINIMAL_SETS`.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
-from ..asp.serialize import SerializeError, _Reader, _write_uint
 from ..observability.metrics import get_registry
 from ..risk.assessment import frequency_of_simultaneous, magnitude_of_violations
 from .faults import FaultRef
@@ -65,17 +64,75 @@ class AggregateError(ValueError):
     """Raised on incompatible merges or malformed aggregate blobs."""
 
 
+class SerializeError(ValueError):
+    """Raised on a checkpoint or aggregate blob that is malformed or
+    cut short."""
+
+
+# ---------------------------------------------------------------------------
+# varints (unsigned LEB128) and length-prefixed utf-8 strings
+
+
+def _write_uint(out: bytearray, value: int) -> None:
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return
+
+
 def _write_str(out: bytearray, value: str) -> None:
     data = value.encode("utf-8")
     _write_uint(out, len(data))
     out.extend(data)
 
 
+class _Reader:
+    """Forward-only cursor over an encoded blob; reading past its end
+    raises :class:`SerializeError`, never a raw ``IndexError``."""
+
+    __slots__ = ("data", "pos")
+
+    def __init__(self, data: bytes, pos: int = 0) -> None:
+        self.data = data
+        self.pos = pos
+
+    def byte(self) -> int:
+        try:
+            value = self.data[self.pos]
+        except IndexError:
+            raise SerializeError("blob cut short at byte %d" % self.pos) from None
+        self.pos += 1
+        return value
+
+    def uint(self) -> int:
+        value = 0
+        shift = 0
+        try:
+            while True:
+                byte = self.data[self.pos]
+                self.pos += 1
+                value |= (byte & 0x7F) << shift
+                if not byte & 0x80:
+                    return value
+                shift += 7
+        except IndexError:
+            raise SerializeError("blob cut short at byte %d" % self.pos) from None
+
+    def take(self, length: int) -> bytes:
+        end = self.pos + length
+        if end > len(self.data):
+            raise SerializeError("blob cut short at byte %d" % len(self.data))
+        value = self.data[self.pos : end]
+        self.pos = end
+        return value
+
+
 def _read_str(reader: _Reader) -> str:
-    length = reader.uint()
-    value = reader.data[reader.pos : reader.pos + length].decode("utf-8")
-    reader.pos += length
-    return value
+    return reader.take(reader.uint()).decode("utf-8")
 
 
 def _fault_key(fault: FaultRef) -> str:
@@ -399,8 +456,7 @@ class ScenarioAggregate:
     def loads(cls, data: bytes) -> "ScenarioAggregate":
         if data[: len(AGGREGATE_MAGIC)] != AGGREGATE_MAGIC:
             raise AggregateError("not an RAG1 aggregate blob")
-        reader = _Reader(data)
-        reader.pos = len(AGGREGATE_MAGIC)
+        reader = _Reader(data, len(AGGREGATE_MAGIC))
         requirements = []
         magnitudes: Dict[str, str] = {}
         for _ in range(reader.uint()):
@@ -514,14 +570,15 @@ def read_checkpoint(path: str) -> CheckpointState:
         data = stream.read()
     if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise SerializeError("%s is not an RCK1 checkpoint" % path)
-    reader = _Reader(data)
-    reader.pos = len(CHECKPOINT_MAGIC)
-    digest = _read_str(reader)
-    completed = frozenset(reader.uint() for _ in range(reader.uint()))
-    length = reader.uint()
-    aggregate = reader.data[reader.pos : reader.pos + length]
-    if len(aggregate) != length:
-        raise SerializeError("%s is a torn checkpoint" % path)
+    reader = _Reader(data, len(CHECKPOINT_MAGIC))
+    try:
+        digest = _read_str(reader)
+        completed = frozenset(reader.uint() for _ in range(reader.uint()))
+        aggregate = reader.take(reader.uint())
+    except SerializeError as error:
+        raise SerializeError(
+            "%s is a torn checkpoint (%s)" % (path, error)
+        ) from None
     return CheckpointState(digest, completed, aggregate)
 
 
@@ -532,6 +589,7 @@ __all__ = [
     "CheckpointState",
     "DEFAULT_MAX_MINIMAL_SETS",
     "ScenarioAggregate",
+    "SerializeError",
     "read_checkpoint",
     "write_checkpoint",
 ]

@@ -71,7 +71,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, 
 import networkx as nx
 
 from ..asp import Control, Model, atom
-from ..asp.cubes import balanced_cubes, order_by_occurrence, resolve_cube_factor
+from ..asp.cubes import balanced_cubes, order_by_occurrence
 from ..asp.sat import TRUE
 from ..asp.ground import GroundProgram
 from ..asp.serialize import dumps_ground, loads_ground
@@ -96,6 +96,11 @@ from .aggregate import (
 from .faults import FaultRef
 from .results import EpaReport, PropagationStep, ScenarioOutcome
 from .rules import epa_rule_base, scenario_choice
+
+
+#: cubes a sweep cuts per worker: enough for the work-stealing pool to
+#: even out its lanes, few enough that per-cube setup stays negligible
+CUBE_FACTOR = 4
 
 
 class EpaError(Exception):
@@ -134,7 +139,6 @@ class EpaEngine:
         trace: Optional[object] = None,
         incremental: bool = True,
         workers: Optional[int] = None,
-        cube_factor: Optional[int] = None,
         progress: Optional[ProgressTracker] = None,
     ):
         """``fault_mitigations`` maps fault-mode name -> mitigation ids
@@ -149,12 +153,9 @@ class EpaEngine:
         whatever ``incremental`` says.  ``workers`` sets the default
         process-pool width of the sweeps (``None``/``1`` =
         in-process); point queries always run in-process.  The engine
-        serves only the thread that built it.  ``cube_factor``
-        overrides the cube oversubscription factor (default:
-        ``REPRO_CUBE_FACTOR`` or 4; see
-        :func:`repro.asp.cubes.resolve_cube_factor`): a sweep cuts at
-        least ``max(2, workers × factor)`` cubes, none holding more
-        than that share of its scenarios (or
+        serves only the thread that built it.  A sweep cuts at least
+        ``max(2, workers × CUBE_FACTOR)`` cubes, none holding more than
+        that share of its scenarios (or
         :data:`~repro.asp.cubes.FLOOR`).  ``progress``
         attaches a :class:`~repro.observability.ProgressTracker` fed
         per shipped chunk and per completed cube — results are
@@ -178,7 +179,6 @@ class EpaEngine:
         self._stats = SolveStats()
         self._incremental = incremental
         self._workers = workers
-        self._cube_factor = cube_factor
         self._progress = progress
         #: ASP requirement symbol -> declared requirement name
         self._requirement_names = {
@@ -544,7 +544,7 @@ class EpaEngine:
         disallowed fault atoms, each cube's pins — while ``max_faults``
         bounds the projected DFS itself (``max_true``).  Splits the
         fault-choice space over the occurrence-ordered fault atoms into
-        at least ``max(2, workers × cube factor)`` cubes, none holding
+        at least ``max(2, workers × CUBE_FACTOR)`` cubes, none holding
         more than that share of the ``max_faults``-bounded space (or
         :data:`~repro.asp.cubes.FLOOR` scenarios), largest first (see
         :func:`~repro.asp.cubes.balanced_cubes`), and binds the sweep's
@@ -581,10 +581,9 @@ class EpaEngine:
                 else:
                     assumptions.append((choice_atom, False))
         max_true = max_faults if max_faults > 0 else None
-        factor = resolve_cube_factor(self._cube_factor)
         cubes, scenario_total = balanced_cubes(
             order_by_occurrence(template.program, cube_atoms),
-            max(2, workers * factor),
+            max(2, workers * CUBE_FACTOR),
             max_true,
         )
         context = _SweepContext(
@@ -761,9 +760,9 @@ class EpaEngine:
         if state.digest != config_digest:
             raise EpaError(
                 "checkpoint %s was written by a different sweep "
-                "configuration (model, deployment, restriction, cube "
-                "layout, max_faults, cube factor, antichain cap, "
-                "requirement order and magnitudes must match to resume)"
+                "configuration (model, deployment, restriction, worker "
+                "count, max_faults, antichain cap, requirement order "
+                "and magnitudes must match to resume)"
                 % checkpoint
             )
         self._stats.incr("epa.aggregate.resumed_cubes", len(state.completed))
@@ -1059,9 +1058,9 @@ class _SweepTemplate:
     template and the probe tables built from it.  Sweeps only pass it
     assumptions, and the projected DFS leaves the solver's formula as
     it found it, so one template serves every deployment, restriction
-    and bound.  Pickles as its compact RGP1 program
-    (:mod:`repro.asp.serialize`); the solver and probe tables are
-    rebuilt on arrival.
+    and bound.  Pickles as its ground program
+    (:func:`repro.asp.serialize.dumps_ground`); the solver and probe
+    tables are rebuilt on arrival.
     """
 
     def __init__(
@@ -1084,7 +1083,7 @@ class _SweepTemplate:
 def _load_sweep_template(
     blob: bytes, requirement_names: Mapping[str, str]
 ) -> _SweepTemplate:
-    """Unpickle a :class:`_SweepTemplate` from its RGP1 program blob."""
+    """Unpickle a :class:`_SweepTemplate` from its pickled program."""
     return _SweepTemplate(loads_ground(blob), requirement_names)
 
 
@@ -1102,7 +1101,8 @@ class _SweepContext:
     ``functools.partial(_sweep_worker, context)``: fork-started workers
     inherit it with the process, copy-on-write; spawn-started workers
     unpickle it once per process (the template rebuilding its solver
-    and probe tables from RGP1); the one-worker sweep uses it as is.
+    and probe tables from its program); the one-worker sweep uses it
+    as is.
     """
 
     def __init__(
@@ -1219,16 +1219,30 @@ def _sweep_digest(
     """The configuration fingerprint a checkpoint is valid against.
 
     Covers everything that determines which scenarios each cube id
-    enumerates and how they fold — the engine's template program
-    (fingerprinted through its RGP1 encoding), the cube layout (and
-    therefore workers x cube factor), the fault bound, the aggregate's
-    antichain cap, requirement order and magnitudes, the deployment and
-    any restriction (assumptions on the template, so fingerprinted
-    here) — so resuming under a different configuration is refused
-    instead of silently merging mismatched shards.
+    enumerates and how they fold — the engine's template program, the
+    cube layout (and therefore the worker count), the fault bound, the
+    aggregate's antichain cap, requirement order and magnitudes, the
+    deployment and any restriction (assumptions on the template, so
+    fingerprinted here) — so resuming under a different configuration
+    is refused instead of silently merging mismatched shards.  The
+    program is fingerprinted through the ``repr`` of its rules, weak
+    constraints, shows and possible atoms, in order: every ground term
+    and atom renders structurally, so the text is the same in every
+    process and under every ``PYTHONHASHSEED``.  (Pickle bytes would
+    not do: their memo references depend on which objects happen to
+    be shared, so equal programs can pickle differently.)
     """
+    program_text = "\n".join(
+        repr(section)
+        for section in (
+            ground.rules,
+            ground.weak_constraints,
+            ground.shows,
+            ground.possible_atoms,
+        )
+    )
     parts = [
-        hashlib.sha256(dumps_ground(ground)).hexdigest(),
+        hashlib.sha256(program_text.encode("utf-8")).hexdigest(),
         str(max_faults),
         str(into.max_minimal_sets),
         "requirements:" + ",".join(into.requirements),

@@ -291,7 +291,7 @@ def fleet_engine(spec: FleetSpec, **kwargs: object) -> object:
 
     Builds the model and requirements and wires the fleet fault
     mitigations; keyword arguments (``workers``, ``trace``,
-    ``cube_factor``, ...) pass through to the engine constructor.
+    ``progress``, ...) pass through to the engine constructor.
     """
     from ..epa.engine import EpaEngine
 

@@ -182,6 +182,20 @@ class TestChoices:
             parse_program(text)
         assert (excinfo.value.line, excinfo.value.column) == (1, column)
 
+    @pytest.mark.parametrize(
+        "text, message, column",
+        [
+            # 3 models if the `3` were dropped, 1 ({a, b}) if the `1` were
+            ("3 { a; b; c } = 2.", "choice has two lower bounds", 15),
+            ("{ a; b } 1 = 2.", "choice has two upper bounds", 12),
+            ("1 { a; b } 2 = 2.", "choice has two upper bounds", 14),
+        ],
+    )
+    def test_second_bound_on_a_bounded_side_rejected(self, text, message, column):
+        with pytest.raises(ParseError, match=message) as excinfo:
+            parse_program(text)
+        assert (excinfo.value.line, excinfo.value.column) == (1, column)
+
 
 class TestAggregates:
     def test_count_with_upper_guard(self):
@@ -334,6 +348,40 @@ class TestComments:
     def test_block_comment(self):
         program = parse_program("a. %* multi\nline *% b.")
         assert len(program.rules) == 2
+
+
+class TestBodyIntervals:
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            # would derive no `q`: the interval never matches a fact
+            ("p(1..3). q :- p(1..2).", 15),
+            # would escape the grounder as a raw TermError
+            ("p(1..3). q :- not p(5..6).", 19),
+            ("p(1..3).\n:- not q(f(1..2)), p(1).", 8),
+            ("p(1..3). :~ p(2..3). [1@1]", 13),
+            ("p(1..3). { r(X) : p(X), s(X, 1..2) }.", 25),
+            ("p(1..3). q :- #count { X : p(X), s(X, 1..2) } > 1.", 34),
+        ],
+    )
+    def test_interval_in_a_body_literal_rejected(self, text, column):
+        message = r"interval in body literal .*as in p\(X\), X = 1\.\.2"
+        with pytest.raises(ParseError, match=message) as excinfo:
+            parse_program(text)
+        line = text.count("\n") + 1
+        assert (excinfo.value.line, excinfo.value.column) == (line, column)
+
+    def test_the_suggested_rewrite_holds(self):
+        assert _models("p(1..3). q :- p(X), X = 1..2.") == [P3 + ["q"]]
+        assert _models("p(1..3). q :- not p(X), X = 5..6.") == [P3 + ["q"]]
+
+    def test_heads_and_comparisons_keep_their_intervals(self):
+        assert _models("p(1..3). { r(1..2) }. s(X) :- X = 2..3.") == [
+            P3 + ["r(1)", "r(2)", "s(2)", "s(3)"],
+            P3 + ["r(1)", "s(2)", "s(3)"],
+            P3 + ["r(2)", "s(2)", "s(3)"],
+            P3 + ["s(2)", "s(3)"],
+        ]
 
 
 class TestErrors:

@@ -1,18 +1,12 @@
-"""Tests for the binary ground-program serializer.
+"""Tests for ground-program shipping.
 
 The contract: ``loads_ground(dumps_ground(p))`` reproduces every field
-of the program structurally, and the encoding is meaningfully smaller
-than a pickle of the same program.
+of the program structurally, and its atoms are the interned instances
+the receiving process grounds itself.
 """
 
-import pickle
-
-import pytest
-
 from repro.asp import Control
-from repro.asp.grounder import Grounder
-from repro.asp.parser import parse_program
-from repro.asp.serialize import SerializeError, dumps_ground, loads_ground
+from repro.asp.serialize import dumps_ground, loads_ground
 
 RICH_PROGRAM = """
 item(1..3). weight(1, 4). weight(2, -2). weight(3, 7).
@@ -42,10 +36,12 @@ class TestRoundTrip:
         assert back.origins is None
 
     def test_atoms_reintern(self):
-        # decoded atoms must be interchangeable with freshly built ones
+        # decoded atoms are the interned instances, not equal copies
         program = rich_ground()
         back = loads_ground(dumps_ground(program))
-        assert set(back.possible_atoms) == set(program.possible_atoms)
+        assert len(back.possible_atoms) == len(program.possible_atoms)
+        for decoded, interned in zip(back.possible_atoms, program.possible_atoms):
+            assert decoded is interned
 
     def test_solving_the_decoded_program_matches(self):
         from repro.asp.solver import StableModelSolver
@@ -65,25 +61,3 @@ class TestRoundTrip:
         back = loads_ground(dumps_ground(program))
         assert back.rules == program.rules
         assert back.possible_atoms == program.possible_atoms
-
-
-class TestCompactness:
-    def test_smaller_than_pickle(self):
-        program = rich_ground()
-        blob = dumps_ground(program)
-        pickled = pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL)
-        assert len(blob) < len(pickled)
-
-
-class TestRejections:
-    def test_bad_magic(self):
-        with pytest.raises(SerializeError):
-            loads_ground(b"NOPE" + b"\x00" * 16)
-
-    def test_provenance_programs_refused(self):
-        grounder = Grounder(parse_program("a. b :- a."), provenance=True)
-        program = grounder.ground()
-        assert program.origins is not None
-        with pytest.raises(SerializeError):
-            dumps_ground(program)
-

@@ -462,24 +462,27 @@ class TestStreamingCli:
             == 0
         )
 
-    def test_cube_factor_flag(self, capsys, model_file):
-        code = main(
-            [
-                "analyze",
-                model_file,
-                "-r",
-                REQUIREMENT,
-                "--max-faults",
-                "1",
-                "--stream",
-                "--workers",
-                "2",
-                "--cube-factor",
-                "2",
-            ]
-        )
-        assert code == 0
-        assert "scenarios analyzed" in capsys.readouterr().out
+    def test_cube_factor_flag_is_gone(self, capsys, model_file):
+        # a sweep cuts a fixed 4 cubes per worker: the retired flag is
+        # an error
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "analyze",
+                    model_file,
+                    "-r",
+                    REQUIREMENT,
+                    "--max-faults",
+                    "1",
+                    "--stream",
+                    "--workers",
+                    "2",
+                    "--cube-factor",
+                    "2",
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert "--cube-factor" in capsys.readouterr().err
 
     def test_fleet_generates_model(self, capsys, tmp_path):
         out_path = tmp_path / "fleet.xml"

@@ -10,7 +10,8 @@ Four contracts:
   never accumulates outcomes: at any point only a handful of yielded
   objects are alive;
 * **checkpoint/resume** — a killed sweep resumes from its token to the
-  same bytes, and a token from a different configuration is refused;
+  same bytes, also in another process under another hash seed; a token
+  from a different configuration, or cut at any byte, is refused;
 * **channel plumbing** — the ``emit`` the pool passes each task and its
   ``on_partial``/``on_retry``/``on_result`` callbacks behave
   identically in-process and across worker processes, and drop stale
@@ -19,6 +20,8 @@ Four contracts:
 
 import gc
 import os
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
 
@@ -26,12 +29,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.asp.cubes import (
-    DEFAULT_CUBE_FACTOR,
-    FLOOR,
-    resolve_cube_factor,
-)
-from repro.asp.serialize import SerializeError
+import repro
+from repro.asp.cubes import FLOOR
+from repro.casestudy import build_system_model
 from repro.epa import (
     EpaEngine,
     EpaError,
@@ -41,7 +41,8 @@ from repro.epa import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.epa.aggregate import AggregateError
+from repro.epa.aggregate import CHECKPOINT_MAGIC, AggregateError, SerializeError
+from repro.epa.engine import CUBE_FACTOR
 from repro.epa.results import ScenarioOutcome
 from repro.modeling import RelationshipType, SystemModel, standard_cps_library
 from repro.observability import MemoryTraceSink
@@ -212,6 +213,61 @@ class TestAggregateFold:
         assert "scenarios analyzed" in clone.summary()
 
 
+#: one checkpointed water-tank sweep at ``max_faults=2`` (4 cubes) in a
+#: fresh interpreter: ``kill`` dies after the second cube's token is
+#: written and prints the writes; ``resume`` finishes from the token
+#: and prints the aggregate's bytes and how many cubes it resumed
+CHECKPOINTED_TANK_SWEEP = """
+import sys
+import repro.epa.engine as engine_module
+from repro.casestudy import build_system_model
+from repro.epa import EpaEngine, StaticRequirement
+
+path, mode = sys.argv[1:]
+real_write = engine_module.write_checkpoint
+writes = []
+
+def dying_write(target, digest, completed, aggregate):
+    written = real_write(target, digest, completed, aggregate)
+    writes.append(len(completed))
+    if len(writes) == 2:
+        raise KeyboardInterrupt("simulated kill")
+    return written
+
+if mode == "kill":
+    engine_module.write_checkpoint = dying_write
+requirement = StaticRequirement(
+    "r1", "err(water_tank, K), hazardous_kind(K)", "water_tank", "VH"
+)
+engine = EpaEngine(build_system_model(), [requirement])
+try:
+    aggregate = engine.aggregate(
+        max_faults=2, checkpoint=path, checkpoint_every=1
+    )
+except KeyboardInterrupt:
+    print(writes)
+else:
+    print(aggregate.dumps().hex())
+    print(engine.statistics["epa"]["aggregate"]["resumed_cubes"])
+"""
+
+
+def _run_tank_sweep(path, mode, hash_seed):
+    source = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    environment = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    environment["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [source, environment.get("PYTHONPATH")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", CHECKPOINTED_TANK_SWEEP, path, mode],
+        env=environment,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return completed.stdout.splitlines()
+
+
 class TestCheckpointResume:
     def test_token_roundtrip(self, tmp_path):
         path = str(tmp_path / "token.ckpt")
@@ -229,6 +285,44 @@ class TestCheckpointResume:
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(SerializeError):
             read_checkpoint(str(path))
+
+    def test_every_cut_of_a_real_token_is_refused(self, tmp_path):
+        path = tmp_path / "sweep.ckpt"
+        EpaEngine(chain_model(), REQ).aggregate(
+            max_faults=2, checkpoint=str(path)
+        )
+        token = path.read_bytes()
+        torn = tmp_path / "torn.ckpt"
+        for cut in range(len(token)):
+            torn.write_bytes(token[:cut])
+            with pytest.raises(SerializeError) as excinfo:
+                read_checkpoint(str(torn))
+            if cut >= len(CHECKPOINT_MAGIC):
+                assert "torn checkpoint" in str(excinfo.value)
+
+    def test_resume_across_processes_and_hash_seeds(self, tmp_path):
+        # the template digest must not depend on the process or on
+        # PYTHONHASHSEED, or a killed sweep could never be resumed
+        path = str(tmp_path / "tank.ckpt")
+        requirement = StaticRequirement(
+            "r1", "err(water_tank, K), hazardous_kind(K)", "water_tank", "VH"
+        )
+        reference = EpaEngine(build_system_model(), [requirement]).aggregate(
+            max_faults=2
+        )
+        assert _run_tank_sweep(path, "kill", "0") == ["[1, 2]"]
+        assert sorted(read_checkpoint(path).completed) == [0, 1]
+        blob, resumed_cubes = _run_tank_sweep(path, "resume", "3")
+        assert bytes.fromhex(blob) == reference.dumps()
+        assert resumed_cubes == "2"
+        # the token is exactly its RCK1 fields (digest, cube ids, RAG1
+        # aggregate): re-encoding them reproduces every byte
+        state = read_checkpoint(path)
+        assert ScenarioAggregate.loads(state.aggregate) == reference
+        rewritten = str(tmp_path / "rewritten.ckpt")
+        write_checkpoint(rewritten, state.digest, state.completed, state.aggregate)
+        with open(path, "rb") as original, open(rewritten, "rb") as copy:
+            assert copy.read() == original.read()
 
     def test_kill_and_resume_reproduces_bytes(self, tmp_path, monkeypatch):
         import repro.epa.engine as engine_module
@@ -313,24 +407,13 @@ class TestCheckpointResume:
 
 
 class TestCubeFactor:
-    def test_default_and_explicit(self):
-        assert resolve_cube_factor() == DEFAULT_CUBE_FACTOR
-        assert resolve_cube_factor(7) == 7
-        with pytest.raises(ValueError):
-            resolve_cube_factor(0)
+    def test_cube_count_scales_with_factor(self, monkeypatch):
+        import repro.epa.engine as engine_module
 
-    def test_environment_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CUBE_FACTOR", "9")
-        assert resolve_cube_factor() == 9
-        assert resolve_cube_factor(2) == 2  # explicit beats the env
-        monkeypatch.setenv("REPRO_CUBE_FACTOR", "banana")
-        with pytest.raises(ValueError):
-            resolve_cube_factor()
-
-    def test_cube_count_scales_with_factor(self):
         # 46 scenarios, below the floor: the count alone sets the layout
         for factor, cubes in ((8, 8), (1, 2)):
-            engine = EpaEngine(chain_model(), REQ, cube_factor=factor)
+            monkeypatch.setattr(engine_module, "CUBE_FACTOR", factor)
+            engine = EpaEngine(chain_model(), REQ)
             engine.aggregate(max_faults=2)
             assert engine.statistics["epa"]["parallel"]["shards"] == cubes
 
@@ -347,9 +430,9 @@ class TestCubeFactor:
         fleet_engine(spec, trace=sink).aggregate(max_faults=spec.max_faults)
         cubes = sorted(sink.named("epa.cube"), key=lambda e: e.payload["cube"])
         models = [event.payload["models"] for event in cubes]
-        assert len(models) >= DEFAULT_CUBE_FACTOR
+        assert len(models) >= CUBE_FACTOR
         assert sum(models) == spec.scenario_count()
-        bound = max(spec.scenario_count() / DEFAULT_CUBE_FACTOR, FLOOR)
+        bound = max(spec.scenario_count() / CUBE_FACTOR, FLOOR)
         assert max(models) <= bound
         # dispatched largest first
         assert models == sorted(models, reverse=True)

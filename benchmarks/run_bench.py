@@ -6,8 +6,8 @@ substrate (classic solver workloads, the Fig. 4 model build, the
 grounding stressors), extracts per-bench medians, compares them against
 the recorded pre-optimization baselines, and snapshots the solver /
 grounder statistics of two representative workloads so regressions in
-the fast path (argument indexing, ground-program caching, enumeration
-backjumping) show up as counter drift, not just time drift.
+the fast path (argument indexing, enumeration backjumping) show up as
+counter drift, not just time drift.
 
 Also covered: the multi-shot mitigation sweeps, whose baselines are the
 recorded fresh-control medians, so their speedup columns quantify
@@ -23,9 +23,10 @@ Usage::
     PYTHONPATH=src python benchmarks/run_bench.py --record
     PYTHONPATH=src python benchmarks/run_bench.py --check
 
-``--smoke`` runs every benchmark file once with timing disabled (a CI
-sanity gate: the workloads still build, solve, and agree with their
-embedded correctness assertions) and writes no JSON output.
+``--smoke`` runs every ``benchmarks/test_bench_*.py`` file once with
+timing disabled (a CI sanity gate: the workloads still build, solve,
+and agree with their embedded correctness assertions) and writes no
+JSON output; ``BENCH_FILES`` is the set full runs and ``--check`` time.
 
 ``--record`` appends one ``{"bench", "seconds", "rev", "date"}`` row
 per benchmark to ``BENCH_history.jsonl`` — per-bench medians on a full
@@ -193,7 +194,7 @@ def run_benchmarks(json_dir):
 
 def collect_solver_stats():
     """Statistics snapshots for two representative workloads."""
-    from repro.asp import Control, clear_ground_cache
+    from repro.asp import Control
 
     sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
     from test_bench_asp_classic import queens_program
@@ -203,14 +204,10 @@ def collect_solver_stats():
     from repro.observability import SolveStats
     from test_bench_multishot import synthetic_problem
 
-    clear_ground_cache()
     queens = Control(queens_program(6))
     queens.solve()
     closure = Control(transitive_closure_program(30))
     closure.solve()
-    # a second control over the same text exercises the ground cache
-    cached = Control(transitive_closure_program(30))
-    cached.ground()
     # a multi-shot budget sweep: one grounding, eight reused solves
     sweep = SolveStats()
     sweep_budgets(
@@ -224,11 +221,6 @@ def collect_solver_stats():
         },
         "nqueens_6": queens.statistics.to_dict(),
         "transitive_closure_30": closure.statistics.to_dict(),
-        "transitive_closure_30_recached": {
-            "grounding": {"cache": cached.statistics.get_path(
-                "grounding.cache"
-            ).to_dict()}
-        },
     }
 
 
@@ -272,7 +264,7 @@ def append_history(timings, history_path=HISTORY_PATH, rss=None):
     print("recorded %d rows in %s" % (len(timings), history_path))
 
 
-def _record_run_ledger(kind, summary):
+def _record_run_ledger(kind, summary, suite=BENCH_FILES):
     """Best-effort: land this bench run in the repo's run ledger.
 
     Bench runs share the observability surface of the solving commands
@@ -289,7 +281,7 @@ def _record_run_ledger(kind, summary):
         )
         recorder = RunRecorder(
             "bench-%s" % kind,
-            {"command": "bench-%s" % kind, "suite": BENCH_FILES},
+            {"command": "bench-%s" % kind, "suite": suite},
             root=root,
         )
         recorder.note(**summary)
@@ -366,7 +358,7 @@ def check_regressions(benches, baseline_path=None):
 
 
 def run_smoke(record=False):
-    """One timing-disabled pass over every bench file (CI gate).
+    """One timing-disabled pass over every ``test_bench_*.py`` (CI gate).
 
     With ``record=True`` each file's wall-clock time and peak child RSS
     land in the bench history as ``smoke:<file>`` — coarse, but tracked
@@ -379,7 +371,11 @@ def run_smoke(record=False):
     returncode = 0
     env = dict(os.environ)
     env.setdefault("REPRO_BENCH_FLEET_SCALE", "smoke")
-    for bench_file in BENCH_FILES:
+    bench_files = sorted(
+        path.relative_to(REPO_ROOT).as_posix()
+        for path in (REPO_ROOT / "benchmarks").glob("test_bench_*.py")
+    )
+    for bench_file in bench_files:
         command = [
             sys.executable,
             "-m",
@@ -400,9 +396,10 @@ def run_smoke(record=False):
         _record_run_ledger(
             "smoke",
             {
-                "files": len(BENCH_FILES),
+                "files": len(bench_files),
                 "total_seconds": round(sum(timings.values()), 3),
             },
+            suite=bench_files,
         )
     return returncode
 

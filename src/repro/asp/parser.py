@@ -7,7 +7,10 @@ Supports the subset of the clingo language used throughout the framework
 * default negation (``not``);
 * choice rules with optional cardinality bounds ``1 { a; b : cond } 2``;
 * builtin comparisons (``= != < <= > >=``) and integer arithmetic
-  (``+ - * / \\``) with interval terms ``lo..hi``;
+  (``+ - * / \\``) with interval terms ``lo..hi``, which stand as an
+  argument of a head or choice-element atom, or as a whole comparison
+  side or ``#const`` value; anywhere else an interval is a
+  :class:`ParseError` at its position;
 * aggregates ``#count/#sum/#min/#max`` with guards;
 * weak constraints ``:~ body. [w@p, terms]`` and ``#minimize/#maximize``;
 * ``#show p/n.`` and ``#const name = value.`` directives;
@@ -17,7 +20,7 @@ Supports the subset of the clingo language used throughout the framework
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from . import syntax
 from .terms import (
@@ -78,6 +81,10 @@ class _Token:
         return "Token(%s, %r)" % (self.kind, self.text)
 
 
+#: ``_check_intervals``'s ``expands`` where no interval expands
+_NOWHERE = object()
+
+
 def _tokenize(text: str) -> List[_Token]:
     tokens: List[_Token] = []
     line = 1
@@ -109,6 +116,8 @@ class _Parser:
         self._tokens = _tokenize(text)
         self._index = 0
         self._anon_counter = 0
+        # the first token of every interval read, in reading order
+        self._intervals: List[_Token] = []
 
     # ------------------------------------------------------------------
     # token stream helpers
@@ -148,6 +157,32 @@ class _Parser:
     def _error(self, message: str) -> ParseError:
         token = self._peek()
         return ParseError(message, token.line, token.column)
+
+    def _check_intervals(
+        self, mark: int, term: Term, construct: str, expands: object = _NOWHERE
+    ) -> None:
+        """Refuse each interval of ``term`` (read since ``mark``) that the
+        grounder cannot expand: one expands as an argument of ``expands``
+        (a head or choice-element atom), or as the whole term when
+        ``expands`` is ``None`` (a comparison side, a ``#const`` value).
+        The error stands at the interval and names ``construct``."""
+        sites = zip(self._intervals[mark:], _intervals_in(term, None))
+        for token, (interval, parent) in sites:
+            if parent is not expands:
+                nested = "" if parent is None else " nested in %s" % parent
+                raise ParseError(
+                    "interval %s%s in %s does not expand; bind a variable "
+                    "instead, as in X = 1..2" % (interval, nested, construct),
+                    token.line,
+                    token.column,
+                )
+
+    def _parse_plain_term(self, construct: str, expands: object = _NOWHERE) -> Term:
+        """A term of ``construct``, checked by :meth:`_check_intervals`."""
+        mark = len(self._intervals)
+        term = self._parse_term()
+        self._check_intervals(mark, term, construct, expands)
+        return term
 
     # ------------------------------------------------------------------
     # program / statements
@@ -191,7 +226,7 @@ class _Parser:
         self._expect("DIRECTIVE", "#const")
         name = self._expect("IDENT").text
         self._expect("OP", "=")
-        value = self._parse_term()
+        value = self._parse_plain_term("#const", expands=None)
         self._expect("OP", ".")
         return syntax.ConstDefinition(name, value)
 
@@ -201,13 +236,13 @@ class _Parser:
         self._expect("OP", "{")
         elements: List[syntax.MinimizeElement] = []
         while True:
-            weight = self._parse_term()
+            weight = self._parse_plain_term(directive)
             priority: Term = Number(0)
             if self._accept("OP", "@"):
-                priority = self._parse_term()
+                priority = self._parse_plain_term(directive)
             terms: List[Term] = []
             while self._accept("OP", ","):
-                terms.append(self._parse_term())
+                terms.append(self._parse_plain_term(directive))
             condition: Tuple[object, ...] = ()
             if self._accept("OP", ":"):
                 condition = tuple(self._parse_condition_literals())
@@ -226,13 +261,13 @@ class _Parser:
         body = self._parse_body()
         self._expect("OP", ".")
         self._expect("OP", "[")
-        weight = self._parse_term()
+        weight = self._parse_plain_term("a weak constraint")
         priority: Term = Number(0)
         if self._accept("OP", "@"):
-            priority = self._parse_term()
+            priority = self._parse_plain_term("a weak constraint")
         terms: List[Term] = []
         while self._accept("OP", ","):
-            terms.append(self._parse_term())
+            terms.append(self._parse_plain_term("a weak constraint"))
         self._expect("OP", "]")
         return syntax.WeakConstraint(tuple(body), weight, priority, tuple(terms))
 
@@ -252,14 +287,17 @@ class _Parser:
             return self._parse_choice(lower=None)
         # Could be a plain atom or the lower bound of a choice.
         checkpoint = self._index
+        mark = len(self._intervals)
         term = self._parse_term()
         if self._check("OP", "{"):
+            self._check_intervals(mark, term, "a choice bound")
             return self._parse_choice(lower=term)
         # Not a choice: re-interpret the parsed term as an atom.
         atom = self._term_to_atom(term)
         if atom is None:
             self._index = checkpoint
             raise self._error("rule head must be an atom or a choice")
+        self._check_intervals(mark, term, "a rule head", expands=term)
         return atom
 
     def _term_to_atom(self, term: Term) -> Optional[syntax.Atom]:
@@ -284,7 +322,7 @@ class _Parser:
         self._expect("OP", "}")
         upper: Optional[Term] = None
         if self._check("NUMBER") or self._check("VARIABLE") or self._check("IDENT"):
-            upper = self._parse_term()
+            upper = self._parse_plain_term("a choice bound")
         # `{ ... } = n` bounds both sides, so no other bound may join it
         if self._check("OP", "="):
             token = self._advance()
@@ -293,7 +331,7 @@ class _Parser:
                     raise ParseError(
                         "choice has two %s bounds" % side, token.line, token.column
                     )
-            lower = upper = self._parse_term()
+            lower = upper = self._parse_plain_term("a choice bound")
         return syntax.Choice(tuple(elements), lower, upper)
 
     def _parse_condition_literals(self) -> List[object]:
@@ -341,17 +379,20 @@ class _Parser:
         if self._check("DIRECTIVE"):
             return self._parse_aggregate(left_guard=None, negated=negated)
         start = self._peek()
+        mark = len(self._intervals)
         term = self._parse_term()
         if self._check_comparison_op():
             token = self._peek()
             operator = self._read_comparison_op()
             if self._check("DIRECTIVE"):
                 # `t OP #agg{...}` guards the aggregate as `#agg{...} OP' t`
+                self._check_intervals(mark, term, "an aggregate guard")
                 return self._parse_aggregate(
                     left_guard=(_MIRRORED.get(operator, operator), term, token),
                     negated=negated,
                 )
-            right = self._parse_term()
+            self._check_intervals(mark, term, "a comparison", expands=None)
+            right = self._parse_plain_term("a comparison", expands=None)
             comparison = syntax.Comparison(operator, term, right)
             if negated:
                 comparison = syntax.Comparison(
@@ -361,7 +402,7 @@ class _Parser:
         atom = self._term_to_atom(term)
         if atom is None:
             raise self._error("expected an atom, comparison or aggregate in body")
-        if any(_has_interval(argument) for argument in atom.arguments):
+        if len(self._intervals) > mark:
             # the grounder matches body literals, it does not expand them
             raise ParseError(
                 "interval in body literal %s; bind a variable instead, "
@@ -411,9 +452,9 @@ class _Parser:
         elements: List[syntax.AggregateElement] = []
         if not self._check("OP", "}"):
             while True:
-                terms: List[Term] = [self._parse_term()]
+                terms: List[Term] = [self._parse_plain_term("an aggregate element")]
                 while self._accept("OP", ","):
-                    terms.append(self._parse_term())
+                    terms.append(self._parse_plain_term("an aggregate element"))
                 condition: Tuple[syntax.Literal, ...] = ()
                 if self._accept("OP", ":"):
                     condition = self._parse_plain_condition("aggregate")
@@ -425,7 +466,9 @@ class _Parser:
         if self._check_comparison_op():
             token = self._peek()
             operator = self._read_comparison_op()
-            guards.append((operator, self._parse_term(), token))
+            guards.append(
+                (operator, self._parse_plain_term("an aggregate guard"), token)
+            )
         lower: Optional[Term] = None
         upper: Optional[Term] = None
         for operator, bound, token in guards:
@@ -459,9 +502,11 @@ class _Parser:
     # terms
     # ------------------------------------------------------------------
     def _parse_term(self) -> Term:
+        start = self._index
         term = self._parse_additive()
         if self._accept("DOTS"):
             high = self._parse_additive()
+            self._intervals.append(self._tokens[start])
             return Interval(term, high)
         return term
 
@@ -536,10 +581,12 @@ class _Parser:
         raise self._error("expected a term, found %r" % (token.text or "end of input"))
 
     def _parse_atom(self) -> syntax.Atom:
+        mark = len(self._intervals)
         term = self._parse_term()
         atom = self._term_to_atom(term)
         if atom is None:
             raise self._error("expected an atom")
+        self._check_intervals(mark, term, "a choice element", expands=term)
         return atom
 
 
@@ -562,16 +609,23 @@ _MIRRORED = {
 }
 
 
-def _has_interval(term: Term) -> bool:
-    if isinstance(term, Interval):
-        return True
+def _intervals_in(
+    term: Term, parent: Optional[Term]
+) -> Iterator[Tuple[Interval, Optional[Term]]]:
+    """Each interval of ``term`` with the term directly around it
+    (``parent`` at the top), in the order the parser reads them."""
     if isinstance(term, Function):
-        return any(_has_interval(argument) for argument in term.arguments)
-    if isinstance(term, BinaryOperation):
-        return _has_interval(term.left) or _has_interval(term.right)
-    if isinstance(term, UnaryMinus):
-        return _has_interval(term.operand)
-    return False
+        for argument in term.arguments:
+            yield from _intervals_in(argument, term)
+    elif isinstance(term, BinaryOperation):
+        yield from _intervals_in(term.left, term)
+        yield from _intervals_in(term.right, term)
+    elif isinstance(term, UnaryMinus):
+        yield from _intervals_in(term.operand, term)
+    elif isinstance(term, Interval):
+        yield from _intervals_in(term.low, term)
+        yield from _intervals_in(term.high, term)
+        yield term, parent
 
 
 def _make_abs(inner: Term) -> Term:

@@ -279,8 +279,8 @@ class WeakConstraint:
 
     def __str__(self) -> str:
         body = ", ".join(str(part) for part in self.body)
-        tail = ",".join(str(term) for term in (self.weight,) + self.terms)
-        return ":~ %s. [%s@%s]" % (body, tail, self.priority)
+        tail = "".join(",%s" % term for term in self.terms)
+        return ":~ %s. [%s@%s%s]" % (body, self.weight, self.priority, tail)
 
 
 @dataclass(frozen=True)

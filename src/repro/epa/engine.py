@@ -54,8 +54,7 @@ mitigation deployments (``active_mitigation``) as external atoms, so
 what-if queries flip assumptions instead of regrounding program text
 (``incremental=False`` builds a fresh control per query).  Its ground
 program is the sweep template's, so sweeps and point queries share one
-grounding even when a trace sink bypasses the process-wide ground
-cache.
+grounding.
 """
 
 from __future__ import annotations
@@ -215,8 +214,8 @@ class EpaEngine:
     def _assemble_base_program(self) -> Program:
         """The mitigation-independent program slice, built once per
         engine (model facts, rule base, mutations, mitigation
-        declarations, requirements) so every control — and the
-        process-wide ground-program LRU — reuses one rendering."""
+        declarations, requirements) so every control reuses one
+        parse."""
         if self._base_program is not None:
             return self._base_program
         builder = Control()

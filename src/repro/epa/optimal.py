@@ -137,7 +137,6 @@ def attack_cost_of_mitigation(
     requirement: str,
     mitigation_deployments: Sequence[Mapping[str, Sequence[str]]],
     costs: Optional[Mapping[FaultRef, int]] = None,
-    multishot: bool = True,
 ) -> Dict[int, Optional[int]]:
     """How much each candidate deployment raises the attacker's bill.
 
@@ -146,32 +145,12 @@ def attack_cost_of_mitigation(
     mitigation is precisely this cost increase (the economic reading of
     "blocking" in Sec. IV-D).
 
-    By default the whole sweep runs on one persistent multi-shot
-    control: deployments are external-atom assignments, so the attack
-    program grounds once and every optimization call reuses the same
-    solver.  ``multishot=False`` restores the fresh-control-per-
-    deployment loop (the differential baseline).
+    The whole sweep runs on one persistent multi-shot control:
+    deployments are external-atom assignments, so the attack program
+    grounds once and every optimization call reuses the same solver.
+    Each cost equals the objective of :func:`cheapest_attack` under
+    that deployment.
     """
-    if not multishot:
-        results: Dict[int, Optional[int]] = {}
-        for index, deployment in enumerate(mitigation_deployments):
-            try:
-                results[index] = cheapest_attack(
-                    engine, requirement, costs, deployment
-                ).objective
-            except OptimalQueryError:
-                results[index] = None
-        return results
-    return _sweep_multishot(engine, requirement, mitigation_deployments, costs)
-
-
-def _sweep_multishot(
-    engine: EpaEngine,
-    requirement: str,
-    mitigation_deployments: Sequence[Mapping[str, Sequence[str]]],
-    costs: Optional[Mapping[FaultRef, int]],
-) -> Dict[int, Optional[int]]:
-    """One persistent control, one grounding; deployments are assumptions."""
     if requirement not in {r.name for r in engine.requirements}:
         raise OptimalQueryError("unknown requirement %r" % requirement)
     cost_map = dict(costs) if costs is not None else _default_costs(engine)

@@ -300,24 +300,19 @@ def sweep_budgets(
     budgets: Sequence[int],
     stats: Optional[SolveStats] = None,
     trace: Optional[object] = None,
-    multishot: bool = True,
 ) -> Dict[int, MitigationPlan]:
     """The budget-constrained plan for every candidate budget.
 
     The what-if question behind phased planning: "what does each extra
-    unit of budget buy?".  By default all budgets are solved on one
-    persistent multi-shot control — each budget's ``#sum`` cap is
-    guarded by a ``budget_active(B)`` external, and the sweep flips one
-    external per solve instead of regrounding.  ``multishot=False``
-    loops :func:`optimize_asp` (the differential baseline).  Returns
-    budget -> plan, duplicates collapsed.
+    unit of budget buy?".  All budgets are solved on one persistent
+    multi-shot control — each budget's ``#sum`` cap is guarded by a
+    ``budget_active(B)`` external, and the sweep flips one external per
+    solve instead of regrounding.  Each plan is as good as
+    :func:`optimize_asp` finds at that budget (ties between equally
+    optimal deployments may break differently).  Returns budget -> plan,
+    duplicates collapsed.
     """
     distinct = sorted(set(budgets))
-    if not multishot:
-        return {
-            budget: optimize_asp(problem, budget, stats=stats, trace=trace)
-            for budget in distinct
-        }
     control, names, _scenario_names = _problem_control(
         problem, trace=trace, multishot=True
     )

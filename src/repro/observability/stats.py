@@ -250,13 +250,6 @@ def format_statistics(stats: Mapping[str, Any]) -> str:
                 number("grounding.index.delta_hits") or 0,
             ),
         )
-    cache_hits = number("grounding.cache.hits")
-    cache_misses = number("grounding.cache.misses")
-    if cache_hits is not None or cache_misses is not None:
-        emit(
-            "Ground-cache",
-            "%d hits, %d misses" % (cache_hits or 0, cache_misses or 0),
-        )
     variables = number("solving.variables")
     if variables is not None:
         emit("Variables", "%d" % variables)

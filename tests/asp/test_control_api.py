@@ -6,6 +6,8 @@ from repro.asp import Control, atom, to_term
 from repro.asp.ground import GroundProgram
 from repro.asp.naive import is_model, is_stable_model, stable_models
 from repro.asp.terms import Function, Number, String, Symbol
+from repro.observability import MemoryTraceSink, format_statistics
+from repro.observability.metrics import get_registry
 
 
 class TestToTerm:
@@ -68,6 +70,42 @@ class TestAddFacts:
         second = control.ground()
         assert second is not first
         assert len(second.possible_atoms) == 2
+
+
+def ground_observations():
+    """Observations of ``repro_stage_seconds{stage="ground"}`` so far."""
+    return get_registry().histogram("repro_stage_seconds", stage="ground").count
+
+
+class TestGroundOnce:
+    PROGRAM = """
+    component(tank). component(valve).
+    fault(leak).
+    potential_fault(C, F) :- component(C), fault(F).
+    """
+
+    def test_second_ground_returns_the_kept_program(self):
+        control = Control(self.PROGRAM)
+        before = ground_observations()
+        first = control.ground()
+        assert control.ground() is first
+        assert ground_observations() == before + 1
+
+    def test_every_control_grounds_its_own_program(self):
+        earlier = Control(self.PROGRAM).ground()
+        before = ground_observations()
+        sink = MemoryTraceSink()
+        untraced = Control(self.PROGRAM).ground()
+        traced = Control(self.PROGRAM, trace=sink).ground()
+        assert untraced is not earlier
+        assert traced is not untraced
+        assert ground_observations() == before + 2
+        assert any(event.name == "grounder.done" for event in sink.events)
+
+    def test_format_statistics_shows_the_index_line(self):
+        control = Control(self.PROGRAM)
+        control.solve()
+        assert "Index" in format_statistics(control.statistics)
 
 
 class TestControlQueries:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.asp import Control, parse_program, parse_term
+from repro.asp import Control, GroundingError, parse_program, parse_term
 from repro.asp.parser import ParseError
 from repro.asp.syntax import (
     Aggregate,
@@ -382,6 +382,50 @@ class TestBodyIntervals:
             P3 + ["r(2)", "s(2)", "s(3)"],
             P3 + ["s(2)", "s(3)"],
         ]
+
+
+class TestUnexpandedIntervals:
+    """Intervals the grounder cannot expand, refused where they stand;
+    each of these programs used to escape as a raw ``TermError``."""
+
+    @pytest.mark.parametrize(
+        "text, message, column",
+        [
+            ("p(f(1..2)).", r"1\.\.2 nested in f\(1\.\.2\) in a rule head", 5),
+            ("{ p(f(1..2)) }.", r"nested in f\(1\.\.2\) in a choice element", 7),
+            ("p(X) :- X = f(1..2).", r"nested in f\(1\.\.2\) in a comparison", 15),
+            ("p(X) :- X = (1..2)+1.", r"nested in \(1\.\.2\+1\) in a comparison", 14),
+            ("#const n = f(1..2). p(n).", r"nested in f\(1\.\.2\) in #const", 14),
+            ("x(1). :- #count { X : x(X) } >= 1..2.", r"1\.\.2 in an aggregate guard", 33),
+            ("x(1). :- 1..2 <= #count { X : x(X) }.", "in an aggregate guard", 10),
+            ("p. :- #count { 1..2 : p } >= 1.", "in an aggregate element", 16),
+            ("1..2 { a; b }.", "in a choice bound", 1),
+            ("{ a; b } = 1..2.", "in a choice bound", 12),
+            ("p. :~ p. [1..2@1]", "in a weak constraint", 11),
+            ("p. #minimize { 1..2 : p }.", "in #minimize", 16),
+        ],
+    )
+    def test_refused_at_the_interval(self, text, message, column):
+        with pytest.raises(ParseError, match=message) as excinfo:
+            parse_program(text)
+        assert (excinfo.value.line, excinfo.value.column) == (1, column)
+
+    def test_atom_arguments_and_whole_terms_still_expand(self):
+        assert _models("q(1..2, a).") == [["q(1,a)", "q(2,a)"]]
+        assert _models("p(X) :- X = 1..2.") == [["p(1)", "p(2)"]]
+        assert _models("p(X) :- X = (1..2).") == [["p(1)", "p(2)"]]
+        assert _models("#const n = 1..2. p(n).") == [["p(1)", "p(2)"]]
+
+
+class TestUnsafeWeakConstraints:
+    @pytest.mark.parametrize(
+        "text", [":~ p(X). [X@1, Y]", "p(1). :~ p(X). [1@Y]"]
+    )
+    def test_unbound_variable_named(self, text):
+        # the static safety check every rule goes through, not a raw
+        # TermError from evaluating the unbound term
+        with pytest.raises(GroundingError, match=r"unsafe rule .*: unbound Y$"):
+            Control(text).ground()
 
 
 class TestErrors:

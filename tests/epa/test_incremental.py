@@ -20,6 +20,7 @@ from repro.epa.optimal import attack_cost_of_mitigation
 from repro.modeling import RelationshipType, SystemModel, standard_cps_library
 from repro.observability import MemoryTraceSink
 from tests.cdcl_reference import cdcl_outcomes
+from tests.epa.test_optimal import fresh_attack_costs
 
 REQ = [
     StaticRequirement("rv", "err(v, K), hazardous_kind(K)", focus="v", magnitude="VH"),
@@ -93,7 +94,7 @@ class TestChainDifferential:
             theirs = fresh.analyze_scenario(faults, deployment)
             assert (ours.key(), ours.violated) == (theirs.key(), theirs.violated)
         # sweeps and point queries share the engine's one scenario-program
-        # grounding (the trace sink bypasses the process-wide ground cache)
+        # grounding
         assert len(sink.named("grounder.done")) == 1
         multishot = incremental.statistics["solving"]["multishot"]
         # sweeps after the first plus point queries after the first
@@ -158,13 +159,11 @@ class TestAttackCostSweep:
         incremental, _ = engines()
         multishot = attack_cost_of_mitigation(incremental, "rv", deployments)
         legacy_engine, _ = engines()
-        legacy = attack_cost_of_mitigation(
-            legacy_engine, "rv", deployments, multishot=False
-        )
+        legacy = fresh_attack_costs(legacy_engine, "rv", deployments)
         assert multishot == legacy
         assert set(multishot) == set(range(len(deployments)))
 
     def test_no_deployments_no_costs(self):
         incremental, fresh = engines()
         assert attack_cost_of_mitigation(incremental, "rv", []) == {}
-        assert attack_cost_of_mitigation(fresh, "rv", [], multishot=False) == {}
+        assert fresh_attack_costs(fresh, "rv", []) == {}

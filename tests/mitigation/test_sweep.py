@@ -32,6 +32,11 @@ def cover_problem():
     return problem
 
 
+def fresh_loop(problem, budgets):
+    """The fresh-control reference: one :func:`optimize_asp` per budget."""
+    return {budget: optimize_asp(problem, budget) for budget in sorted(set(budgets))}
+
+
 def objectives(plans):
     return {
         budget: (plan.residual_risk_weight, plan.cost)
@@ -55,7 +60,7 @@ class TestBudgetSweep:
     def test_multishot_matches_fresh_loop(self):
         problem = cover_problem()
         multishot = sweep_budgets(problem, self.BUDGETS)
-        fresh = sweep_budgets(problem, self.BUDGETS, multishot=False)
+        fresh = fresh_loop(problem, self.BUDGETS)
         assert objectives(multishot) == objectives(fresh)
         assert_feasible(problem, multishot)
         assert_feasible(problem, fresh)
@@ -71,7 +76,7 @@ class TestBudgetSweep:
 
     def test_no_budgets_no_plans(self):
         assert sweep_budgets(cover_problem(), []) == {}
-        assert sweep_budgets(cover_problem(), [], multishot=False) == {}
+        assert fresh_loop(cover_problem(), []) == {}
 
     def test_duplicate_budgets_collapse(self):
         plans = sweep_budgets(cover_problem(), [5, 5, 5, 2])
@@ -128,6 +133,6 @@ def random_problems(draw):
 def test_random_sweeps_match_fresh_loop(case):
     problem, budgets = case
     multishot = sweep_budgets(problem, budgets)
-    fresh = sweep_budgets(problem, budgets, multishot=False)
+    fresh = fresh_loop(problem, budgets)
     assert objectives(multishot) == objectives(fresh)
     assert_feasible(problem, multishot)

@@ -28,6 +28,7 @@ constraints).  Pass ``trace=`` a
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import syntax
@@ -73,26 +74,54 @@ class GroundingError(Exception):
 Binding = Dict[Variable, Term]
 
 
-def _substitute_consts(term: Term, consts: Dict[str, Term]) -> Term:
+def _substitute_consts(
+    term: Term,
+    consts: Dict[str, Term],
+    construct: str,
+    expands: bool = False,
+    parent: Optional[object] = None,
+) -> Term:
+    """``term`` with each ``#const`` name replaced by its value.
+
+    An interval value stands only where a written interval expands: as
+    the whole of ``term`` when ``expands`` (an argument of a head or
+    choice-element atom, a comparison side).  Anywhere else it raises a
+    :class:`GroundingError` that names the constant, the term around it
+    (``parent``) and ``construct``, as the parser does for a written
+    interval.
+    """
     if isinstance(term, Symbol) and term.name in consts:
-        return consts[term.name]
+        value = consts[term.name]
+        if isinstance(value, Interval) and not expands:
+            nested = "" if parent is None else " nested in %s" % parent
+            raise GroundingError(
+                "interval #const %s = %s%s in %s does not expand; bind a "
+                "variable instead, as in X = %s"
+                % (term.name, value, nested, construct, term.name)
+            )
+        return value
     if isinstance(term, Function) and term.arguments:
         return Function(
             term.name,
-            tuple(_substitute_consts(a, consts) for a in term.arguments),
+            tuple(
+                _substitute_consts(a, consts, construct, parent=term)
+                for a in term.arguments
+            ),
         )
     if isinstance(term, BinaryOperation):
         return BinaryOperation(
             term.operator,
-            _substitute_consts(term.left, consts),
-            _substitute_consts(term.right, consts),
+            _substitute_consts(term.left, consts, construct, parent=term),
+            _substitute_consts(term.right, consts, construct, parent=term),
         )
     if isinstance(term, UnaryMinus):
-        return UnaryMinus(_substitute_consts(term.operand, consts))
+        return UnaryMinus(
+            _substitute_consts(term.operand, consts, construct, parent=term)
+        )
     if isinstance(term, Interval):
         return Interval(
-            _substitute_consts(term.low, consts),
-            _substitute_consts(term.high, consts),
+            _substitute_consts(term.low, consts, construct, parent=term),
+            _substitute_consts(term.high, consts, construct, parent=term),
         )
     return term
 
@@ -313,6 +342,7 @@ class Grounder:
         for statement in self._program.minimize:
             for element in statement.elements:
                 element = self._apply_consts_minimize(element)
+                _check_safety(element)
                 for binding in self._solve_body(element.condition, pivot=None):
                     lowered = self._lower_minimize(element, binding)
                     if lowered is not None:
@@ -350,53 +380,71 @@ class Grounder:
             return rule
         head = rule.head
         if isinstance(head, Atom):
-            head = self._const_atom(head)
+            head = self._const_atom(head, "a rule head", expands=True)
         elif isinstance(head, Choice):
             head = Choice(
                 tuple(
                     syntax.ChoiceElement(
-                        self._const_atom(element.atom),
-                        tuple(self._const_literal(l) for l in element.condition),
+                        self._const_atom(
+                            element.atom, "a choice element", expands=True
+                        ),
+                        tuple(
+                            self._const_literal(l, "a choice condition")
+                            for l in element.condition
+                        ),
                     )
                     for element in head.elements
                 ),
-                None if head.lower is None else _substitute_consts(head.lower, self._consts),
-                None if head.upper is None else _substitute_consts(head.upper, self._consts),
+                self._const(head.lower, "a choice bound"),
+                self._const(head.upper, "a choice bound"),
             )
         body = tuple(self._const_body_element(e) for e in rule.body)
         return Rule(head, body)
 
-    def _const_atom(self, atom: Atom) -> Atom:
+    def _const(
+        self, term: Optional[Term], construct: str, expands: bool = False
+    ) -> Optional[Term]:
+        """``term`` (or None) with the ``#const`` values substituted."""
+        if term is None:
+            return None
+        return _substitute_consts(term, self._consts, construct, expands)
+
+    def _const_atom(self, atom: Atom, construct: str, expands: bool = False) -> Atom:
         return Atom(
             atom.predicate,
-            tuple(_substitute_consts(a, self._consts) for a in atom.arguments),
+            tuple(
+                _substitute_consts(a, self._consts, construct, expands, atom)
+                for a in atom.arguments
+            ),
         )
 
-    def _const_literal(self, literal: Literal) -> Literal:
-        return Literal(self._const_atom(literal.atom), literal.negated)
+    def _const_literal(self, literal: Literal, construct: str) -> Literal:
+        return Literal(self._const_atom(literal.atom, construct), literal.negated)
 
     def _const_body_element(self, element: object) -> object:
         if isinstance(element, Literal):
-            return self._const_literal(element)
+            return self._const_literal(element, "a body literal")
         if isinstance(element, Comparison):
             return Comparison(
                 element.operator,
-                _substitute_consts(element.left, self._consts),
-                _substitute_consts(element.right, self._consts),
+                self._const(element.left, "a comparison", expands=True),
+                self._const(element.right, "a comparison", expands=True),
             )
         if isinstance(element, Aggregate):
-            return Aggregate(
-                element.function,
-                tuple(
+            return replace(
+                element,
+                elements=tuple(
                     syntax.AggregateElement(
-                        tuple(_substitute_consts(t, self._consts) for t in e.terms),
-                        tuple(self._const_literal(l) for l in e.condition),
+                        tuple(self._const(t, "an aggregate element") for t in e.terms),
+                        tuple(
+                            self._const_literal(l, "an aggregate element")
+                            for l in e.condition
+                        ),
                     )
                     for e in element.elements
                 ),
-                None if element.lower is None else _substitute_consts(element.lower, self._consts),
-                None if element.upper is None else _substitute_consts(element.upper, self._consts),
-                element.negated,
+                lower=self._const(element.lower, "an aggregate guard"),
+                upper=self._const(element.upper, "an aggregate guard"),
             )
         return element
 
@@ -405,9 +453,9 @@ class Grounder:
             return weak
         return syntax.WeakConstraint(
             tuple(self._const_body_element(e) for e in weak.body),
-            _substitute_consts(weak.weight, self._consts),
-            _substitute_consts(weak.priority, self._consts),
-            tuple(_substitute_consts(t, self._consts) for t in weak.terms),
+            self._const(weak.weight, "a weak constraint"),
+            self._const(weak.priority, "a weak constraint"),
+            tuple(self._const(t, "a weak constraint") for t in weak.terms),
         )
 
     def _apply_consts_minimize(
@@ -416,9 +464,9 @@ class Grounder:
         if not self._consts:
             return element
         return syntax.MinimizeElement(
-            _substitute_consts(element.weight, self._consts),
-            _substitute_consts(element.priority, self._consts),
-            tuple(_substitute_consts(t, self._consts) for t in element.terms),
+            self._const(element.weight, "#minimize"),
+            self._const(element.priority, "#minimize"),
+            tuple(self._const(t, "#minimize") for t in element.terms),
             tuple(self._const_body_element(e) for e in element.condition),
         )
 
@@ -1019,20 +1067,27 @@ def _binding_vars(term: Term) -> Set[Variable]:
     return set()
 
 
-def _check_safety(rule: Rule | syntax.WeakConstraint) -> None:
+def _check_safety(
+    rule: Rule | syntax.WeakConstraint | syntax.MinimizeElement,
+) -> None:
     """Static ASP safety: every rule variable must be bindable.
 
     A variable is bindable if it occurs (outside arithmetic) in a positive
     body literal, or on one side of an ``=`` comparison whose other side
-    only uses bindable variables (computed to fixpoint).  A weak
-    constraint's weight, priority and terms take the place of a head.
+    only uses bindable variables (computed to fixpoint).  The weight,
+    priority and terms of a weak constraint or ``#minimize`` element take
+    the place of a head, and a ``#minimize`` element's condition that of
+    a body.  An ``=`` aggregate guard binds nothing: clingo's aggregate
+    assignment is not supported, and is refused by name.
     """
+    minimize = isinstance(rule, syntax.MinimizeElement)
+    body = rule.condition if minimize else rule.body
     bound: Set[Variable] = set()
-    for element in rule.body:
+    for element in body:
         if isinstance(element, Literal) and not element.negated:
             for argument in element.atom.arguments:
                 bound |= _binding_vars(argument)
-    assignments = [e for e in rule.body if isinstance(e, Comparison) and e.operator == "="]
+    assignments = [e for e in body if isinstance(e, Comparison) and e.operator == "="]
     changed = True
     while changed:
         changed = False
@@ -1050,7 +1105,7 @@ def _check_safety(rule: Rule | syntax.WeakConstraint) -> None:
                     bound |= new
                     changed = True
     required: Set[Variable] = set()
-    if isinstance(rule, syntax.WeakConstraint):
+    if isinstance(rule, (syntax.WeakConstraint, syntax.MinimizeElement)):
         for term in (rule.weight, rule.priority) + rule.terms:
             required |= set(term.variables())
     elif isinstance(rule.head, Atom):
@@ -1073,18 +1128,28 @@ def _check_safety(rule: Rule | syntax.WeakConstraint) -> None:
             required |= set(rule.head.lower.variables())
         if rule.head.upper is not None:
             required |= set(rule.head.upper.variables())
-    for element in rule.body:
+    for element in body:
         if isinstance(element, Literal) and element.negated:
             required |= set(element.atom.variables())
         elif isinstance(element, Comparison) and element.operator != "=":
             required |= set(element.variables())
         elif isinstance(element, Aggregate):
+            unbound = set(element.variables()) - bound
+            if unbound and element.equality and not element.negated:
+                raise GroundingError(
+                    "aggregate assignment is unsupported: %s does not bind "
+                    "%s; bind it in a positive body literal first"
+                    % (element, ", ".join(sorted(v.name for v in unbound)))
+                )
             required |= set(element.variables())
     missing = required - bound
     if missing:
         raise GroundingError(
-            "unsafe rule %s: unbound %s"
-            % (rule, ", ".join(sorted(v.name for v in missing)))
+            "unsafe %s: unbound %s"
+            % (
+                "#minimize { %s }" % rule if minimize else "rule %s" % rule,
+                ", ".join(sorted(v.name for v in missing)),
+            )
         )
 
 

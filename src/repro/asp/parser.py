@@ -462,16 +462,16 @@ class _Parser:
                 if not self._accept("OP", ";"):
                     break
         self._expect("OP", "}")
-        guards = [] if left_guard is None else [left_guard]
+        guards = [] if left_guard is None else [left_guard + ("left",)]
         if self._check_comparison_op():
             token = self._peek()
             operator = self._read_comparison_op()
-            guards.append(
-                (operator, self._parse_plain_term("an aggregate guard"), token)
-            )
+            bound = self._parse_plain_term("an aggregate guard")
+            guards.append((operator, bound, token, "right"))
         lower: Optional[Term] = None
         upper: Optional[Term] = None
-        for operator, bound, token in guards:
+        equality = ""
+        for operator, bound, token, side in guards:
             if operator in ("<=", "<", "=") and upper is not None:
                 raise ParseError(
                     "aggregate has two upper bounds", token.line, token.column
@@ -490,13 +490,16 @@ class _Parser:
                 lower = BinaryOperation("+", bound, Number(1))
             elif operator == "=":
                 lower = upper = bound
+                equality = side
             else:
                 raise ParseError(
                     "unsupported aggregate guard %r" % operator,
                     token.line,
                     token.column,
                 )
-        return syntax.Aggregate(function, tuple(elements), lower, upper, negated)
+        return syntax.Aggregate(
+            function, tuple(elements), lower, upper, negated, equality
+        )
 
     # ------------------------------------------------------------------
     # terms

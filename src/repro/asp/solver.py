@@ -52,9 +52,9 @@ class ProjectionIncomplete(SolverError):
     """The propagation-driven projected enumeration cannot run.
 
     Raised by :meth:`StableModelSolver.project_models` when unit
-    propagation does not determine the full assignment from the
-    projection atoms (free atoms outside the projection, recursion
-    through aggregates, ...).  Callers fall back to the CDCL-based
+    propagation does not settle a leaf: variables outside the
+    projection stay free, or an open cyclic atom conflicts when it is
+    set false.  Callers fall back to the CDCL-based
     :meth:`StableModelSolver.models` path, which is always complete.
     """
 
@@ -152,9 +152,6 @@ class StableModelSolver:
         #: atom-level assumption core of the last fruitless call (see
         #: :attr:`unsat_core`)
         self._last_core: Optional[List[Tuple[Atom, bool]]] = None
-        #: lazily built variable-indexed founded entries for the raw
-        #: (assignment-probing) unfounded check of project_models()
-        self._founded_raw: Optional[Tuple[List[int], List[Tuple[int, Tuple[int, ...], int, Tuple[int, ...]]]]] = None
         self._build()
 
     @property
@@ -404,50 +401,30 @@ class StableModelSolver:
                 self._cyclic_atoms.update(component)
             index += 1
         self._check_no_recursive_aggregates()
-        self._index_founded_rules()
+        self._index_supports()
 
-    def _index_founded_rules(self) -> None:
-        """Precompute the rule slice the unfounded-set check walks.
+    def _index_supports(self) -> None:
+        """Index the supports the unfounded-set check walks.
 
         In a supported model only atoms inside non-trivial SCCs of the
         positive dependency graph can be unfounded (Lin-Zhao), so the
-        per-model fixpoint needs just the rules whose head lies in such
-        an SCC — with each rule's positive body split into the acyclic
-        part (founded by construction once true) and the cyclic part
-        (the only atoms the fixpoint actually has to derive).
+        check needs just their supports.  The cyclic atoms get bits in
+        atom order, and each of their supports becomes ``(head bit,
+        support literal, mask of its cyclic positive body atoms)``: the
+        completion defines the literal as the whole body, aggregates
+        included, so only the cyclic part is left to derive.
         """
-        cyclic = self._cyclic_atoms
-        entries: List[
-            Tuple[
-                Atom,
-                Tuple[Atom, ...],
-                Tuple[Atom, ...],
-                Tuple[Atom, ...],
-                Tuple[GroundAggregate, ...],
-            ]
-        ] = []
-        if cyclic:
-            for rule, _ in self._rule_records:
-                if isinstance(rule.head, Atom):
-                    targets = [(rule.head, rule.pos, rule.neg)]
-                else:
-                    targets = [
-                        (atom, rule.pos + cond_pos, rule.neg + cond_neg)
-                        for atom, cond_pos, cond_neg in rule.head.elements
-                    ]
-                for head, pos, neg in targets:
-                    if head not in cyclic:
-                        continue
-                    entries.append(
-                        (
-                            head,
-                            tuple(a for a in pos if a not in cyclic),
-                            tuple(a for a in pos if a in cyclic),
-                            neg,
-                            rule.aggregates,
-                        )
-                    )
-        self._founded_entries = entries
+        order = sorted(self._cyclic_atoms, key=_atom_sort_key)
+        bits = {atom: 1 << i for i, atom in enumerate(order)}
+        entries: List[Tuple[int, int, int]] = []
+        for atom in order:
+            for support in self._supports.get(atom, ()):
+                mask = 0
+                for body_atom in support.pos:
+                    mask |= bits.get(body_atom, 0)
+                entries.append((bits[atom], support.literal, mask))
+        self._cyclic_vars = [self._atom_var[atom] for atom in order]
+        self._founded_index = entries
 
     def _check_no_recursive_aggregates(self) -> None:
         for rule, _ in self._rule_records:
@@ -477,11 +454,6 @@ class StableModelSolver:
             )
             key = (weak.weight, weak.terms)
             by_level.setdefault(weak.priority, {}).setdefault(key, []).append(body)
-        grouped: Dict[int, Dict[Tuple, List[Tuple[Tuple[Atom, ...], Tuple[Atom, ...]]]]] = {}
-        for weak in self._program.weak_constraints:
-            grouped.setdefault(weak.priority, {}).setdefault(
-                (weak.weight, weak.terms), []
-            ).append((weak.pos, weak.neg))
         for priority in sorted(by_level, reverse=True):
             level_items: List[Tuple[int, int]] = []
             offset = 0
@@ -494,121 +466,73 @@ class StableModelSolver:
                 else:
                     level_items.append((-indicator, -weight))
                     offset += weight
-            instances = [
-                (weight, bodies)
-                for (weight, _terms), bodies in grouped[priority].items()
-            ]
             self._optimize_levels.append(
-                (priority, _CostLevel(self._sat, level_items, offset, instances))
+                (priority, _CostLevel(self._sat, level_items, offset))
             )
 
     # ------------------------------------------------------------------
     # stability check (unfounded sets)
     # ------------------------------------------------------------------
-    def _aggregate_true(self, aggregate: GroundAggregate, true_atoms: Set[Atom]) -> bool:
-        tuples: Dict[Tuple, bool] = {}
-        for element in aggregate.elements:
-            holds = all(a in true_atoms for a in element.pos) and not any(
-                a in true_atoms for a in element.neg
-            )
-            tuples[element.terms] = tuples.get(element.terms, False) or holds
-        chosen = [key for key, holds in tuples.items() if holds]
-        result: bool
-        if aggregate.function == "#count":
-            value: Optional[int] = len(chosen)
-        elif aggregate.function == "#sum":
-            value = sum(_element_weight(key, aggregate) for key in chosen)
-        elif aggregate.function == "#min":
-            value = min(
-                (_element_weight(key, aggregate) for key in chosen), default=None
-            )
-        else:
-            value = max(
-                (_element_weight(key, aggregate) for key in chosen), default=None
-            )
-        if value is None:
-            # empty #min = #sup, empty #max = #inf
-            result = aggregate.function == "#min"
-            if aggregate.function == "#min":
-                result = aggregate.upper is None
-            else:
-                result = aggregate.lower is None
-        else:
-            result = True
-            if aggregate.lower is not None and value < aggregate.lower:
-                result = False
-            if aggregate.upper is not None and value > aggregate.upper:
-                result = False
-        return not result if aggregate.negated else result
+    def _unfounded(self, assignment: Sequence[int]) -> int:
+        """The unfounded atoms of a total assignment, as a bitmask.
 
-    def _founded_check(
-        self, true_atoms: Set[Atom], assignment: Sequence[int]
-    ) -> Optional[Set[Atom]]:
-        """Return the unfounded subset of ``true_atoms`` (None if empty).
-
-        Restricted to the cyclic slice: atoms outside non-trivial SCCs
-        are founded in every supported model, so the fixpoint starts
-        from them and only has to derive the true atoms of non-trivial
-        SCCs through the precomputed rule index — per-model cost scales
-        with the recursive part of the program, not the whole program.
+        Bit i stands for the i-th cyclic atom in atom order; 0 means
+        the candidate is stable.  A support fires when its literal is
+        true, and the fixpoint founds a true cyclic atom once one of its
+        fired supports has all its cyclic positive body atoms founded.
+        Atoms outside non-trivial SCCs are founded in every supported
+        model, so the cost scales with the recursive part of the
+        program, and no atom set is built.
         """
-        cyclic_true = self._cyclic_atoms & true_atoms
-        if not cyclic_true:
-            return None
-        founded: Set[Atom] = set()
-        live: List[Tuple[Atom, Tuple[Atom, ...]]] = []
-        for head, acyclic_pos, cyclic_pos, neg, aggregates in self._founded_entries:
-            if head not in cyclic_true:
+        true_mask = 0
+        bit = 1
+        for var in self._cyclic_vars:
+            if assignment[var] > 0:
+                true_mask |= bit
+            bit <<= 1
+        if not true_mask:
+            return 0
+        founded = 0
+        live = []
+        for head_bit, literal, cyclic_mask in self._founded_index:
+            if not true_mask & head_bit or founded & head_bit:
                 continue
-            fires = True
-            for atom in acyclic_pos:
-                if atom not in true_atoms:
-                    fires = False
-                    break
-            if fires:
-                for atom in neg:
-                    if atom in true_atoms:
-                        fires = False
-                        break
-            if fires:
-                for atom in cyclic_pos:
-                    if atom not in true_atoms:
-                        fires = False
-                        break
-            if fires and aggregates:
-                fires = all(
-                    self._aggregate_true(g, true_atoms) for g in aggregates
-                )
-            if not fires:
-                continue
-            if cyclic_pos:
-                live.append((head, cyclic_pos))
-            else:
-                founded.add(head)
-        changed = bool(founded)
-        while changed and len(founded) < len(cyclic_true):
-            changed = False
-            for head, cyclic_pos in live:
-                if head in founded:
+            if literal > 0:
+                if assignment[literal] <= 0:
                     continue
-                for atom in cyclic_pos:
-                    if atom not in founded:
-                        break
-                else:
-                    founded.add(head)
+            elif assignment[-literal] >= 0:
+                continue
+            if cyclic_mask:
+                live.append((head_bit, cyclic_mask))
+            else:
+                founded |= head_bit
+        changed = founded != 0
+        while changed and founded != true_mask:
+            changed = False
+            for head_bit, cyclic_mask in live:
+                if not founded & head_bit and not cyclic_mask & ~founded:
+                    founded |= head_bit
                     changed = True
-        unfounded = cyclic_true - founded
-        return unfounded or None
+        return true_mask & ~founded
 
-    def _add_loop_nogoods(self, unfounded: Set[Atom]) -> None:
-        external: List[int] = []
-        for atom in unfounded:
-            for support in self._supports.get(atom, []):
-                if not any(p in unfounded for p in support.pos):
-                    external.append(support.literal)
-        external = list(dict.fromkeys(external))
-        for atom in unfounded:
-            self._sat.add_clause([-self._atom_var[atom]] + external)
+    def _add_loop_nogoods(self, unfounded: int) -> None:
+        """One loop nogood per unfounded atom, in atom order: the atom
+        needs a support from outside the unfounded set."""
+        external = list(
+            dict.fromkeys(
+                literal
+                for head_bit, literal, cyclic_mask in self._founded_index
+                if head_bit & unfounded and not cyclic_mask & unfounded
+            )
+        )
+        added = 0
+        for var in self._cyclic_vars:
+            if unfounded & 1:
+                self._sat.add_clause([-var] + external)
+                added += 1
+            unfounded >>= 1
+        self._loop_nogoods += added
+        self._trace.emit("solver.loop_nogoods", unfounded=added)
 
     # ------------------------------------------------------------------
     # propagation-driven projected enumeration (cube-and-conquer leaves)
@@ -622,86 +546,6 @@ class StableModelSolver:
         instead of materializing atom sets.
         """
         return self._atom_var.get(atom)
-
-    def _founded_raw_entries(self):
-        """Variable-indexed founded entries for the raw check.
-
-        Cyclic atoms get dense indices 0..n-1 so the per-model fixpoint
-        runs on integer bitmasks; entries with aggregates (recursion
-        through an aggregate condition) make the raw check unsound, so
-        their presence disables it.
-        """
-        if self._founded_raw is None:
-            order = sorted(self._cyclic_atoms, key=_atom_sort_key)
-            index = {atom: i for i, atom in enumerate(order)}
-            cyc_vars = [self._atom_var[a] for a in order]
-            entries = []
-            for head, acyclic_pos, cyclic_pos, neg, aggregates in self._founded_entries:
-                if aggregates:
-                    raise ProjectionIncomplete(
-                        "recursive rules with aggregate bodies require the "
-                        "set-based founded check"
-                    )
-                entries.append(
-                    (
-                        1 << index[head],
-                        tuple(self._atom_var[a] for a in acyclic_pos),
-                        sum(1 << index[a] for a in cyclic_pos),
-                        tuple(self._atom_var[a] for a in neg),
-                    )
-                )
-            self._founded_raw = (cyc_vars, entries)
-        return self._founded_raw
-
-    def _founded_check_raw(self, assignment: Sequence[int]) -> bool:
-        """Bitmask unfounded-set check on the raw assignment array.
-
-        Returns True when every true cyclic atom is founded (the
-        candidate is stable).  Semantically identical to
-        :meth:`_founded_check` restricted to aggregate-free recursion,
-        but works off SAT variables so the DFS enumeration never builds
-        an atom set per model.
-        """
-        cyc_vars, entries = self._founded_raw_entries()
-        true_mask = 0
-        bit = 1
-        for var in cyc_vars:
-            if assignment[var] > 0:
-                true_mask |= bit
-            bit <<= 1
-        if not true_mask:
-            return True
-        founded = 0
-        live = []
-        for head_bit, acyclic_vars, cyclic_mask, neg_vars in entries:
-            if not true_mask & head_bit or founded & head_bit:
-                continue
-            fires = True
-            for var in acyclic_vars:
-                if assignment[var] <= 0:
-                    fires = False
-                    break
-            if fires:
-                for var in neg_vars:
-                    if assignment[var] > 0:
-                        fires = False
-                        break
-            if not fires or cyclic_mask & ~true_mask:
-                continue
-            if cyclic_mask:
-                live.append((head_bit, cyclic_mask))
-            else:
-                founded |= head_bit
-        changed = founded != 0
-        while changed and founded != true_mask:
-            changed = False
-            for head_bit, cyclic_mask in live:
-                if founded & head_bit:
-                    continue
-                if not cyclic_mask & ~founded:
-                    founded |= head_bit
-                    changed = True
-        return founded == true_mask
 
     def project_models(
         self,
@@ -744,10 +588,7 @@ class StableModelSolver:
         formula is exactly as reusable afterwards as before.
         """
         sat = self._sat
-        if self._tight:
-            cyc_vars: List[int] = []
-        else:
-            cyc_vars = self._founded_raw_entries()[0]
+        cyc_vars = self._cyclic_vars
         # unwind any stale trail a previous solve left behind (solve_raw
         # does the same via its restart)
         sat.pop_to_level(0)
@@ -785,7 +626,7 @@ class StableModelSolver:
                     )
                 if cyc_vars:
                     self._unfounded_checks += 1
-                    if not self._founded_check_raw(assignment):
+                    if self._unfounded(assignment):
                         return 0
                 self._models_enumerated += 1
                 count += 1
@@ -848,29 +689,31 @@ class StableModelSolver:
     # ------------------------------------------------------------------
     def _next_stable(
         self, assumptions: Sequence[int], restart: bool = True
-    ) -> Optional[Set[Atom]]:
+    ) -> Optional[FrozenSet[Atom]]:
+        """The atoms of the next stable model, or None.
+
+        The model's assignment stays live until the next solver call,
+        so callers read its cost (:meth:`_model_cost`) right away.
+        """
         while True:
             # raw assignment array (index 0 unused, values +1/-1): read
             # immediately, the next solver call mutates it in place
             assignment = self._sat.solve_raw(assumptions, restart=restart)
             if assignment is None:
                 return None
-            true_atoms = {
+            if not self._tight:
+                self._unfounded_checks += 1
+                unfounded = self._unfounded(assignment)
+                if unfounded:
+                    self._add_loop_nogoods(unfounded)
+                    continue
+            return frozenset(
                 atom for atom, var in self._atom_var.items() if assignment[var] > 0
-            }
-            if self._tight:
-                return true_atoms
-            self._unfounded_checks += 1
-            unfounded = self._founded_check(true_atoms, assignment)
-            if unfounded is None:
-                return true_atoms
-            self._loop_nogoods += len(unfounded)
-            self._trace.emit("solver.loop_nogoods", unfounded=len(unfounded))
-            self._add_loop_nogoods(unfounded)
+            )
 
     def _block(
         self,
-        true_atoms: Set[Atom],
+        true_atoms: FrozenSet[Atom],
         guard: Optional[int] = None,
         project: Optional[List[Tuple[Atom, int]]] = None,
     ) -> None:
@@ -908,11 +751,13 @@ class StableModelSolver:
         # restarting the search from scratch
         self._sat.add_blocking_clause(clause)
 
-    def _model_cost(self, true_atoms: Set[Atom]) -> Tuple[Tuple[int, int], ...]:
-        costs: List[Tuple[int, int]] = []
-        for priority, level in self._optimize_levels:
-            costs.append((priority, level.cost(true_atoms)))
-        return tuple(costs)
+    def _model_cost(self) -> Tuple[Tuple[int, int], ...]:
+        """The cost of the model :meth:`_next_stable` just returned."""
+        assignment = self._sat.assignment_view()
+        return tuple(
+            (priority, level.cost(assignment))
+            for priority, level in self._optimize_levels
+        )
 
     def models(
         self,
@@ -970,7 +815,7 @@ class StableModelSolver:
                     number=self._models_enumerated,
                     atoms=len(true_atoms),
                 )
-                yield Model(frozenset(true_atoms), self._model_cost(true_atoms), shown)
+                yield Model(true_atoms, self._model_cost(), shown)
                 self._block(true_atoms, guard, project_items)
                 count += 1
         finally:
@@ -1082,16 +927,16 @@ class StableModelSolver:
             self._models_enumerated += 1
             if not self._optimize_levels:
                 self._optimal_models += 1
-                model = Model(frozenset(best_atoms), (), shown, optimal=True)
+                model = Model(best_atoms, (), shown, optimal=True)
                 return [model]
-            best_cost = self._model_cost(best_atoms)
+            best_cost = self._model_cost()
             self._trace.emit("solver.bound", cost=list(_cost_key(best_cost)))
             while True:
                 activations.append(self._add_improvement_clause(best_cost))
                 candidate = self._next_stable(literals + activations)
                 if candidate is None:
                     break
-                candidate_cost = self._model_cost(candidate)
+                candidate_cost = self._model_cost()
                 assert _cost_key(candidate_cost) < _cost_key(best_cost)
                 best_atoms, best_cost = candidate, candidate_cost
                 self._models_enumerated += 1
@@ -1106,16 +951,14 @@ class StableModelSolver:
             results: List[Model] = []
             if not enumerate_optimal:
                 self._optimal_models += 1
-                return [Model(frozenset(best_atoms), best_cost, shown, optimal=True)]
+                return [Model(best_atoms, best_cost, shown, optimal=True)]
             while limit is None or len(results) < limit:
                 atoms = self._next_stable(literals)
                 if atoms is None:
                     break
                 self._models_enumerated += 1
                 self._optimal_models += 1
-                results.append(
-                    Model(frozenset(atoms), self._model_cost(atoms), shown, optimal=True)
-                )
+                results.append(Model(atoms, self._model_cost(), shown, optimal=True))
                 self._block(atoms, guard)
             return results
         finally:
@@ -1145,33 +988,28 @@ class StableModelSolver:
 
 
 class _CostLevel:
-    """Threshold circuit plus semantic cost for one priority level."""
+    """Threshold circuit over one priority level's cost items.
 
-    def __init__(
-        self,
-        sat: SatSolver,
-        items: List[Tuple[int, int]],
-        offset: int,
-        instances: List[Tuple[int, List[Tuple[Tuple[Atom, ...], Tuple[Atom, ...]]]]],
-    ):
+    An item is the indicator of one ``(weight, terms)`` tuple (set
+    semantics), negated for a negative weight; the level's cost is the
+    offset plus the weights of its true items.
+    """
+
+    def __init__(self, sat: SatSolver, items: List[Tuple[int, int]], offset: int):
+        self._items = items
         self._counter = WeightedCounter(sat, items)
         self._offset = offset  # real_sum = counter_sum + offset
-        self._instances = instances
 
     def leq(self, bound: int) -> int:
         """Literal true iff the real weighted sum <= bound."""
         return -self._counter.geq(bound - self._offset + 1)
 
-    def cost(self, true_atoms: Set[Atom]) -> int:
-        """Semantic cost of a model at this level (set semantics)."""
-        total = 0
-        for weight, bodies in self._instances:
-            for pos, neg in bodies:
-                if all(a in true_atoms for a in pos) and not any(
-                    a in true_atoms for a in neg
-                ):
-                    total += weight
-                    break
+    def cost(self, assignment: Sequence[int]) -> int:
+        """The level's cost in a total assignment."""
+        total = self._offset
+        for literal, weight in self._items:
+            if (assignment[literal] if literal > 0 else -assignment[-literal]) > 0:
+                total += weight
         return total
 
 

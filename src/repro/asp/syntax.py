@@ -177,7 +177,10 @@ class Aggregate:
     """An aggregate body literal, e.g. ``2 <= #count { X : p(X) } <= 4``.
 
     ``lower``/``upper`` are optional guard terms; ``negated`` applies
-    default negation to the whole aggregate.
+    default negation to the whole aggregate.  An ``=`` guard bounds
+    both sides, and ``equality`` records the side it was written on
+    (``"left"`` for ``N = #count {...}``, ``"right"`` for
+    ``#count {...} = N``) so the aggregate renders as written.
     """
 
     function: str
@@ -185,6 +188,7 @@ class Aggregate:
     lower: Optional[Term] = None
     upper: Optional[Term] = None
     negated: bool = False
+    equality: str = ""
 
     def variables(self) -> Iterable[Variable]:
         # Only guard variables are global; element variables are local.
@@ -196,10 +200,15 @@ class Aggregate:
     def __str__(self) -> str:
         body = "; ".join(str(element) for element in self.elements)
         rendered = "%s { %s }" % (self.function, body)
-        if self.lower is not None:
-            rendered = "%s <= %s" % (self.lower, rendered)
-        if self.upper is not None:
-            rendered = "%s <= %s" % (rendered, self.upper)
+        if self.equality == "left":
+            rendered = "%s = %s" % (self.lower, rendered)
+        elif self.equality == "right":
+            rendered = "%s = %s" % (rendered, self.upper)
+        else:
+            if self.lower is not None:
+                rendered = "%s <= %s" % (self.lower, rendered)
+            if self.upper is not None:
+                rendered = "%s <= %s" % (rendered, self.upper)
         if self.negated:
             rendered = "not " + rendered
         return rendered

@@ -18,7 +18,7 @@ reproduces that workflow on top of :mod:`repro.asp`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..asp import Control, parse_program
@@ -326,9 +326,9 @@ class TemporalProgram:
                 body.append(element)
             elif isinstance(element, Aggregate):
                 body.append(
-                    Aggregate(
-                        element.function,
-                        tuple(
+                    replace(
+                        element,
+                        elements=tuple(
                             syntax.AggregateElement(
                                 e.terms,
                                 tuple(
@@ -338,9 +338,6 @@ class TemporalProgram:
                             )
                             for e in element.elements
                         ),
-                        element.lower,
-                        element.upper,
-                        element.negated,
                     )
                 )
             else:

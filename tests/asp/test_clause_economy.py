@@ -13,10 +13,14 @@ the constants' schedule (and that no argument or environment variable
 reaches it), the default search path, and the statistics counter.
 """
 
+import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import repro
 from repro.asp import Control, sat
 from repro.asp.sat import Solver
 from repro.asp.solver import StableModelSolver
@@ -406,3 +410,76 @@ class TestDefaultSearchPath:
         counters = solver.statistics["solvers"]
         # one restart, at the 32nd of 35 conflicts
         assert (counters["conflicts"], counters["restarts"]) == (35, 1)
+
+
+#: enumerates the program in ``sys.argv[1]`` and prints its models in
+#: enumeration order with the search counters
+ENUMERATE = """
+import json, sys
+from repro.asp import Control
+from repro.asp.solver import StableModelSolver
+solver = StableModelSolver(Control(sys.argv[1]).ground())
+models = [sorted(map(str, model.atoms)) for model in solver.models()]
+stats = solver.statistics
+counters = stats["solvers"]
+print(json.dumps(
+    [models, counters["conflicts"], counters["propagations"], stats["loop_nogoods"]]
+))
+"""
+
+
+class TestNonTightSearchPath:
+    """A non-tight enumeration takes one pinned path too.  The
+    Hamiltonian cycles of the complete 6-node digraph recurse through
+    ``reach``, so the search adds loop nogoods, one per unfounded atom
+    in atom order.  The order must not follow the atoms' hashes: those
+    mix in class addresses, so the counts would change from process to
+    process under any one hash seed."""
+
+    HAMILTONIAN_6 = "\n".join(
+        [
+            "node(1..6).",
+            "edge(X, Y) :- node(X), node(Y), X != Y.",
+            "{ in(X, Y) } :- edge(X, Y).",
+            ":- node(X), not 1 = #count { Y : in(X, Y) }.",
+            ":- node(Y), not 1 = #count { X : in(X, Y) }.",
+            "reach(1).",
+            "reach(Y) :- reach(X), in(X, Y).",
+            ":- node(X), not reach(X).",
+        ]
+    )
+
+    #: conflicts, propagations and loop nogoods of the full enumeration
+    COUNTS = (158, 14000, 70)
+
+    def test_all_120_cycles(self):
+        solver = StableModelSolver(Control(self.HAMILTONIAN_6).ground())
+        models = {frozenset(model.atoms) for model in solver.models()}
+        assert len(models) == 120
+        stats = solver.statistics
+        counters = stats["solvers"]
+        assert (
+            counters["conflicts"],
+            counters["propagations"],
+            stats["loop_nogoods"],
+        ) == self.COUNTS
+
+    def test_counts_do_not_depend_on_the_process(self):
+        source = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        runs = []
+        for seed in ("0", "3"):
+            environment = dict(os.environ, PYTHONHASHSEED=seed)
+            environment["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [source, environment.get("PYTHONPATH")])
+            )
+            completed = subprocess.run(
+                [sys.executable, "-c", ENUMERATE, self.HAMILTONIAN_6],
+                env=environment,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            runs.append(json.loads(completed.stdout))
+        assert len(runs[0][0]) == 120
+        assert runs[0] == runs[1]
+        assert tuple(runs[0][1:]) == self.COUNTS

@@ -158,3 +158,125 @@ def test_sum_aggregate_matches_semantics(weights, bound, fact_weight, fact_first
         if total + fact_weight >= bound:
             expected += 1
     assert len(models) == expected
+
+
+#: non-recursive atoms: chosen freely, read by the aggregates
+CHOSEN = ["a", "b", "c"]
+#: atoms of the positive loops
+LOOPED = ["p", "q", "r"]
+
+
+@st.composite
+def guarded_aggregates(draw):
+    """An aggregate over the chosen atoms: mixed-sign weights, a term
+    tuple two elements may share, and a random guard."""
+    function = draw(st.sampled_from(["#count", "#sum", "#min", "#max"]))
+    elements = [
+        "%d,%s : %s"
+        % (
+            draw(st.integers(min_value=-1, max_value=2)),
+            draw(st.sampled_from(["t", "u"])),
+            _literal(draw, CHOSEN),
+        )
+        for _ in range(draw(st.integers(min_value=1, max_value=3)))
+    ]
+    operator = draw(st.sampled_from([">=", "<=", "=", "<", ">"]))
+    bound = draw(st.integers(min_value=-1, max_value=3))
+    negation = "not " if draw(st.booleans()) else ""
+    return "%s%s { %s } %s %d" % (
+        negation, function, "; ".join(elements), operator, bound
+    )
+
+
+@st.composite
+def aggregate_loop_programs(draw):
+    """Non-tight programs whose loop rules carry aggregate bodies over
+    the chosen atoms, priced by weak constraints at two priorities with
+    mixed-sign weights and shared ``(weight, terms)`` tuples."""
+    lines = ["{ a; b; c }."]
+
+    def extra():
+        """Optional further body parts: an aggregate, a chosen literal."""
+        parts = []
+        if draw(st.booleans()):
+            parts.append(draw(guarded_aggregates()))
+        if draw(st.booleans()):
+            parts.append(_literal(draw, CHOSEN))
+        return parts
+
+    # the loop p <-> q runs through an aggregate body, and q has a
+    # support from outside it, so the program is never tight
+    lines.append("p :- %s." % ", ".join(["q", draw(guarded_aggregates())] + extra()))
+    lines.append("q :- %s." % ", ".join(["p"] + extra()))
+    lines.append("q :- %s." % ", ".join([_literal(draw, CHOSEN)] + extra()))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        first = draw(st.sampled_from(LOOPED + CHOSEN))
+        lines.append(
+            "%s :- %s."
+            % (draw(st.sampled_from(LOOPED)), ", ".join([first] + extra()))
+        )
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        body = [
+            _literal(draw, CHOSEN + LOOPED)
+            for _ in range(draw(st.integers(min_value=1, max_value=2)))
+        ]
+        lines.append(
+            ":~ %s. [%d@%d%s]"
+            % (
+                ", ".join(body),
+                draw(st.sampled_from([-2, -1, 1, 2])),
+                draw(st.sampled_from([1, 2])),
+                draw(st.sampled_from(["", ",t", ",u"])),
+            )
+        )
+    return "\n".join(lines)
+
+
+def _naive_cost(program, model):
+    """A model's cost from the ground weak constraints: per priority,
+    highest first, the sum over the ``(weight, terms)`` tuples with at
+    least one true instance (set semantics)."""
+    tuples = {}
+    for weak in program.weak_constraints:
+        holds = all(a in model for a in weak.pos) and not any(
+            a in model for a in weak.neg
+        )
+        if holds:
+            tuples.setdefault(weak.priority, set()).add((weak.weight, weak.terms))
+    priorities = sorted({weak.priority for weak in program.weak_constraints})
+    return tuple(
+        (priority, sum(weight for weight, _ in tuples.get(priority, ())))
+        for priority in reversed(priorities)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(aggregate_loop_programs())
+def test_aggregate_loops_one_stability_check(text):
+    """``models()``, the projected DFS over every atom and the reduct
+    oracle agree on loops through aggregate bodies, and ``optimize()``
+    finds the least cost over the oracle's models."""
+    program = ground_program(parse_program(text))
+    assert not StableModelSolver(program).statistics["tight"], text
+    brute = set(stable_models(program))
+    cdcl = {frozenset(model.atoms) for model in StableModelSolver(program).models()}
+    solver = StableModelSolver(program)
+    atoms = list(program.possible_atoms)
+    projected = []
+    solver.project_models(
+        atoms,
+        lambda assignment: projected.append(
+            frozenset(a for a in atoms if assignment[solver.atom_var(a)] > 0)
+        ),
+    )
+    assert cdcl == brute == set(projected), "program:\n%s" % text
+    assert len(projected) == len(brute)
+    optimum = StableModelSolver(program).optimize()
+    if not brute:
+        assert optimum == []
+        return
+    least = min(
+        (_naive_cost(program, model) for model in brute),
+        key=lambda cost: [value for _, value in cost],
+    )
+    assert optimum[0].cost == least, "program:\n%s" % text

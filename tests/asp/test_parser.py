@@ -1,5 +1,7 @@
 """Unit tests for the ASP parser."""
 
+import re
+
 import pytest
 
 from repro.asp import Control, GroundingError, parse_program, parse_term
@@ -286,6 +288,12 @@ class TestAggregateGuards:
         assert aggregate.lower == Number(2) and aggregate.upper == Number(2)
 
     @pytest.mark.parametrize(
+        "guarded", ["2 = #count { X : p(X) }", "#count { X : p(X) } = 2"]
+    )
+    def test_equality_guard_renders_as_written(self, guarded):
+        assert str(parse_program("q :- %s." % guarded).rules[0]) == "q :- %s." % guarded
+
+    @pytest.mark.parametrize(
         "guarded, message, column",
         [
             ("5 <= #count { X : p(X) } > 2", "two lower bounds", 40),
@@ -426,6 +434,64 @@ class TestUnsafeWeakConstraints:
         # TermError from evaluating the unbound term
         with pytest.raises(GroundingError, match=r"unsafe rule .*: unbound Y$"):
             Control(text).ground()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["p. #minimize { 1, Y : p }.", "p. #minimize { Y : p }.", "p. #minimize { Y@1 : p }."],
+    )
+    def test_minimize_unbound_variable_named(self, text):
+        with pytest.raises(GroundingError, match=r"unsafe #minimize .*: unbound Y$"):
+            Control(text).ground()
+
+
+class TestIntervalConstants:
+    """A ``#const`` interval stands only where a written interval
+    expands; elsewhere it is refused by name, not as a raw TermError
+    or, in a body literal, by silently matching nothing."""
+
+    @pytest.mark.parametrize(
+        "text, construct",
+        [
+            ("p. :~ p. [n@1]", "in a weak constraint"),
+            ("p(f(n)).", r"nested in f\(n\) in a rule head"),
+            ("x(1). q :- #count { X : x(X) } >= n.", "in an aggregate guard"),
+            ("p(1). q :- p(n).", r"nested in p\(n\) in a body literal"),
+        ],
+    )
+    def test_refused_by_name(self, text, construct):
+        with pytest.raises(GroundingError, match=r"#const n = 1\.\.2 %s" % construct):
+            Control("#const n = 1..2. " + text).ground()
+
+    def test_expanding_positions_still_expand(self):
+        assert _models("#const n = 1..2. p(n).") == [["p(1)", "p(2)"]]
+        assert _models("#const n = 1..2. p(X) :- X = n.") == [["p(1)", "p(2)"]]
+
+
+class TestAggregateAssignment:
+    """``N = #agg {...}`` with ``N`` bound nowhere else is clingo's
+    aggregate assignment, which the grounder does not support: it is
+    refused as such, with the aggregate as written, not as an unsafe
+    rule showing a guard nobody wrote."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "N = #count { X : p(X) }",
+            "N = #sum { X : p(X) }",
+            "N = #max { X : p(X) }",
+            "#count { X : p(X) } = N",
+        ],
+    )
+    def test_refused_by_name(self, body):
+        message = "aggregate assignment is unsupported: %s does not bind N" % re.escape(
+            body
+        )
+        with pytest.raises(GroundingError, match=message):
+            Control("p(1). q(N) :- %s." % body).ground()
+
+    def test_bound_guard_still_grounds(self):
+        text = "p(1). r(1). q(N) :- r(N), N = #count { X : p(X) }."
+        assert _models(text) == [["p(1)", "q(1)", "r(1)"]]
 
 
 class TestErrors:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.asp import Control, atom
 from repro.asp.ground import GroundChoice, GroundProgram, GroundRule
+from repro.asp.naive import stable_models
 from repro.asp.solver import SolverError, StableModelSolver
 
 
@@ -75,6 +76,33 @@ class TestFoundedness:
     def test_mutual_recursion_three_atoms(self):
         sets = answer_sets("a :- b. b :- c. c :- a.")
         assert sets == {frozenset()}
+
+    def test_projection_through_a_recursive_aggregate_body(self):
+        """The projected DFS reads the same support literals as the CDCL
+        search, so a loop whose rule carries an aggregate body is
+        checked on the DFS too instead of raising ProjectionIncomplete."""
+        program = Control(
+            "{ a; b; c }. x(1) :- b. x(2) :- c."
+            " p :- q, #count { X : x(X) } >= 1. q :- p. p :- a. q :- c, not b."
+        ).ground()
+        solver = StableModelSolver(program)
+        projected = []
+
+        def on_model(assignment):
+            projected.append(
+                frozenset(
+                    a
+                    for a in program.possible_atoms
+                    if assignment[solver.atom_var(a)] > 0
+                )
+            )
+
+        count = solver.project_models([atom("a"), atom("b"), atom("c")], on_model)
+        enumerated = {
+            frozenset(model.atoms) for model in StableModelSolver(program).models()
+        }
+        assert count == len(projected) == len(set(projected)) == 8
+        assert set(projected) == enumerated == set(stable_models(program))
 
 
 class TestChoice:

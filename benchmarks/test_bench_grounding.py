@@ -75,7 +75,7 @@ def test_bench_ground_assessment_templates(benchmark):
         # building the engines and their programs is not timed
         clear_intern_caches()
         controls = tuple(
-            assessment_engine(refined)._incremental_control()
+            assessment_engine(refined)._template_control()
             for refined in (False, True)
         )
         return controls, {}

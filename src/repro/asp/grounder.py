@@ -126,6 +126,37 @@ def _substitute_consts(
     return term
 
 
+def _resolve_consts(written: Dict[str, Term]) -> Dict[str, Term]:
+    """Every ``#const`` value with the constants it names substituted,
+    whatever the definition order: ``#const m = n+1. #const n = 2.``
+    gives ``m = 2+1``.  A cycle raises :class:`GroundingError` naming
+    its constants."""
+    resolved: Dict[str, Term] = {}
+    open_names: List[str] = []
+
+    class Values(dict):
+        # _substitute_consts reads a value through [], so each value is
+        # resolved the first time it is read, depth first
+        def __getitem__(self, name: str) -> Term:
+            if name in open_names:
+                cycle = open_names[open_names.index(name):] + [name]
+                raise GroundingError(
+                    "cyclic #const definitions: %s" % " -> ".join(cycle)
+                )
+            if name not in resolved:
+                open_names.append(name)
+                resolved[name] = _substitute_consts(
+                    written[name], self, "#const %s" % name, expands=True
+                )
+                open_names.pop()
+            return resolved[name]
+
+    values = Values(written)
+    for name in written:
+        values[name]
+    return resolved
+
+
 def _expand_ground_args(arguments: Sequence[Term]) -> Iterator[Tuple[Term, ...]]:
     """Evaluate argument terms, expanding intervals into alternatives."""
     choices: List[List[Term]] = []
@@ -199,7 +230,7 @@ class Grounder:
         #: None when provenance is off — the recording sites then cost
         #: one identity check per instance, mirroring the spans fast path
         self._origins: Optional[List[RuleOrigin]] = [] if provenance else None
-        self._consts = dict(program.consts)
+        self._consts = _resolve_consts(program.consts)
         self._extensions: Dict[Tuple[str, int], _PredicateExtension] = {}
         self._atom_set: Set[Atom] = set()
         self._certain: Set[Atom] = set()

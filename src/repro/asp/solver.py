@@ -139,7 +139,6 @@ class StableModelSolver:
         self._sat.add_clause([self._true])
         self._atom_var: Dict[Atom, int] = {}
         self._supports: Dict[Atom, List[_Support]] = {}
-        self._derivable: Set[Atom] = set()
         self._rule_records: List[Tuple[GroundRule, int]] = []  # (rule, body lit)
         self._tight = True
         self._optimize_levels: List[Tuple[int, "_CostLevel"]] = []
@@ -327,7 +326,6 @@ class StableModelSolver:
                 self._supports.setdefault(rule.head, []).append(
                     _Support(body, rule.pos)
                 )
-                self._derivable.add(rule.head)
                 self._rule_records.append((rule, body))
                 continue
             choice = rule.head
@@ -342,7 +340,6 @@ class StableModelSolver:
                 self._supports.setdefault(atom, []).append(
                     _Support(support, rule.pos + condition_pos)
                 )
-                self._derivable.add(atom)
                 if bounded:
                     # only the cardinality counter reads the indicators
                     chosen = self._conjunction([self._var(atom), condition])

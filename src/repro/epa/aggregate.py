@@ -291,14 +291,11 @@ class ScenarioAggregate:
         cls,
         report: EpaReport,
         magnitudes: Mapping[str, str] = (),
-        max_minimal_sets: int = DEFAULT_MAX_MINIMAL_SETS,
     ) -> "ScenarioAggregate":
         """The materialized-list reference path: fold a full report.
         Differential tests compare its bytes against the streamed
         sweep's."""
-        return cls.from_outcomes(
-            report.outcomes, report.requirements, magnitudes, max_minimal_sets
-        )
+        return cls.from_outcomes(report.outcomes, report.requirements, magnitudes)
 
     def copy(self) -> "ScenarioAggregate":
         return ScenarioAggregate.loads(self.dumps())

@@ -15,12 +15,12 @@ section).  Pass ``trace=`` a sink to stream grounder/solver events plus
 
 Enumeration: every full sweep — :meth:`EpaEngine.analyze` and
 :meth:`EpaEngine.aggregate`, serial or sharded — runs through one cube
-sweep.  The parent grounds once per engine: its first sweep builds a
-sweep template (:class:`_SweepTemplate` — the point control's ground
-program, with the deployment as externals and no fault bound, plus one
-solver and its probe tables) that every later sweep reuses, so the
-what-if loop of Fig. 1 re-analyzes deployment after deployment without
-grounding or encoding anything.  A sweep turns what varies into
+sweep.  The parent grounds once per engine: its first sweep or point
+query builds a sweep template (:class:`_SweepTemplate` — the joint
+scenario program, with the deployment as externals and no fault bound,
+plus one solver and its probe tables) that every later call reuses, so
+the what-if loop of Fig. 1 re-analyzes deployment after deployment
+without grounding or encoding anything.  A sweep turns what varies into
 assumptions on the template (the deployment's external truth values, a
 restriction's disallowed faults, each cube's pins) and the fault bound
 into the DFS's ``max_true``; splits the fault-choice space into
@@ -48,13 +48,14 @@ worker count (see ``docs/parallelism.md``).
 the CDCL enumerator alone — the independent reference the differential
 tests compare the sweep against.
 
-Point queries: by default :meth:`EpaEngine.analyze_scenario` keeps one
-persistent multi-shot :class:`~repro.asp.Control` that declares the
-mitigation deployments (``active_mitigation``) as external atoms, so
-what-if queries flip assumptions instead of regrounding program text
-(``incremental=False`` builds a fresh control per query).  Its ground
-program is the sweep template's, so sweeps and point queries share one
-grounding.
+Point queries: by default :meth:`EpaEngine.analyze_scenario` is a
+one-cube sweep on the same template.  It pins the deployment's
+externals and every potential fault (requested ones true, the rest
+false) and runs the sweep worker in-process, so a what-if query takes
+the projected-DFS leaf, probe extraction and CDCL fallback of every
+sweep cube, and grounds and encodes nothing.  ``incremental=False``
+grounds a fresh control per query instead: the independent reference
+the point-query tests compare against.
 """
 
 from __future__ import annotations
@@ -101,6 +102,9 @@ from .rules import epa_rule_base, scenario_choice
 #: even out its lanes, few enough that per-cube setup stays negligible
 CUBE_FACTOR = 4
 
+#: scenarios an ``aggregate`` worker folds into each chunk it ships
+CHUNK_SIZE = 512
+
 
 class EpaError(Exception):
     """Raised for malformed requirements or mitigation declarations."""
@@ -145,11 +149,11 @@ class EpaEngine:
         maps (component, fault) -> mitigation ids; ``trace`` is an
         optional :class:`~repro.observability.TraceSink` threaded into
         every solve the engine issues.  ``incremental`` governs point
-        queries only: by default :meth:`analyze_scenario` reuses one
-        persistent multi-shot control, ``incremental=False`` builds a
-        fresh control per query.  Full sweeps always take the cube
-        sweep on the engine's one template, ground once per engine
-        whatever ``incremental`` says.  ``workers`` sets the default
+        queries only: by default :meth:`analyze_scenario` answers as a
+        one-cube sweep on the engine's template, ``incremental=False``
+        grounds a fresh control per query.  Full sweeps always take the
+        cube sweep on that one template, ground once per engine
+        whatever ``incremental`` says.  ``workers`` sets the
         process-pool width of the sweeps (``None``/``1`` =
         in-process); point queries always run in-process.  The engine
         serves only the thread that built it.  A sweep cuts at least
@@ -177,20 +181,19 @@ class EpaEngine:
         self._tracer = Tracer(self._trace)
         self._stats = SolveStats()
         self._incremental = incremental
-        self._workers = workers
+        self._workers = workers or 1
         self._progress = progress
         #: ASP requirement symbol -> declared requirement name
         self._requirement_names = {
             _requirement_symbol(r.name): r.name for r in self.requirements
         }
         self._base_program: Optional[Program] = None
-        self._point_control: Optional[Control] = None
         self._template: Optional[_SweepTemplate] = None
         # every sweep pushes and pops on the template's one solver
         # trail, so the engine answers only the thread that built it
         self._thread = threading.get_ident()
-        # separate multi-shot controls for unsat-core queries: they
-        # carry extra blocking machinery point queries must not see
+        # multi-shot controls for unsat-core queries, one per bound:
+        # their cores need the bounded program with its blocking rules
         self._core_controls: Dict[int, Control] = {}
 
     @property
@@ -198,12 +201,10 @@ class EpaEngine:
         """Aggregated solver statistics across every solve this engine
         issued (``grounding``/``solving``/``summary`` sections merged
         per call; scenario counts under ``epa``).  Returns a merged
-        snapshot: persistent multi-shot controls contribute their
+        snapshot: the blocking-core controls contribute their
         cumulative trees alongside the per-call aggregate."""
         merged = SolveStats()
         merged.merge(self._stats)
-        if self._point_control is not None:
-            merged.merge(self._point_control.statistics)
         for control in self._core_controls.values():
             merged.merge(control.statistics)
         return merged
@@ -266,24 +267,6 @@ class EpaEngine:
             provenance=provenance,
         )
 
-    def _incremental_control(self) -> Control:
-        """The persistent multi-shot control for point queries.
-
-        Mitigation deployments are declared as externals, so later
-        queries only flip assumptions: one grounding, one SAT encoding,
-        learnt clauses shared across the session.  Its ground program
-        is also the sweep template's (:meth:`_sweep_template`), so
-        point queries and sweeps share one grounding.
-        """
-        if self._point_control is None:
-            control = Control(trace=self._trace, multishot=True)
-            control._program.extend(self._assemble_base_program())
-            control.add(scenario_choice(0))
-            for component, mitigation in self._relevant_mitigation_pairs():
-                control.add_external("active_mitigation", component, mitigation)
-            self._point_control = control
-        return self._point_control
-
     def _fault_pairs(self) -> List[FaultRef]:
         """Every declared (component, fault-mode) pair, model order."""
         pairs: List[FaultRef] = []
@@ -301,27 +284,25 @@ class EpaEngine:
                 pairs.append(ref)
         return pairs
 
-    def _relevant_mitigation_pairs(self) -> List[Tuple[str, str]]:
-        """(component, mitigation-symbol) pairs that can suppress a
+    def _relevant_mitigations(self) -> Dict[Tuple[str, str], str]:
+        """(component, mitigation-symbol) -> declared mitigation id, in
+        declaration order, for every mitigation that can suppress a
         fault — the external universe; deployments outside it have no
         semantic effect (``covers`` requires a declaration)."""
-        pairs: List[Tuple[str, str]] = []
-        seen: Set[Tuple[str, str]] = set()
+        names: Dict[Tuple[str, str], str] = {}
         for ref in self._fault_pairs():
             for mitigation in self.fault_mitigations.get(ref.fault, ()):
-                pair = (ref.component, _mitigation_symbol(mitigation))
-                if pair not in seen:
-                    seen.add(pair)
-                    pairs.append(pair)
+                names.setdefault(
+                    (ref.component, _mitigation_symbol(mitigation)), mitigation
+                )
         for (component, _fault), mitigations in sorted(
             self.component_mitigations.items()
         ):
             for mitigation in mitigations:
-                pair = (component, _mitigation_symbol(mitigation))
-                if pair not in seen:
-                    seen.add(pair)
-                    pairs.append(pair)
-        return pairs
+                names.setdefault(
+                    (component, _mitigation_symbol(mitigation)), mitigation
+                )
+        return names
 
     def _potential_faults(
         self, active_mitigations: Mapping[str, Sequence[str]]
@@ -358,7 +339,7 @@ class EpaEngine:
                 atom("active_mitigation", component, mitigation),
                 (component, mitigation) in chosen,
             )
-            for component, mitigation in self._relevant_mitigation_pairs()
+            for component, mitigation in self._relevant_mitigations()
         ]
 
     def _assign_mitigations(
@@ -370,6 +351,33 @@ class EpaEngine:
         for external, value in self._mitigation_assumptions(pairs):
             control.assign_external(external, value=value)
 
+    def _choice_space(
+        self,
+        deployment: Mapping[str, Sequence[str]],
+        restrict: Optional[Sequence[FaultRef]],
+    ) -> Tuple[List[Atom], List[Tuple[Atom, bool]], List[Atom]]:
+        """What a deployment and a restriction leave of the template's
+        fault choice: the ``active_fault`` atoms of the potential faults
+        (the projection), the assumptions that pin the deployment's
+        externals and the faults outside ``restrict`` false, and the
+        fault atoms left free (all of them when ``restrict`` is
+        ``None``)."""
+        choices = self._potential_faults(deployment)
+        project = [
+            atom("active_fault", ref.component, ref.fault) for ref in choices
+        ]
+        assumptions = self._mitigation_assumptions(_active_pairs(deployment))
+        if restrict is None:
+            return project, assumptions, project
+        allowed = {(f.component, f.fault) for f in restrict}
+        free = []
+        for ref, choice_atom in zip(choices, project):
+            if (ref.component, ref.fault) in allowed:
+                free.append(choice_atom)
+            else:
+                assumptions.append((choice_atom, False))
+        return project, assumptions, free
+
     # ------------------------------------------------------------------
     # analysis
     # ------------------------------------------------------------------
@@ -379,16 +387,15 @@ class EpaEngine:
         max_faults: int = 0,
         restrict_faults: Optional[Iterable[FaultRef]] = None,
         with_paths: bool = False,
-        workers: Optional[int] = None,
     ) -> EpaReport:
         """Enumerate and evaluate the scenario space.
 
         ``active_mitigations`` maps component -> deployed mitigation ids.
         ``max_faults`` bounds simultaneous fault activations (0 =
         unbounded); ``restrict_faults`` limits the scenario space to a
-        subset of fault refs (used for targeted what-if queries).
-        ``workers`` (default: the engine's) shards the sweep over a
-        process pool.  With a trace sink attached, worker events are
+        subset of fault refs (used for targeted what-if queries).  The
+        engine's ``workers`` shard the sweep over a process pool.  With
+        a trace sink attached, worker events are
         shipped back in the result envelopes and re-emitted on the
         parent's sink tagged ``worker=<i>``, so ``--trace`` composes
         with ``--workers N``.
@@ -396,9 +403,7 @@ class EpaEngine:
         self._check_thread()
         deployment = _deployment(active_mitigations)
         with self._tracer.span("epa.analyze", max_faults=max_faults) as span:
-            outcomes = self._sweep(
-                deployment, max_faults, restrict_faults, self._sweep_width(workers)
-            )
+            outcomes = self._sweep(deployment, max_faults, restrict_faults)
             if with_paths:
                 # paths need the topology graph, not the solver: the
                 # parent attaches them after the fold
@@ -466,20 +471,20 @@ class EpaEngine:
         active_mitigations: Mapping[str, Sequence[str]] = (),
         max_faults: int = 0,
         restrict_faults: Optional[Iterable[FaultRef]] = None,
-        workers: Optional[int] = None,
         checkpoint: Optional[str] = None,
         checkpoint_every: int = 8,
-        chunk_size: int = 512,
-        max_minimal_sets: int = DEFAULT_MAX_MINIMAL_SETS,
     ) -> ScenarioAggregate:
         """Sweep the scenario space into a bounded-memory aggregate.
 
         The full-sweep engine for fleet-scale workloads: the same cube
         sweep as :meth:`analyze`, but workers fold their models into
         :class:`~repro.epa.aggregate.ScenarioAggregate` chunks of
-        ``chunk_size`` scenarios and ship those (RAG1 blobs), so the
-        model list never exists.  The parent merges them cube-ordered,
-        byte-identically to folding the materialized report.
+        :data:`CHUNK_SIZE` scenarios and ship those (RAG1 blobs), so
+        the model list never exists.  The parent merges them
+        cube-ordered, byte-identically to folding the materialized
+        report.  The fold keeps at most
+        :data:`~repro.epa.aggregate.DEFAULT_MAX_MINIMAL_SETS` minimal
+        violating sets.
 
         ``checkpoint`` names a file that periodically (every
         ``checkpoint_every`` completed cubes) receives a compact resume
@@ -490,23 +495,20 @@ class EpaEngine:
         """
         self._check_thread()
         deployment = _deployment(active_mitigations)
-        workers = self._sweep_width(workers)
         with self._tracer.span(
-            "epa.aggregate", max_faults=max_faults, workers=workers
+            "epa.aggregate", max_faults=max_faults, workers=self._workers
         ) as span:
             result = self._sweep(
                 deployment,
                 max_faults,
                 restrict_faults,
-                workers,
                 into=ScenarioAggregate(
                     [r.name for r in self.requirements],
                     {r.name: r.magnitude for r in self.requirements},
-                    max_minimal_sets,
+                    DEFAULT_MAX_MINIMAL_SETS,
                 ),
                 checkpoint=checkpoint,
                 checkpoint_every=checkpoint_every,
-                chunk_size=chunk_size,
             )
             span.update(
                 scenarios=result.scenarios, violating=result.violating
@@ -515,23 +517,14 @@ class EpaEngine:
         self._progress_finish()
         return result
 
-    def _sweep_width(self, workers: Optional[int]) -> int:
-        """The pool width of a sweep: the call's ``workers``, else the
-        engine's; 1 (in-process) when neither is set."""
-        if workers is None:
-            workers = self._workers
-        return workers or 1
-
     def _sweep(
         self,
         deployment: Mapping[str, Sequence[str]],
         max_faults: int,
         restrict_faults: Optional[Iterable[FaultRef]],
-        workers: int,
         into: Optional[ScenarioAggregate] = None,
         checkpoint: Optional[str] = None,
         checkpoint_every: int = 8,
-        chunk_size: int = 512,
     ) -> Union[List[ScenarioOutcome], ScenarioAggregate]:
         """The one enumeration path: a cube sweep on a work-stealing pool.
 
@@ -564,21 +557,9 @@ class EpaEngine:
         buffered partials, so nothing is ever double counted.
         """
         template = self._sweep_template()
+        workers = self._workers
         restrict = list(restrict_faults) if restrict_faults is not None else None
-        choices = self._potential_faults(deployment)
-        project = [
-            atom("active_fault", ref.component, ref.fault) for ref in choices
-        ]
-        assumptions = self._mitigation_assumptions(_active_pairs(deployment))
-        cube_atoms = project
-        if restrict is not None:
-            allowed = {(f.component, f.fault) for f in restrict}
-            cube_atoms = []
-            for ref, choice_atom in zip(choices, project):
-                if (ref.component, ref.fault) in allowed:
-                    cube_atoms.append(choice_atom)
-                else:
-                    assumptions.append((choice_atom, False))
+        project, assumptions, cube_atoms = self._choice_space(deployment, restrict)
         max_true = max_faults if max_faults > 0 else None
         cubes, scenario_total = balanced_cubes(
             order_by_occurrence(template.program, cube_atoms),
@@ -601,7 +582,7 @@ class EpaEngine:
                 if into is None
                 else (into.requirements, into.magnitudes, into.max_minimal_sets)
             ),
-            chunk=max(1, chunk_size),
+            chunk=CHUNK_SIZE,
             traced=self._trace is not NULL_SINK,
         )
         completed: Set[int] = set()
@@ -718,31 +699,39 @@ class EpaEngine:
         scenarios = len(result) if into is None else result.scenarios - resumed
         self._stats.incr("epa.parallel.shards", len(pending))
         self._stats.set("epa.parallel.workers", workers)
-        self._stats.incr("summary.models.enumerated", scenarios)
-        self._stats.add_time("summary.times.solve", searched_s)
-        self._stats.add_time("summary.times.total", searched_s)
-        self._note_analysis(scenarios)
+        self._note_analysis(scenarios, searched_s)
         return result
 
+    def _template_control(self) -> Control:
+        """A fresh control over the template's program: unbounded fault
+        choice, deployments as ``active_mitigation`` externals."""
+        control = Control(trace=self._trace)
+        control._program.extend(self._assemble_base_program())
+        control.add(scenario_choice(0))
+        for component, mitigation in self._relevant_mitigations():
+            control.add_external("active_mitigation", component, mitigation)
+        return control
+
     def _sweep_template(self) -> _SweepTemplate:
-        """The engine's :class:`_SweepTemplate`, built on its first
-        sweep from the point control's ground program, so sweeps and
-        point queries share one grounding (its statistics merge into
-        :attr:`statistics` once, through the point control).  Every
-        later sweep reuses it and counts one
+        """The engine's :class:`_SweepTemplate`, ground and encoded on
+        its first sweep or point query (:meth:`_template_control`).  Its
+        grounding statistics merge into :attr:`statistics` once; every
+        later call reuses the template and counts one
         ``solving.multishot.reground_avoided``."""
         if self._template is None:
+            control = self._template_control()
             self._template = _SweepTemplate(
-                self._incremental_control().ground(), self._requirement_names
+                control.ground(), self._requirement_names
             )
+            self._stats.merge(control.statistics)
         else:
             self._stats.incr("solving.multishot.reground_avoided")
         return self._template
 
     def _check_thread(self) -> None:
         """Refuse calls from any thread but the one that built the
-        engine: sweeps share the template's solver trail, point queries
-        the persistent controls."""
+        engine: sweeps and point queries share the template's solver
+        trail, blocking cores the persistent controls."""
         if threading.get_ident() != self._thread:
             raise EpaError(
                 "an EpaEngine serves only the thread that built it; "
@@ -778,35 +767,55 @@ class EpaEngine:
         Faults suppressed by an active mitigation simply stay inactive,
         mirroring the paper's workflow where activating a mitigation
         "allows excluding this specific scenario from the evaluation".
+        By default the query is a one-cube sweep on the engine's
+        template: the requested faults are the restriction and its one
+        cube pins them true, so :func:`_sweep_worker` visits a single
+        leaf (or redoes it on the CDCL fallback).  ``incremental=False``
+        grounds a fresh control instead.
         """
         self._check_thread()
         deployment = _deployment(active_mitigations)
-        if self._incremental:
-            control = self._incremental_control()
-            self._assign_mitigations(control, _active_pairs(deployment))
-            requested = {(f.component, f.fault) for f in faults}
-            assumptions = [
-                (
-                    atom("active_fault", ref.component, ref.fault),
-                    (ref.component, ref.fault) in requested,
+        faults = list(faults)
+        with self._tracer.span("epa.analyze_scenario", faults=len(faults)) as span:
+            if self._incremental:
+                project, assumptions, requested = self._choice_space(
+                    deployment, faults
                 )
-                for ref in self._potential_faults(deployment)
-            ]
-            models = control.solve(limit=1, assumptions=assumptions)
-            self._note_analysis(scenarios=len(models))
-        else:
-            control = self._base_control(deployment)
-            for fault in faults:
-                control.add(
-                    "active_fault(%s, %s) :- potential_fault(%s, %s)."
-                    % (fault.component, fault.fault, fault.component, fault.fault)
+                context = _SweepContext(
+                    self._sweep_template(),
+                    project,
+                    assumptions,
+                    None,
+                    fallback=(self._assemble_base_program(), deployment, 0, faults),
+                    fold=None,
+                    chunk=1,
+                    traced=False,
                 )
-            first = control.first_model()
-            models = [first] if first is not None else []
-            self._fold_statistics(control, scenarios=len(models))
-        if not models:
-            raise EpaError("scenario program unexpectedly unsatisfiable")
-        return self._outcome(models[0], with_paths)
+                shipped: List[tuple] = []
+                started = time.perf_counter()
+                stats, _events = _sweep_worker(
+                    context, (0, [(a, True) for a in requested]), shipped.append
+                )
+                self._stats.merge(stats)
+                models = stats["solving"]["models"]
+                self._note_analysis(models, time.perf_counter() - started)
+                # the last chunk shipped holds the one outcome (a
+                # fallback ships ("reset",) before it)
+                outcome = shipped[-1][1][0] if models else None
+            else:
+                control = self._base_control(deployment)
+                for fault in faults:
+                    control.add(
+                        "active_fault(%s, %s) :- potential_fault(%s, %s)."
+                        % (fault.component, fault.fault, fault.component, fault.fault)
+                    )
+                model = control.first_model()
+                self._fold_statistics(control, scenarios=int(model is not None))
+                outcome = None if model is None else self._outcome(model, False)
+            if outcome is None:
+                raise EpaError("scenario program unexpectedly unsatisfiable")
+            span.update(violated=sorted(outcome.violated))
+        return self._with_paths(outcome) if with_paths else outcome
 
     # ------------------------------------------------------------------
     # provenance / explanation
@@ -814,8 +823,7 @@ class EpaEngine:
     def _core_control(self, max_faults: int) -> Control:
         """The persistent control for blocking-core queries.
 
-        Same shape as :meth:`_incremental_control` for the given fault
-        bound, plus an ``epa_require_violation`` external that, when
+        The sweep template's program with the given fault bound, plus an ``epa_require_violation`` external that, when
         assumed true, makes the program unsatisfiable exactly when the
         active deployment blocks every violating scenario — the
         resulting unsat core names the mitigations that did the
@@ -829,7 +837,7 @@ class EpaEngine:
             control.add("epa_some_violation :- violated(R), requirement(R).")
             control.add(":- epa_require_violation, not epa_some_violation.")
             control.add_external("epa_require_violation")
-            for component, mitigation in self._relevant_mitigation_pairs():
+            for component, mitigation in self._relevant_mitigations():
                 control.add_external("active_mitigation", component, mitigation)
             self._core_controls[max_faults] = control
         return control
@@ -838,7 +846,6 @@ class EpaEngine:
         self,
         active_mitigations: Mapping[str, Sequence[str]],
         max_faults: int = 0,
-        minimize: bool = True,
     ) -> Optional[List[Tuple[str, str]]]:
         """Which deployed mitigations a violation-free result rests on.
 
@@ -847,9 +854,8 @@ class EpaEngine:
         explain), and otherwise the ``(component, mitigation)`` subset
         of the deployment whose presence makes every violating
         scenario impossible — an unsat core of the query "find a
-        violation", minimized to a MUS when ``minimize`` is true
-        (dropping any returned mitigation re-admits a violating
-        scenario).
+        violation", minimized to a MUS (dropping any returned mitigation
+        re-admits a violating scenario).
         """
         self._check_thread()
         control = self._core_control(max_faults)
@@ -861,19 +867,17 @@ class EpaEngine:
             return not control.is_satisfiable()
 
         self._stats.incr("epa.blocking_core_calls")
-        deployed = [
-            pair for pair in self._relevant_mitigation_pairs() if pair in active
-        ]
-        if not is_blocking(deployed):
+        names = self._relevant_mitigations()
+        if not is_blocking([pair for pair in names if pair in active]):
             return None
-        core = [
-            (str(head.arguments[0]), str(head.arguments[1]))
-            for head, value in control.unsat_core or []
-            if value and head.predicate == "active_mitigation"
-        ]
-        if minimize:
-            core = minimize_core(is_blocking, core)
-        names = self._mitigation_names()
+        core = minimize_core(
+            is_blocking,
+            [
+                (str(head.arguments[0]), str(head.arguments[1]))
+                for head, value in control.unsat_core or []
+                if value and head.predicate == "active_mitigation"
+            ],
+        )
         return sorted(
             (component, names.get((component, symbol), symbol))
             for component, symbol in core
@@ -890,23 +894,6 @@ class EpaEngine:
 
         return scenario_proof(self, faults, active_mitigations)
 
-    def _mitigation_names(self) -> Dict[Tuple[str, str], str]:
-        """(component, mitigation-symbol) back to the declared id."""
-        names: Dict[Tuple[str, str], str] = {}
-        for ref in self._fault_pairs():
-            for mitigation in self.fault_mitigations.get(ref.fault, ()):
-                names.setdefault(
-                    (ref.component, _mitigation_symbol(mitigation)), mitigation
-                )
-        for (component, _fault), mitigations in sorted(
-            self.component_mitigations.items()
-        ):
-            for mitigation in mitigations:
-                names.setdefault(
-                    (component, _mitigation_symbol(mitigation)), mitigation
-                )
-        return names
-
     def _report(
         self,
         outcomes: Sequence[ScenarioOutcome],
@@ -918,11 +905,18 @@ class EpaEngine:
             {component: tuple(ms) for component, ms in deployment.items()},
         )
 
-    def _note_analysis(self, scenarios: int) -> None:
-        """Count one sweep or point query (solver statistics live on
-        the persistent controls / worker envelopes)."""
+    def _note_analysis(
+        self, scenarios: int, searched_s: Optional[float] = None
+    ) -> None:
+        """Count one sweep or point query.  A search on the template
+        (``searched_s`` given) also counts its models and time under
+        ``summary``; a control's statistics carry its own."""
         self._stats.incr("epa.analyze_calls")
         self._stats.incr("epa.scenarios", scenarios)
+        if searched_s is not None:
+            self._stats.incr("summary.models.enumerated", scenarios)
+            self._stats.add_time("summary.times.solve", searched_s)
+            self._stats.add_time("summary.times.total", searched_s)
 
     # ------------------------------------------------------------------
     # progress / health hooks
@@ -1052,12 +1046,12 @@ def _build_probes(
 class _SweepTemplate:
     """The sweep state an engine builds once and keeps for its life.
 
-    The ground program every sweep enumerates (the point control's:
-    unbounded scenario choice, deployment as externals), one solver
-    template and the probe tables built from it.  Sweeps only pass it
-    assumptions, and the projected DFS leaves the solver's formula as
-    it found it, so one template serves every deployment, restriction
-    and bound.  Pickles as its ground program
+    The ground program every sweep and point query enumerates
+    (unbounded scenario choice, deployment as externals), one solver
+    template and the probe tables built from it.  Sweeps and point
+    queries only pass it assumptions, and the projected DFS leaves the
+    solver's formula as it found it, so one template serves every
+    deployment, restriction, bound and pinned scenario.  Pickles as its ground program
     (:func:`repro.asp.serialize.dumps_ground`); the solver and probe
     tables are rebuilt on arrival.
     """

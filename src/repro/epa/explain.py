@@ -239,7 +239,7 @@ def scenario_proof(
     faults that survive the deployment are pinned active, every other
     potential fault is pinned inactive, and the (unique) stable model
     is justified.  Uses a fresh provenance-tracking control — the
-    engine's incremental controls are untouched.
+    engine's sweep template and blocking-core controls are untouched.
     """
     deployment = {
         component: tuple(ms)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence
 
 from ..asp import Control
-from .engine import EpaEngine, _mitigation_symbol
+from .engine import EpaEngine, _active_pairs, _requirement_symbol
 from .faults import FaultRef
 from .results import ScenarioOutcome
 from .rules import scenario_choice
@@ -54,6 +54,28 @@ def _default_costs(engine: EpaEngine) -> Dict[FaultRef, int]:
     return costs
 
 
+def _add_attack_program(
+    engine: EpaEngine,
+    control: Control,
+    requirement: str,
+    costs: Optional[Mapping[FaultRef, int]],
+) -> None:
+    """Add the attack program to ``control``: an unbounded fault choice
+    whose scenarios violate ``requirement``, each active fault priced by
+    ``costs`` (default :func:`_default_costs`) or at 1 without one."""
+    if requirement not in {r.name for r in engine.requirements}:
+        raise OptimalQueryError("unknown requirement %r" % requirement)
+    cost_map = dict(costs) if costs is not None else _default_costs(engine)
+    control.add(scenario_choice(0))
+    control.add(":- not violated(%s)." % _requirement_symbol(requirement))
+    for fault, cost in sorted(cost_map.items(), key=lambda kv: str(kv[0])):
+        control.add_fact("attack_cost", fault.component, fault.fault, cost)
+    control.add(":~ active_fault(C, F), attack_cost(C, F, W). [W@1, C, F]")
+    # faults without a declared cost default to cost 1
+    control.add("priced(C, F) :- attack_cost(C, F, _).")
+    control.add(":~ active_fault(C, F), not priced(C, F). [1@1, C, F]")
+
+
 def cheapest_attack(
     engine: EpaEngine,
     requirement: str,
@@ -67,25 +89,8 @@ def cheapest_attack(
     mitigation raises (or infinitizes) the real attack cost — exactly
     the trade-off the cost-benefit step balances.
     """
-    if requirement not in {r.name for r in engine.requirements}:
-        raise OptimalQueryError("unknown requirement %r" % requirement)
-    cost_map = dict(costs) if costs is not None else _default_costs(engine)
     control = engine._base_control(dict(active_mitigations or {}))
-    control.add(scenario_choice(0))
-    requirement_symbol = _requirement_symbol(requirement)
-    control.add(":- not violated(%s)." % requirement_symbol)
-    for fault, cost in sorted(cost_map.items(), key=lambda kv: str(kv[0])):
-        control.add_fact("attack_cost", fault.component, fault.fault, cost)
-    control.add(
-        ":~ active_fault(C, F), attack_cost(C, F, W). [W@1, C, F]"
-    )
-    # faults without a declared cost default to cost 1
-    control.add(
-        "priced(C, F) :- attack_cost(C, F, _)."
-    )
-    control.add(
-        ":~ active_fault(C, F), not priced(C, F). [1@1, C, F]"
-    )
+    _add_attack_program(engine, control, requirement, costs)
     models = control.optimize()
     if not models:
         raise OptimalQueryError(
@@ -151,37 +156,14 @@ def attack_cost_of_mitigation(
     Each cost equals the objective of :func:`cheapest_attack` under
     that deployment.
     """
-    if requirement not in {r.name for r in engine.requirements}:
-        raise OptimalQueryError("unknown requirement %r" % requirement)
-    cost_map = dict(costs) if costs is not None else _default_costs(engine)
     control = Control(trace=engine._trace, multishot=True)
     control._program.extend(engine._assemble_base_program())
-    control.add(scenario_choice(0))
-    control.add(":- not violated(%s)." % _requirement_symbol(requirement))
-    for fault, cost in sorted(cost_map.items(), key=lambda kv: str(kv[0])):
-        control.add_fact("attack_cost", fault.component, fault.fault, cost)
-    control.add(
-        ":~ active_fault(C, F), attack_cost(C, F, W). [W@1, C, F]"
-    )
-    control.add("priced(C, F) :- attack_cost(C, F, _).")
-    control.add(":~ active_fault(C, F), not priced(C, F). [1@1, C, F]")
-    pairs = engine._relevant_mitigation_pairs()
-    for component, mitigation in pairs:
+    _add_attack_program(engine, control, requirement, costs)
+    for component, mitigation in engine._relevant_mitigations():
         control.add_external("active_mitigation", component, mitigation)
     results: Dict[int, Optional[int]] = {}
     for index, deployment in enumerate(mitigation_deployments):
-        active = {
-            (component, _mitigation_symbol(mitigation))
-            for component, mitigations in dict(deployment or {}).items()
-            for mitigation in mitigations
-        }
-        for component, mitigation in pairs:
-            control.assign_external(
-                "active_mitigation",
-                component,
-                mitigation,
-                value=(component, mitigation) in active,
-            )
+        engine._assign_mitigations(control, _active_pairs(deployment))
         models = control.optimize()
         if not models:
             results[index] = None
@@ -190,10 +172,3 @@ def attack_cost_of_mitigation(
     engine._stats.merge(control.statistics)
     engine._stats.incr("epa.deployment_sweeps")
     return results
-
-
-def _requirement_symbol(name: str) -> str:
-    lowered = name.lower().replace("-", "_").replace(" ", "_")
-    if not lowered[0].isalpha():
-        lowered = "r_" + lowered
-    return lowered

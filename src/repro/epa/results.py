@@ -123,11 +123,7 @@ class EpaReport:
                 minimal.append(candidate)
         return minimal
 
-    def to_aggregate(
-        self,
-        magnitudes: Mapping[str, str] = (),
-        max_minimal_sets: Optional[int] = None,
-    ):
+    def to_aggregate(self, magnitudes: Mapping[str, str] = ()):
         """Fold this report into a streaming
         :class:`~repro.epa.aggregate.ScenarioAggregate`.
 
@@ -138,13 +134,9 @@ class EpaReport:
         magnitude maps.  Imported lazily — :mod:`repro.epa.aggregate`
         itself imports this module.
         """
-        from .aggregate import DEFAULT_MAX_MINIMAL_SETS, ScenarioAggregate
+        from .aggregate import ScenarioAggregate
 
-        if max_minimal_sets is None:
-            max_minimal_sets = DEFAULT_MAX_MINIMAL_SETS
-        return ScenarioAggregate.from_report(
-            self, magnitudes, max_minimal_sets
-        )
+        return ScenarioAggregate.from_report(self, magnitudes)
 
     def single_points_of_failure(self) -> List[FaultRef]:
         """Single faults that alone violate some requirement."""

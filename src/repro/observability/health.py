@@ -40,7 +40,7 @@ from .metrics import MetricsRegistry, get_registry
 
 #: default seconds of silence (while holding a task) before a stall
 #: warning; override with ``REPRO_STALL_TIMEOUT_S`` or the explicit
-#: ``stall_timeout`` pool argument
+#: ``stall_timeout`` argument of :class:`WorkerHealth`
 DEFAULT_STALL_TIMEOUT_S = 30.0
 
 STALL_TIMEOUT_ENV = "REPRO_STALL_TIMEOUT_S"

@@ -197,19 +197,18 @@ class WorkStealingPool:
         self,
         workers: int,
         context: Optional[str] = None,
-        stall_timeout: Optional[float] = None,
         on_stall: Optional[Callable[[int, int, float, str], None]] = None,
     ):
-        """``stall_timeout`` (seconds; default ``REPRO_STALL_TIMEOUT_S``
-        or 30) bounds how long a worker may hold a task silently before
-        a stall warning fires — ``on_stall(worker, task, silent_s,
-        reason)`` overrides the default stderr warning (see
-        :mod:`repro.observability.health`).  Stall telemetry always
-        precedes the retry/respawn it explains."""
+        """``context`` names the multiprocessing start method (default:
+        ``fork`` where available, else ``spawn``).  A worker may hold a
+        task silently for the stall timeout (``REPRO_STALL_TIMEOUT_S``
+        seconds, default 30) before a stall warning fires —
+        ``on_stall(worker, task, silent_s, reason)`` overrides the
+        default stderr warning (see :mod:`repro.observability.health`).
+        Stall telemetry always precedes the retry/respawn it explains."""
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
-        self.stall_timeout = stall_timeout
         self.on_stall = on_stall
         method = context or (
             "fork"
@@ -266,7 +265,6 @@ class WorkStealingPool:
             on_partial=on_partial,
             on_retry=on_retry,
             on_result=on_result,
-            stall_timeout=self.stall_timeout,
             on_stall=self.on_stall,
         )
         self.last_assignments = assignments
@@ -281,11 +279,10 @@ def _run_pool(
     on_partial=None,
     on_retry=None,
     on_result=None,
-    stall_timeout=None,
     on_stall=None,
 ):
     registry = get_registry()
-    health = WorkerHealth(stall_timeout=stall_timeout, on_stall=on_stall)
+    health = WorkerHealth(on_stall=on_stall)
     cubes_total = registry.counter(
         "repro_parallel_cubes_total",
         "tasks (cubes) completed by the work-stealing pool",

@@ -146,7 +146,7 @@ def assessment_engine(refined):
 def test_refined_assessment_template_matches_naive():
     """The sweep template of the refinement engine: deployment
     externals, security-born faults and the refined model's facts."""
-    program = assessment_engine(refined=True)._incremental_control()._program
+    program = assessment_engine(refined=True)._template_control()._program
     indexed = Grounder(program, indexing=True).ground()
     naive = Grounder(program, indexing=False).ground()
     assert len(indexed.rules) == 882

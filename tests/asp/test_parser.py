@@ -467,6 +467,37 @@ class TestIntervalConstants:
         assert _models("#const n = 1..2. p(X) :- X = n.") == [["p(1)", "p(2)"]]
 
 
+class TestChainedConstants:
+    """A ``#const`` value may name other constants, defined before or
+    after it; their values are substituted into it, and a cycle is
+    refused by name."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "#const n = 3. #const m = n. p(m).",
+            "#const m = n. #const n = 3. p(m).",
+            "#const n = 2. #const m = n+1. p(m).",
+        ],
+    )
+    def test_values_substituted(self, text):
+        assert _models(text) == [["p(3)"]]
+
+    def test_interval_through_a_constant_expands(self):
+        assert _models("#const n = 1..2. #const m = n. p(m).") == [["p(1)", "p(2)"]]
+
+    @pytest.mark.parametrize(
+        "text, cycle",
+        [
+            ("#const n = m. #const m = n. p(n).", "n -> m -> n"),
+            ("#const n = n+1. p(n).", "n -> n"),
+        ],
+    )
+    def test_cycle_refused(self, text, cycle):
+        with pytest.raises(GroundingError, match="cyclic #const definitions: %s$" % cycle):
+            Control(text).ground()
+
+
 class TestAggregateAssignment:
     """``N = #agg {...}`` with ``N`` bound nowhere else is clingo's
     aggregate assignment, which the grounder does not support: it is

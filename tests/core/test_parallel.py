@@ -529,13 +529,15 @@ class TestSweepState:
         assert len(engine.analyze(max_faults=1)) == 10
 
     def test_spawn_workers_rebuild_the_bound_context(self, monkeypatch):
-        chain = lambda: EpaEngine(chain_model(), REQ, fault_mitigations=MITIGATIONS)
-        aggregate = chain().aggregate(max_faults=2).dumps()
-        outcomes = chain().analyze(max_faults=2).outcomes
+        chain = lambda workers: EpaEngine(
+            chain_model(), REQ, fault_mitigations=MITIGATIONS, workers=workers
+        )
+        aggregate = chain(1).aggregate(max_faults=2).dumps()
+        outcomes = chain(1).analyze(max_faults=2).outcomes
         monkeypatch.setattr(
             engine_module,
             "WorkStealingPool",
             functools.partial(WorkStealingPool, context="spawn"),
         )
-        assert chain().aggregate(max_faults=2, workers=2).dumps() == aggregate
-        assert chain().analyze(max_faults=2, workers=2).outcomes == outcomes
+        assert chain(2).aggregate(max_faults=2).dumps() == aggregate
+        assert chain(2).analyze(max_faults=2).outcomes == outcomes

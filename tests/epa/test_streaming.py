@@ -85,13 +85,16 @@ class TestStreamedByteIdentity:
         assert rag1(engine, materialized) == _reference(max_faults=2)
 
     @pytest.mark.parametrize("payload", ["aggregate", "models"])
-    def test_sharded_stream_matches(self, payload):
+    def test_sharded_stream_matches(self, payload, monkeypatch):
         """Both partial payloads workers ship: pre-folded aggregates
         (``aggregate``, with a chunk smaller than a cube so each cube
         ships several) and outcome chunks (``analyze``)."""
+        import repro.epa.engine as engine_module
+
         engine = EpaEngine(chain_model(), REQ, workers=2)
         if payload == "aggregate":
-            swept = engine.aggregate(max_faults=2, chunk_size=3)
+            monkeypatch.setattr(engine_module, "CHUNK_SIZE", 3)
+            swept = engine.aggregate(max_faults=2)
         else:
             swept = engine.analyze(max_faults=2)
         assert rag1(engine, swept) == _reference(max_faults=2)
@@ -397,13 +400,14 @@ class TestCheckpointResume:
                 max_faults=2, checkpoint=path, checkpoint_every=1
             )
 
-    def test_changed_antichain_cap_refused(self, tmp_path):
+    def test_changed_antichain_cap_refused(self, tmp_path, monkeypatch):
+        import repro.epa.engine as engine_module
+
         path = str(tmp_path / "sweep.ckpt")
         EpaEngine(chain_model(), REQ).aggregate(max_faults=2, checkpoint=path)
+        monkeypatch.setattr(engine_module, "DEFAULT_MAX_MINIMAL_SETS", 1)
         with pytest.raises(EpaError, match="antichain cap"):
-            EpaEngine(chain_model(), REQ).aggregate(
-                max_faults=2, checkpoint=path, max_minimal_sets=1
-            )
+            EpaEngine(chain_model(), REQ).aggregate(max_faults=2, checkpoint=path)
 
 
 class TestCubeFactor:

@@ -179,23 +179,25 @@ class _PredicateExtension:
     whole extension; ``delta_index[r]`` is the same index over
     ``rounds[r]``, so a semi-naive pivot with a bound argument touches
     only its bucket of the delta.  Every bucket keeps derivation order.
+    A round joins only the previous round's delta, so the grounder drops
+    the older ones as rounds advance (:meth:`Grounder._next_round`).
     """
 
     __slots__ = ("atoms", "rounds", "index", "delta_index")
 
     def __init__(self) -> None:
         self.atoms: List[Atom] = []
-        self.rounds: List[List[Atom]] = []
+        self.rounds: Dict[int, List[Atom]] = {}
         self.index: Dict[Tuple[int, Term], List[Atom]] = {}
-        self.delta_index: List[Dict[Tuple[int, Term], List[Atom]]] = []
+        self.delta_index: Dict[int, Dict[Tuple[int, Term], List[Atom]]] = {}
 
     def add(self, atom: Atom, round_number: int) -> None:
         self.atoms.append(atom)
-        rounds = self.rounds
-        while len(rounds) <= round_number:
-            rounds.append([])
-            self.delta_index.append({})
-        rounds[round_number].append(atom)
+        delta = self.rounds.get(round_number)
+        if delta is None:
+            delta = self.rounds[round_number] = []
+            self.delta_index[round_number] = {}
+        delta.append(atom)
         for index in (self.index, self.delta_index[round_number]):
             for position, argument in enumerate(atom.arguments):
                 key = (position, argument)
@@ -299,7 +301,7 @@ class Grounder:
                     new_atoms.extend(self._register_heads(rule, binding))
         while True:
             while new_atoms:
-                self._round += 1
+                self._next_round()
                 previous_round = self._round - 1
                 # a pivot can only match atoms its predicate gained in the
                 # previous round: the indexed mode skips the others unjoined
@@ -332,7 +334,7 @@ class Grounder:
             # new condition atom never pivots the semi-naive loop above.
             # Re-register every choice instance against the now-complete
             # atom set; resume the fixpoint if that surfaced new atoms.
-            self._round += 1
+            self._next_round()
             reregistered: List[Atom] = []
             for rule, binding in instances.values():
                 if isinstance(rule.head, Choice):
@@ -741,13 +743,21 @@ class Grounder:
             return relation >= 0
         raise GroundingError("unknown comparison operator %r" % operator)
 
+    def _next_round(self) -> None:
+        """Start the next round.  It joins only the previous round's
+        delta, so every extension drops the deltas older than that."""
+        self._round += 1
+        for extension in self._extensions.values():
+            extension.rounds.pop(self._round - 2, None)
+            extension.delta_index.pop(self._round - 2, None)
+
     def _delta(self, pattern: Atom, round_number: int) -> Sequence[Atom]:
         """The atoms of ``pattern``'s predicate first derived in
         ``round_number`` (the semi-naive delta)."""
         extension = self._extensions.get(pattern.signature)
-        if extension is None or round_number >= len(extension.rounds):
+        if extension is None:
             return ()
-        return extension.rounds[round_number]
+        return extension.rounds.get(round_number, ())
 
     def _candidate_atoms(
         self, pattern: Atom, restrict_round: Optional[int]

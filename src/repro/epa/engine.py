@@ -53,9 +53,15 @@ one-cube sweep on the same template.  It pins the deployment's
 externals and every potential fault (requested ones true, the rest
 false) and runs the sweep worker in-process, so a what-if query takes
 the projected-DFS leaf, probe extraction and CDCL fallback of every
-sweep cube, and grounds and encodes nothing.  ``incremental=False``
-grounds a fresh control per query instead: the independent reference
-the point-query tests compare against.
+sweep cube, and grounds and encodes nothing.  Its pins come off the
+engine's choice index (:meth:`EpaEngine._choice_index`: every fault
+pair with its ``active_fault`` atom and covering mitigations, every
+``active_mitigation`` external with its declared id), built once like
+the template, and its propagation paths off shortest paths memoized
+per (fault component, focus), so a query builds no atom and walks
+neither the model nor the graph.  ``incremental=False`` grounds a
+fresh control per query instead: the independent reference the
+point-query tests compare against.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import networkx as nx
 
@@ -188,7 +194,12 @@ class EpaEngine:
             _requirement_symbol(r.name): r.name for r in self.requirements
         }
         self._base_program: Optional[Program] = None
+        self._choices: Optional[_ChoiceIndex] = None
         self._template: Optional[_SweepTemplate] = None
+        #: requirement name -> focus component, and the memoized
+        #: shortest propagation path per (fault component, focus)
+        self._focus = {r.name: r.focus for r in self.requirements if r.focus}
+        self._shortest: Dict[Tuple[str, str], Optional[Tuple[str, ...]]] = {}
         # every sweep pushes and pops on the template's one solver
         # trail, so the engine answers only the thread that built it
         self._thread = threading.get_ident()
@@ -267,34 +278,34 @@ class EpaEngine:
             provenance=provenance,
         )
 
-    def _fault_pairs(self) -> List[FaultRef]:
-        """Every declared (component, fault-mode) pair, model order."""
-        pairs: List[FaultRef] = []
-        seen: Set[FaultRef] = set()
+    def _choice_index(self) -> _ChoiceIndex:
+        """The engine's :class:`_ChoiceIndex`, derived from the model
+        and the mitigation declarations on first use and kept for the
+        engine's life, like the base program and the sweep template."""
+        if self._choices is not None:
+            return self._choices
+        refs: Dict[FaultRef, None] = {}
         for element in self.model.elements:
             for fault in element.properties.get("fault_modes", []) or []:
-                ref = FaultRef(element.identifier, fault["name"])
-                if ref not in seen:
-                    seen.add(ref)
-                    pairs.append(ref)
+                refs.setdefault(FaultRef(element.identifier, fault["name"]))
         for mutation in self.extra_mutations:
-            ref = FaultRef(mutation.component, mutation.fault)
-            if ref not in seen:
-                seen.add(ref)
-                pairs.append(ref)
-        return pairs
-
-    def _relevant_mitigations(self) -> Dict[Tuple[str, str], str]:
-        """(component, mitigation-symbol) -> declared mitigation id, in
-        declaration order, for every mitigation that can suppress a
-        fault — the external universe; deployments outside it have no
-        semantic effect (``covers`` requires a declaration)."""
+            refs.setdefault(FaultRef(mutation.component, mutation.fault))
+        faults = []
         names: Dict[Tuple[str, str], str] = {}
-        for ref in self._fault_pairs():
-            for mitigation in self.fault_mitigations.get(ref.fault, ()):
+        for ref in refs:
+            by_fault = self.fault_mitigations.get(ref.fault, ())
+            for mitigation in by_fault:
                 names.setdefault(
                     (ref.component, _mitigation_symbol(mitigation)), mitigation
                 )
+            covering = frozenset(
+                (ref.component, _mitigation_symbol(mitigation))
+                for mitigation in by_fault
+                + self.component_mitigations.get((ref.component, ref.fault), ())
+            )
+            faults.append(
+                (ref, atom("active_fault", ref.component, ref.fault), covering)
+            )
         for (component, _fault), mitigations in sorted(
             self.component_mitigations.items()
         ):
@@ -302,30 +313,31 @@ class EpaEngine:
                 names.setdefault(
                     (component, _mitigation_symbol(mitigation)), mitigation
                 )
-        return names
+        self._choices = _ChoiceIndex(
+            faults,
+            {
+                pair: (atom("active_mitigation", *pair), name)
+                for pair, name in names.items()
+            },
+        )
+        return self._choices
+
+    def _fault_pairs(self) -> List[FaultRef]:
+        """Every declared (component, fault-mode) pair, model order."""
+        return [ref for ref, _, _ in self._choice_index().faults]
 
     def _potential_faults(
-        self, active_mitigations: Mapping[str, Sequence[str]]
-    ) -> List[FaultRef]:
+        self, active: Set[Tuple[str, str]]
+    ) -> List[Tuple[FaultRef, Atom]]:
         """Python mirror of the ASP suppression logic: the fault pairs
-        not suppressed by the given deployment (= the scenario-choice
-        space the solver sees)."""
-        active = _active_pairs(active_mitigations)
-        potential: List[FaultRef] = []
-        for ref in self._fault_pairs():
-            covering = {
-                _mitigation_symbol(m)
-                for m in self.fault_mitigations.get(ref.fault, ())
-            }
-            covering.update(
-                _mitigation_symbol(m)
-                for m in self.component_mitigations.get(
-                    (ref.component, ref.fault), ()
-                )
-            )
-            if not any((ref.component, m) in active for m in covering):
-                potential.append(ref)
-        return potential
+        not suppressed by the deployed ``(component, mitigation
+        symbol)`` pairs (= the scenario-choice space the solver sees),
+        each with its ``active_fault`` atom."""
+        return [
+            (ref, choice)
+            for ref, choice, covering in self._choice_index().faults
+            if active.isdisjoint(covering)
+        ]
 
     def _mitigation_assumptions(
         self, pairs: Iterable[Tuple[str, str]]
@@ -335,11 +347,8 @@ class EpaEngine:
         models must match a fresh control's exactly)."""
         chosen = set(pairs)
         return [
-            (
-                atom("active_mitigation", component, mitigation),
-                (component, mitigation) in chosen,
-            )
-            for component, mitigation in self._relevant_mitigations()
+            (external, pair in chosen)
+            for pair, (external, _) in self._choice_index().mitigations.items()
         ]
 
     def _assign_mitigations(
@@ -357,21 +366,21 @@ class EpaEngine:
         restrict: Optional[Sequence[FaultRef]],
     ) -> Tuple[List[Atom], List[Tuple[Atom, bool]], List[Atom]]:
         """What a deployment and a restriction leave of the template's
-        fault choice: the ``active_fault`` atoms of the potential faults
-        (the projection), the assumptions that pin the deployment's
-        externals and the faults outside ``restrict`` false, and the
-        fault atoms left free (all of them when ``restrict`` is
-        ``None``)."""
-        choices = self._potential_faults(deployment)
-        project = [
-            atom("active_fault", ref.component, ref.fault) for ref in choices
-        ]
-        assumptions = self._mitigation_assumptions(_active_pairs(deployment))
+        fault choice, read off the engine's choice index
+        (:meth:`_choice_index`): the ``active_fault`` atoms of the
+        potential faults (the projection), the assumptions that pin the
+        deployment's externals and the faults outside ``restrict``
+        false, and the fault atoms left free (all of them when
+        ``restrict`` is ``None``)."""
+        active = _active_pairs(deployment)
+        choices = self._potential_faults(active)
+        project = [choice for _, choice in choices]
+        assumptions = self._mitigation_assumptions(active)
         if restrict is None:
             return project, assumptions, project
         allowed = {(f.component, f.fault) for f in restrict}
         free = []
-        for ref, choice_atom in zip(choices, project):
+        for ref, choice_atom in choices:
             if (ref.component, ref.fault) in allowed:
                 free.append(choice_atom)
             else:
@@ -451,8 +460,8 @@ class EpaEngine:
         # enumeration's blocking clauses onto them
         models = control.solve_iter(
             project=[
-                atom("active_fault", ref.component, ref.fault)
-                for ref in self._potential_faults(deployment)
+                choice
+                for _, choice in self._potential_faults(_active_pairs(deployment))
             ]
         )
         count = 0
@@ -708,8 +717,8 @@ class EpaEngine:
         control = Control(trace=self._trace)
         control._program.extend(self._assemble_base_program())
         control.add(scenario_choice(0))
-        for component, mitigation in self._relevant_mitigations():
-            control.add_external("active_mitigation", component, mitigation)
+        for external, _ in self._choice_index().mitigations.values():
+            control.add_external(external)
         return control
 
     def _sweep_template(self) -> _SweepTemplate:
@@ -837,8 +846,8 @@ class EpaEngine:
             control.add("epa_some_violation :- violated(R), requirement(R).")
             control.add(":- epa_require_violation, not epa_some_violation.")
             control.add_external("epa_require_violation")
-            for component, mitigation in self._relevant_mitigations():
-                control.add_external("active_mitigation", component, mitigation)
+            for external, _ in self._choice_index().mitigations.values():
+                control.add_external(external)
             self._core_controls[max_faults] = control
         return control
 
@@ -867,19 +876,20 @@ class EpaEngine:
             return not control.is_satisfiable()
 
         self._stats.incr("epa.blocking_core_calls")
-        names = self._relevant_mitigations()
-        if not is_blocking([pair for pair in names if pair in active]):
+        mitigations = self._choice_index().mitigations
+        if not is_blocking([pair for pair in mitigations if pair in active]):
             return None
+        pair_of = {external: pair for pair, (external, _) in mitigations.items()}
         core = minimize_core(
             is_blocking,
             [
-                (str(head.arguments[0]), str(head.arguments[1]))
+                pair_of[head]
                 for head, value in control.unsat_core or []
-                if value and head.predicate == "active_mitigation"
+                if value and head in pair_of
             ],
         )
         return sorted(
-            (component, names.get((component, symbol), symbol))
+            (component, mitigations[(component, symbol)][1])
             for component, symbol in core
         )
 
@@ -968,30 +978,56 @@ class EpaEngine:
         self, active: Iterable[FaultRef], violated: Iterable[str]
     ) -> Dict[str, Tuple[PropagationStep, ...]]:
         paths: Dict[str, Tuple[PropagationStep, ...]] = {}
-        focus_by_requirement = {
-            r.name: r.focus for r in self.requirements if r.focus
-        }
         for requirement in violated:
-            focus = focus_by_requirement.get(requirement)
+            focus = self._focus.get(requirement)
             if not focus:
                 continue
-            best: Optional[List[str]] = None
+            best: Optional[Tuple[str, ...]] = None
             # name order breaks ties between equally short paths, so the
             # choice does not depend on set iteration order
             for fault in sorted(active, key=str):
-                try:
-                    candidate = nx.shortest_path(
-                        self._graph, fault.component, focus
-                    )
-                except (nx.NetworkXNoPath, nx.NodeNotFound):
-                    continue
-                if best is None or len(candidate) < len(best):
+                candidate = self._shortest_path(fault.component, focus)
+                if candidate is not None and (
+                    best is None or len(candidate) < len(best)
+                ):
                     best = candidate
             if best and len(best) > 1:
                 paths[requirement] = tuple(
                     PropagationStep(a, b) for a, b in zip(best, best[1:])
                 )
         return paths
+
+    def _shortest_path(
+        self, source: str, focus: str
+    ) -> Optional[Tuple[str, ...]]:
+        """``nx.shortest_path`` from ``source`` to ``focus`` (``None``
+        when there is none), memoized for the engine's life: at most
+        one entry per component and focus."""
+        key = (source, focus)
+        if key not in self._shortest:
+            try:
+                path = tuple(nx.shortest_path(self._graph, source, focus))
+            except (nx.NetworkXNoPath, nx.NodeNotFound):
+                path = None
+            self._shortest[key] = path
+        return self._shortest[key]
+
+
+class _ChoiceIndex(NamedTuple):
+    """An engine's fault and mitigation universe.
+
+    ``faults`` lists every declared (component, fault-mode) pair in
+    model order (extra mutations last) with its ``active_fault`` atom
+    and the ``(component, mitigation symbol)`` deployments that suppress
+    it.  ``mitigations`` maps every deployment that can suppress a
+    fault, in declaration order, to its ``active_mitigation`` external
+    and declared mitigation id — the external universe; deployments
+    outside it have no semantic effect (``covers`` requires a
+    declaration).
+    """
+
+    faults: List[Tuple[FaultRef, Atom, FrozenSet[Tuple[str, str]]]]
+    mitigations: Dict[Tuple[str, str], Tuple[Atom, str]]
 
 
 def _build_probes(

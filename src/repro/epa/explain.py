@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..asp import atom
 from ..asp.syntax import Atom
 from ..modeling.model import SystemModel
 from ..provenance import (
@@ -32,7 +31,7 @@ from ..provenance import (
     format_why_not,
     parse_atom,
 )
-from .engine import EpaEngine, StaticRequirement
+from .engine import EpaEngine, StaticRequirement, _active_pairs
 from .faults import FaultRef
 from .results import ScenarioOutcome
 from .rules import scenario_choice
@@ -249,11 +248,8 @@ def scenario_proof(
     control.add(scenario_choice(0))
     requested = {(f.component, f.fault) for f in faults}
     assumptions = [
-        (
-            atom("active_fault", ref.component, ref.fault),
-            (ref.component, ref.fault) in requested,
-        )
-        for ref in engine._potential_faults(deployment)
+        (choice, (ref.component, ref.fault) in requested)
+        for ref, choice in engine._potential_faults(_active_pairs(deployment))
     ]
     model = control.first_model(assumptions=assumptions)
     if model is None:

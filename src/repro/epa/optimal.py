@@ -45,13 +45,7 @@ class OptimalScenario:
 def _default_costs(engine: EpaEngine) -> Dict[FaultRef, int]:
     """Attack cost defaults: severity-weighted — harder/more protected
     faults cost more to activate (rank 1..5 -> cost)."""
-    costs: Dict[FaultRef, int] = {}
-    for element in engine.model.elements:
-        for fault in element.properties.get("fault_modes", []) or []:
-            costs[FaultRef(element.identifier, fault["name"])] = 3
-    for mutation in engine.extra_mutations:
-        costs[FaultRef(mutation.component, mutation.fault)] = 3
-    return costs
+    return {ref: 3 for ref in engine._fault_pairs()}
 
 
 def _add_attack_program(
@@ -159,8 +153,8 @@ def attack_cost_of_mitigation(
     control = Control(trace=engine._trace, multishot=True)
     control._program.extend(engine._assemble_base_program())
     _add_attack_program(engine, control, requirement, costs)
-    for component, mitigation in engine._relevant_mitigations():
-        control.add_external("active_mitigation", component, mitigation)
+    for external, _ in engine._choice_index().mitigations.values():
+        control.add_external(external)
     results: Dict[int, Optional[int]] = {}
     for index, deployment in enumerate(mitigation_deployments):
         engine._assign_mitigations(control, _active_pairs(deployment))

@@ -33,7 +33,7 @@ import pytest
 from repro.epa import EpaError, ScenarioAggregate
 from repro.observability.metrics import record_peak_rss
 from repro.security.fleet import FleetSpec, fleet_engine
-from tests.cdcl_reference import cdcl_reference, rag1
+from tests.cdcl_reference import canonical_bytes, cdcl_reference
 
 #: the headline workload: C(108, <=3) = 210,043 scenarios, >100x the
 #: 1,794-scenario water-tank parallel bench
@@ -99,7 +99,8 @@ def test_fleet_stream_equivalence():
     assert ScenarioAggregate.loads(reference).scenarios == spec.scenario_count()
     # the materialized report and the in-process and sharded streamed
     # sweeps must all reproduce the CDCL reference fold byte for byte
-    assert rag1(engine, engine.analyze(max_faults=spec.max_faults)) == reference
+    materialized = engine.analyze(max_faults=spec.max_faults)
+    assert canonical_bytes(engine, materialized) == reference
     assert fleet_engine(spec).aggregate(
         max_faults=spec.max_faults
     ).dumps() == reference

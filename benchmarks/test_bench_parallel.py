@@ -12,9 +12,10 @@ parallelism alone and reads about 1x on a 2-core host.
 ``test_bench_fleet_sweep_serial`` and ``test_bench_fleet_sweep_2_workers``
 are the scaling pair: the ``benchmarks/e2e`` fleet-stream sweep
 (C(48, <=3) = 18,473 scenarios, ``EpaEngine.aggregate``) on 1 and 2
-workers, the 2-worker aggregate asserted byte-identical (RAG1) to the
-serial one.  ``run_bench.py`` reports the 2-worker speedup against the
-serial median of the same run and ``--check`` holds it to a floor
+workers, the 2-worker aggregate asserted byte-identical (canonical
+``ScenarioAggregate.dumps`` bytes) to the serial one.  ``run_bench.py``
+reports the 2-worker speedup against the serial median of the same
+run and ``--check`` holds it to a floor
 (``SPEEDUP_FLOORS``); ``--check`` also gates every median against
 ``BENCH_asp.json`` (see ``docs/parallelism.md``).
 """
@@ -23,7 +24,7 @@ from repro.casestudy import build_system_model, static_requirements
 from repro.epa import EpaEngine
 from repro.observability import ProgressTracker
 from repro.security.fleet import FleetSpec, fleet_engine
-from tests.cdcl_reference import cdcl_reference, rag1
+from tests.cdcl_reference import canonical_bytes, cdcl_reference
 
 MAX_FAULTS = 3
 #: C(22,0..3) fault combinations of the 22 water-tank fault pairs
@@ -34,7 +35,7 @@ FLEET_SPEC = FleetSpec(
     tiers=3, components_per_tier=4, fault_modes_per_component=4, max_faults=3
 )
 
-#: RAG1 bytes of the serial fleet sweep, for the 2-worker comparison
+#: canonical bytes of the serial fleet sweep, for the 2-worker comparison
 _serial_fleet = {}
 
 
@@ -45,7 +46,7 @@ def _check_sweep(engine, report, workers):
     assert stats["epa"]["parallel"]["workers"] == workers
     # same scenarios, same verdicts as the CDCL reference enumeration
     reference = EpaEngine(build_system_model(), static_requirements())
-    assert rag1(engine, report) == cdcl_reference(
+    assert canonical_bytes(engine, report) == cdcl_reference(
         reference, max_faults=MAX_FAULTS
     )
 
@@ -82,10 +83,10 @@ def _fleet_sweep(workers):
     return engine.aggregate(max_faults=FLEET_SPEC.max_faults)
 
 
-def _serial_fleet_rag1():
-    if "rag1" not in _serial_fleet:
-        _serial_fleet["rag1"] = _fleet_sweep(None).dumps()
-    return _serial_fleet["rag1"]
+def _serial_fleet_bytes():
+    if "bytes" not in _serial_fleet:
+        _serial_fleet["bytes"] = _fleet_sweep(None).dumps()
+    return _serial_fleet["bytes"]
 
 
 def test_bench_fleet_sweep_serial(benchmark):
@@ -93,7 +94,7 @@ def test_bench_fleet_sweep_serial(benchmark):
         _fleet_sweep, args=(None,), rounds=3, iterations=1
     )
     assert aggregate.scenarios == FLEET_SPEC.scenario_count()
-    _serial_fleet["rag1"] = aggregate.dumps()
+    _serial_fleet["bytes"] = aggregate.dumps()
 
 
 def test_bench_fleet_sweep_2_workers(benchmark):
@@ -101,4 +102,4 @@ def test_bench_fleet_sweep_2_workers(benchmark):
         _fleet_sweep, args=(2,), rounds=3, iterations=1
     )
     assert aggregate.scenarios == FLEET_SPEC.scenario_count()
-    assert aggregate.dumps() == _serial_fleet_rag1()
+    assert aggregate.dumps() == _serial_fleet_bytes()

@@ -767,7 +767,9 @@ class StableModelSolver:
 
         With ``retract=True`` the blocking clauses recorded between
         models are disabled once the generator finishes (or is closed),
-        so the solver can serve further solve calls.
+        so the solver can serve further solve calls.  No clause follows
+        the last model ``limit`` allows, so a ``limit=1`` call takes no
+        guard variable and leaves the formula as it found it.
 
         ``project`` restricts the solution-recording blocking clauses to
         the given atoms.  The caller asserts that these atoms
@@ -778,7 +780,7 @@ class StableModelSolver:
         sets — this is an enumeration accelerator, not clingo's
         ``#project``.
         """
-        guard = self._sat.new_var() if retract else None
+        guard = self._sat.new_var() if retract and limit != 1 else None
         self._last_core = None
         literal_atoms = self._literal_atoms(assumptions)
         literals = self._assumption_literals(assumptions)
@@ -813,8 +815,10 @@ class StableModelSolver:
                     atoms=len(true_atoms),
                 )
                 yield Model(true_atoms, self._model_cost(), shown)
-                self._block(true_atoms, guard, project_items)
                 count += 1
+                if count == limit:
+                    return
+                self._block(true_atoms, guard, project_items)
         finally:
             if guard is not None:
                 # permanently falsify the guard: every clause it guards

@@ -61,7 +61,8 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from .casestudy import analysis_table, static_requirements
 from .core import AssessmentPipeline
-from .epa import EpaEngine, StaticRequirement
+from .epa import EpaEngine, EpaError, StaticRequirement
+from .epa.aggregate import SerializeError
 from .modeling import from_xml, validate
 from .observability import (
     ProgressRenderer,
@@ -83,6 +84,7 @@ from .observability.ledger import (
     resolve_run,
 )
 from .observability.metrics import get_registry
+from .parallel import ParallelError
 from .reporting import (
     analysis_results_report,
     assessment_report,
@@ -317,10 +319,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 progress=run.tracker,
             )
             if args.stream or args.checkpoint:
-                aggregate = engine.aggregate(
-                    max_faults=args.max_faults,
-                    checkpoint=args.checkpoint,
-                )
+                try:
+                    aggregate = engine.aggregate(
+                        max_faults=args.max_faults,
+                        checkpoint=args.checkpoint,
+                    )
+                except (EpaError, SerializeError) as error:
+                    # a refused token; a sweep failed in the pool raises
+                    if isinstance(error.__cause__, ParallelError):
+                        raise
+                    run.error = error
+                    print("error: %s" % error, file=sys.stderr)
+                    return 2
                 run.result_digest = _digest_bytes(aggregate.dumps())
                 run.summary = {
                     "scenarios": aggregate.scenarios,
@@ -781,7 +791,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint",
         metavar="FILE",
         help="make the streamed sweep resumable: periodically write a "
-        "compact resume token to FILE (implies --stream)",
+        "JSON resume token to FILE (implies --stream)",
     )
 
     explain = subparsers.add_parser(

@@ -35,9 +35,10 @@ provenance (proof-backed explainability, see :mod:`repro.provenance`)
 streaming sweeps (bounded memory; ``docs/streaming.md``)
     :class:`ScenarioAggregate` — the on-the-fly fold behind
     :meth:`EpaEngine.aggregate` (:meth:`EpaEngine.analyze_stream` is
-    the lazy CDCL enumeration it is tested against) — plus the
-    checkpoint codec (:class:`CheckpointState`,
-    :func:`read_checkpoint`, :func:`write_checkpoint`).
+    the lazy CDCL enumeration it is tested against), whose canonical
+    JSON state also makes up the checkpoint tokens
+    (:class:`CheckpointState`, :func:`read_checkpoint`,
+    :func:`write_checkpoint`).
 """
 
 from .aggregate import (

@@ -15,18 +15,21 @@ the number of distinct minimal cut sets, never by the scenario count.
 Determinism is the load-bearing property: :meth:`ScenarioAggregate.add`
 and :meth:`ScenarioAggregate.merge` are commutative and associative (the
 antichain merge included, as long as :attr:`minimal_truncated` stays
-false), and :meth:`ScenarioAggregate.dumps` writes a canonical binary
-form — so a streamed sweep, a cube-sharded parallel sweep merged in any
-completion order, and a materialized :class:`EpaReport` folded after the
-fact all serialize to byte-identical blobs.  Differential tests pin
-this.
+false), and :meth:`ScenarioAggregate.state` is a canonical form — every
+field as JSON values, every map in sorted order, the requirement order
+kept — so a streamed sweep, a cube-sharded parallel sweep merged in any
+completion order, and a materialized report folded after the fact
+(:meth:`~repro.epa.results.EpaReport.to_aggregate`) all have equal
+states, which :meth:`ScenarioAggregate.dumps` writes as byte-identical
+canonical JSON.  Differential tests pin this.
 
-The same varints carry sweep *checkpoints*: :func:`write_checkpoint`
-atomically persists a compact resume token (RCK1) — the sweep's config
-digest, the completed cube ids and the merged partial aggregate — so a
-killed million-scenario run restarts where it left off (see
-``docs/streaming.md``).  Both forms are plain bytes, never a pickle,
-and a blob cut short raises :class:`SerializeError`.
+Sweep *checkpoints* carry the same state: :func:`write_checkpoint`
+atomically persists a resume token — one JSON document holding the
+sweep's config digest, the completed cube ids and the merged partial
+aggregate — so a killed million-scenario run restarts where it left off
+(see ``docs/streaming.md``).  A token is never a pickle, which could
+run code when read back; malformed or torn input raises
+:class:`SerializeError`.
 
 Exports: :class:`ScenarioAggregate`, :class:`CheckpointState`,
 :func:`read_checkpoint`, :func:`write_checkpoint`,
@@ -35,17 +38,18 @@ Exports: :class:`ScenarioAggregate`, :class:`CheckpointState`,
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from ..observability.metrics import get_registry
 from ..risk.assessment import frequency_of_simultaneous, magnitude_of_violations
-from .faults import FaultRef
-from .results import EpaReport, ScenarioOutcome
+from .faults import FaultRef, FaultTaxonomyError
+from .results import ScenarioOutcome
 
-AGGREGATE_MAGIC = b"RAG1"
-CHECKPOINT_MAGIC = b"RCK1"
+#: the ``format`` tag of a checkpoint token
+CHECKPOINT_FORMAT = "repro-checkpoint/1"
 
 #: antichain capacity before :attr:`ScenarioAggregate.minimal_truncated`
 #: flips — far above any real minimal-cut-set family, present so a
@@ -61,82 +65,30 @@ _STREAM_MODELS = get_registry().counter(
 
 
 class AggregateError(ValueError):
-    """Raised on incompatible merges or malformed aggregate blobs."""
+    """Raised on a merge of aggregates over different sweep shapes."""
 
 
 class SerializeError(ValueError):
-    """Raised on a checkpoint or aggregate blob that is malformed or
-    cut short."""
+    """Raised on a checkpoint token or aggregate state that is
+    malformed, cut short or in an earlier format."""
 
 
-# ---------------------------------------------------------------------------
-# varints (unsigned LEB128) and length-prefixed utf-8 strings
+def _canonical(value: object) -> bytes:
+    """The one JSON spelling of ``value``: sorted keys, no spaces."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
-def _write_uint(out: bytearray, value: int) -> None:
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+#: what decoding a malformed state raises, as :class:`SerializeError`
+_MALFORMED = (AttributeError, LookupError, TypeError, ValueError, FaultTaxonomyError)
 
-
-def _write_str(out: bytearray, value: str) -> None:
-    data = value.encode("utf-8")
-    _write_uint(out, len(data))
-    out.extend(data)
-
-
-class _Reader:
-    """Forward-only cursor over an encoded blob; reading past its end
-    raises :class:`SerializeError`, never a raw ``IndexError``."""
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes, pos: int = 0) -> None:
-        self.data = data
-        self.pos = pos
-
-    def byte(self) -> int:
-        try:
-            value = self.data[self.pos]
-        except IndexError:
-            raise SerializeError("blob cut short at byte %d" % self.pos) from None
-        self.pos += 1
-        return value
-
-    def uint(self) -> int:
-        value = 0
-        shift = 0
-        try:
-            while True:
-                byte = self.data[self.pos]
-                self.pos += 1
-                value |= (byte & 0x7F) << shift
-                if not byte & 0x80:
-                    return value
-                shift += 7
-        except IndexError:
-            raise SerializeError("blob cut short at byte %d" % self.pos) from None
-
-    def take(self, length: int) -> bytes:
-        end = self.pos + length
-        if end > len(self.data):
-            raise SerializeError("blob cut short at byte %d" % len(self.data))
-        value = self.data[self.pos : end]
-        self.pos = end
-        return value
-
-
-def _read_str(reader: _Reader) -> str:
-    return reader.take(reader.uint()).decode("utf-8")
-
-
-def _fault_key(fault: FaultRef) -> str:
-    return str(fault)
+#: the count tables :meth:`ScenarioAggregate.merge` adds key by key
+_COUNT_TABLES = (
+    "violation_counts",
+    "fault_count_hist",
+    "severity_hist",
+    "component_criticality",
+    "risk_cells",
+)
 
 
 class ScenarioAggregate:
@@ -172,9 +124,7 @@ class ScenarioAggregate:
         self.max_minimal_sets = max_minimal_sets
         self.scenarios = 0
         self.violating = 0
-        self.violation_counts: Dict[str, int] = {
-            name: 0 for name in self.requirements
-        }
+        self.violation_counts: Dict[str, int] = dict.fromkeys(self.requirements, 0)
         self.fault_count_hist: Dict[int, int] = {}
         self.severity_hist: Dict[int, int] = {}
         self.component_criticality: Dict[str, int] = {}
@@ -246,26 +196,17 @@ class ScenarioAggregate:
             )
         self.scenarios += other.scenarios
         self.violating += other.violating
-        for name, value in other.violation_counts.items():
-            self.violation_counts[name] = (
-                self.violation_counts.get(name, 0) + value
-            )
-        for count, value in other.fault_count_hist.items():
-            self.fault_count_hist[count] = (
-                self.fault_count_hist.get(count, 0) + value
-            )
-        for rank, value in other.severity_hist.items():
-            self.severity_hist[rank] = self.severity_hist.get(rank, 0) + value
-        for component, value in other.component_criticality.items():
-            self.component_criticality[component] = (
-                self.component_criticality.get(component, 0) + value
-            )
+        for name in _COUNT_TABLES:
+            table = getattr(self, name)
+            for key, value in getattr(other, name).items():
+                table[key] = table.get(key, 0) + value
         for component, rank in other.worst_component_grade.items():
             if rank > self.worst_component_grade.get(component, 0):
                 self.worst_component_grade[component] = rank
-        for cell, value in other.risk_cells.items():
-            self.risk_cells[cell] = self.risk_cells.get(cell, 0) + value
-        for candidate in other.minimal_violating:
+        # canonical order: once the cap trips, which sets are kept
+        # depends on the insertion sequence, so it must not depend on
+        # how ``other`` was built or shipped
+        for candidate in other.minimal_sets():
             self._insert_minimal(candidate)
         self.minimal_truncated = self.minimal_truncated or other.minimal_truncated
         return self
@@ -286,19 +227,8 @@ class ScenarioAggregate:
             aggregate.add(outcome)
         return aggregate
 
-    @classmethod
-    def from_report(
-        cls,
-        report: EpaReport,
-        magnitudes: Mapping[str, str] = (),
-    ) -> "ScenarioAggregate":
-        """The materialized-list reference path: fold a full report.
-        Differential tests compare its bytes against the streamed
-        sweep's."""
-        return cls.from_outcomes(report.outcomes, report.requirements, magnitudes)
-
     def copy(self) -> "ScenarioAggregate":
-        return ScenarioAggregate.loads(self.dumps())
+        return ScenarioAggregate.from_state(self.state())
 
     # ------------------------------------------------------------------
     # queries (the streaming counterparts of EpaReport's)
@@ -328,32 +258,6 @@ class ScenarioAggregate:
                 key=lambda kv: (-kv[1], kv[0]),
             )
         )
-
-    def to_dict(self) -> Dict[str, object]:
-        """A JSON-safe snapshot (reports, CLI output)."""
-        return {
-            "scenarios": self.scenarios,
-            "violating": self.violating,
-            "violation_counts": dict(self.violation_counts),
-            "fault_count_hist": {
-                str(k): v for k, v in sorted(self.fault_count_hist.items())
-            },
-            "severity_hist": {
-                str(k): v for k, v in sorted(self.severity_hist.items())
-            },
-            "component_criticality": self.criticality(),
-            "worst_component_grade": dict(
-                sorted(self.worst_component_grade.items())
-            ),
-            "risk_cells": {
-                "%s/%s" % cell: count
-                for cell, count in sorted(self.risk_cells.items())
-            },
-            "minimal_violating": [
-                sorted(map(str, cut)) for cut in self.minimal_sets()
-            ],
-            "minimal_truncated": self.minimal_truncated,
-        }
 
     def summary(self) -> str:
         """A compact human-readable block for CLI output."""
@@ -396,109 +300,94 @@ class ScenarioAggregate:
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
-    # canonical binary form
+    # canonical form
     # ------------------------------------------------------------------
-    def dumps(self) -> bytes:
-        """Canonical binary serialization (RAG1).
+    def state(self) -> Dict[str, object]:
+        """The canonical form: every field as JSON values, every map in
+        sorted order, the requirement order kept — equal content, equal
+        state, whatever the fold order.  Integer-keyed histograms and
+        the risk cells are sorted ``[key..., count]`` rows; a minimal
+        violating set is a sorted list of ``component.fault`` names, the
+        sets in :meth:`minimal_sets` order."""
+        return {
+            "requirements": list(self.requirements),
+            "magnitudes": dict(sorted(self.magnitudes.items())),
+            "max_minimal_sets": self.max_minimal_sets,
+            "scenarios": self.scenarios,
+            "violating": self.violating,
+            "violation_counts": dict(sorted(self.violation_counts.items())),
+            "fault_count_hist": sorted(map(list, self.fault_count_hist.items())),
+            "severity_hist": sorted(map(list, self.severity_hist.items())),
+            "component_criticality": dict(sorted(self.component_criticality.items())),
+            "worst_component_grade": dict(sorted(self.worst_component_grade.items())),
+            "risk_cells": sorted(
+                [*cell, count] for cell, count in self.risk_cells.items()
+            ),
+            "minimal_violating": [sorted(map(str, cut)) for cut in self.minimal_sets()],
+            "minimal_truncated": self.minimal_truncated,
+        }
 
-        Every map is written in sorted key order, so two aggregates with
-        equal content produce equal bytes regardless of fold order —
-        the byte-identity contract of the streaming rebuild.
-        """
-        out = bytearray(AGGREGATE_MAGIC)
-        _write_uint(out, len(self.requirements))
-        for name in self.requirements:
-            _write_str(out, name)
-            _write_str(out, self.magnitudes.get(name, ""))
-        extra = sorted(
-            name for name in self.magnitudes if name not in self.violation_counts
-        )
-        _write_uint(out, len(extra))
-        for name in extra:
-            _write_str(out, name)
-            _write_str(out, self.magnitudes[name])
-        _write_uint(out, self.max_minimal_sets)
-        _write_uint(out, self.scenarios)
-        _write_uint(out, self.violating)
-        _write_uint(out, len(self.violation_counts))
-        for name in sorted(self.violation_counts):
-            _write_str(out, name)
-            _write_uint(out, self.violation_counts[name])
-        for table in (self.fault_count_hist, self.severity_hist):
-            _write_uint(out, len(table))
-            for key in sorted(table):
-                _write_uint(out, key)
-                _write_uint(out, table[key])
-        for named in (self.component_criticality, self.worst_component_grade):
-            _write_uint(out, len(named))
-            for component in sorted(named):
-                _write_str(out, component)
-                _write_uint(out, named[component])
-        _write_uint(out, len(self.risk_cells))
-        for (frequency, magnitude) in sorted(self.risk_cells):
-            _write_str(out, frequency)
-            _write_str(out, magnitude)
-            _write_uint(out, self.risk_cells[(frequency, magnitude)])
-        cuts = self.minimal_sets()
-        _write_uint(out, len(cuts))
-        for cut in cuts:
-            refs = sorted(_fault_key(fault) for fault in cut)
-            _write_uint(out, len(refs))
-            for ref in refs:
-                _write_str(out, ref)
-        out.append(1 if self.minimal_truncated else 0)
-        return bytes(out)
+    @classmethod
+    def from_state(cls, state: object) -> "ScenarioAggregate":
+        """Rebuild an aggregate from its :meth:`state`.  Accepts exactly
+        the canonical states: input the rebuilt aggregate does not
+        reproduce — a missing or extra field, a value of the wrong type,
+        rows out of order — raises :class:`SerializeError`."""
+        try:
+            aggregate = cls(
+                [str(name) for name in state["requirements"]],
+                {str(name): str(label) for name, label in state["magnitudes"].items()},
+                int(state["max_minimal_sets"]),
+            )
+            aggregate.scenarios = int(state["scenarios"])
+            aggregate.violating = int(state["violating"])
+            for name in (
+                "violation_counts",
+                "component_criticality",
+                "worst_component_grade",
+            ):
+                getattr(aggregate, name).update(
+                    (str(key), int(count)) for key, count in state[name].items()
+                )
+            for name in ("fault_count_hist", "severity_hist"):
+                getattr(aggregate, name).update(
+                    (int(key), int(count)) for key, count in state[name]
+                )
+            for frequency, magnitude, count in state["risk_cells"]:
+                aggregate.risk_cells[(str(frequency), str(magnitude))] = int(count)
+            aggregate.minimal_violating = [
+                frozenset(FaultRef.parse(str(ref)) for ref in cut)
+                for cut in state["minimal_violating"]
+            ]
+            aggregate.minimal_truncated = bool(state["minimal_truncated"])
+            canonical = _canonical(aggregate.state()) == _canonical(state)
+        except _MALFORMED as error:
+            raise SerializeError(
+                "malformed aggregate state (%s: %s)" % (type(error).__name__, error)
+            ) from None
+        if not canonical:
+            raise SerializeError("not a canonical aggregate state")
+        return aggregate
+
+    def dumps(self) -> bytes:
+        """:meth:`state` as canonical JSON (sorted keys, no spaces),
+        ASCII bytes."""
+        return _canonical(self.state())
 
     @classmethod
     def loads(cls, data: bytes) -> "ScenarioAggregate":
-        if data[: len(AGGREGATE_MAGIC)] != AGGREGATE_MAGIC:
-            raise AggregateError("not an RAG1 aggregate blob")
-        reader = _Reader(data, len(AGGREGATE_MAGIC))
-        requirements = []
-        magnitudes: Dict[str, str] = {}
-        for _ in range(reader.uint()):
-            name = _read_str(reader)
-            magnitude = _read_str(reader)
-            requirements.append(name)
-            if magnitude:
-                magnitudes[name] = magnitude
-        for _ in range(reader.uint()):
-            name = _read_str(reader)
-            magnitudes[name] = _read_str(reader)
-        max_minimal_sets = reader.uint()
-        aggregate = cls(requirements, magnitudes, max_minimal_sets)
-        aggregate.scenarios = reader.uint()
-        aggregate.violating = reader.uint()
-        for _ in range(reader.uint()):
-            name = _read_str(reader)
-            aggregate.violation_counts[name] = reader.uint()
-        for table in (aggregate.fault_count_hist, aggregate.severity_hist):
-            for _ in range(reader.uint()):
-                key = reader.uint()
-                table[key] = reader.uint()
-        for named in (
-            aggregate.component_criticality,
-            aggregate.worst_component_grade,
-        ):
-            for _ in range(reader.uint()):
-                component = _read_str(reader)
-                named[component] = reader.uint()
-        for _ in range(reader.uint()):
-            frequency = _read_str(reader)
-            magnitude = _read_str(reader)
-            aggregate.risk_cells[(frequency, magnitude)] = reader.uint()
-        for _ in range(reader.uint()):
-            refs = frozenset(
-                FaultRef.parse(_read_str(reader)) for _ in range(reader.uint())
-            )
-            aggregate.minimal_violating.append(refs)
-        aggregate.minimal_truncated = bool(reader.byte())
-        return aggregate
+        """Invert :meth:`dumps`; malformed input raises
+        :class:`SerializeError`."""
+        try:
+            state = json.loads(data)
+        except ValueError as error:
+            raise SerializeError("not a JSON aggregate (%s)" % error) from None
+        return cls.from_state(state)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScenarioAggregate):
             return NotImplemented
-        return self.dumps() == other.dumps()
+        return self.state() == other.state()
 
     def __repr__(self) -> str:
         return "ScenarioAggregate(scenarios=%d, violating=%d)" % (
@@ -511,46 +400,48 @@ class ScenarioAggregate:
 # checkpoints
 
 
-class CheckpointState:
+class CheckpointState(NamedTuple):
     """A decoded sweep checkpoint: digest, completed cubes, aggregate."""
 
-    __slots__ = ("digest", "completed", "aggregate")
+    digest: str
+    completed: FrozenSet[int]
+    aggregate: ScenarioAggregate
 
-    def __init__(
-        self, digest: str, completed: FrozenSet[int], aggregate: bytes
-    ):
-        self.digest = digest
-        self.completed = completed
-        self.aggregate = aggregate
+
+def _token(
+    digest: str, completed: Iterable[int], aggregate: ScenarioAggregate
+) -> bytes:
+    """The checkpoint token of these fields, canonical JSON bytes."""
+    return _canonical(
+        {
+            "format": CHECKPOINT_FORMAT,
+            "digest": digest,
+            "completed": sorted(set(completed)),
+            "aggregate": aggregate.state(),
+        }
+    )
 
 
 def write_checkpoint(
     path: str,
     digest: str,
     completed: Iterable[int],
-    aggregate: bytes,
+    aggregate: ScenarioAggregate,
 ) -> int:
     """Atomically persist a sweep checkpoint; returns the bytes written.
 
-    The blob is written to a temporary sibling and renamed into place,
-    so a kill mid-write leaves the previous checkpoint intact — resume
-    never sees a torn token.
-    """
-    out = bytearray(CHECKPOINT_MAGIC)
-    _write_str(out, digest)
-    ids = sorted(set(completed))
-    _write_uint(out, len(ids))
-    for cube_id in ids:
-        _write_uint(out, cube_id)
-    _write_uint(out, len(aggregate))
-    out.extend(aggregate)
+    The token is one canonical JSON document — ``format``, ``digest``,
+    the sorted ``completed`` cube ids and the ``aggregate`` state —
+    written to a temporary sibling and renamed into place, so a kill
+    mid-write leaves the previous checkpoint intact."""
+    data = _token(digest, completed, aggregate)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     handle, temp_path = tempfile.mkstemp(
         prefix=os.path.basename(path) + ".", dir=directory
     )
     try:
         with os.fdopen(handle, "wb") as stream:
-            stream.write(out)
+            stream.write(data)
         os.replace(temp_path, path)
     except BaseException:
         try:
@@ -558,31 +449,42 @@ def write_checkpoint(
         except OSError:
             pass
         raise
-    return len(out)
+    return len(data)
 
 
 def read_checkpoint(path: str) -> CheckpointState:
-    """Decode a checkpoint written by :func:`write_checkpoint`."""
+    """Decode a checkpoint: exactly the bytes :func:`write_checkpoint`
+    writes for the fields it decodes.  Anything else — a torn token, an
+    earlier format, a wrong ``format`` tag, a missing field, a
+    non-integer cube id, trailing data — raises :class:`SerializeError`
+    naming ``path``."""
     with open(path, "rb") as stream:
         data = stream.read()
-    if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise SerializeError("%s is not an RCK1 checkpoint" % path)
-    reader = _Reader(data, len(CHECKPOINT_MAGIC))
     try:
-        digest = _read_str(reader)
-        completed = frozenset(reader.uint() for _ in range(reader.uint()))
-        aggregate = reader.take(reader.uint())
-    except SerializeError as error:
+        token = json.loads(data)
+    except ValueError as error:
         raise SerializeError(
-            "%s is a torn checkpoint (%s)" % (path, error)
+            "%s is a torn checkpoint or no checkpoint at all (%s)" % (path, error)
         ) from None
-    return CheckpointState(digest, completed, aggregate)
+    try:
+        state = CheckpointState(
+            str(token["digest"]),
+            frozenset(int(cube_id) for cube_id in token["completed"]),
+            ScenarioAggregate.from_state(token["aggregate"]),
+        )
+        if _token(*state) != data:
+            raise SerializeError("not a canonical %s token" % CHECKPOINT_FORMAT)
+    except (KeyError, TypeError, ValueError) as error:
+        raise SerializeError(
+            "%s is not a valid checkpoint (%s: %s)"
+            % (path, type(error).__name__, error)
+        ) from None
+    return state
 
 
 __all__ = [
-    "AGGREGATE_MAGIC",
     "AggregateError",
-    "CHECKPOINT_MAGIC",
+    "CHECKPOINT_FORMAT",
     "CheckpointState",
     "DEFAULT_MAX_MINIMAL_SETS",
     "ScenarioAggregate",

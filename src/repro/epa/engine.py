@@ -488,15 +488,15 @@ class EpaEngine:
         The full-sweep engine for fleet-scale workloads: the same cube
         sweep as :meth:`analyze`, but workers fold their models into
         :class:`~repro.epa.aggregate.ScenarioAggregate` chunks of
-        :data:`CHUNK_SIZE` scenarios and ship those (RAG1 blobs), so
-        the model list never exists.  The parent merges them
+        :data:`CHUNK_SIZE` scenarios and ship those as objects, so the
+        model list never exists.  The parent merges them
         cube-ordered, byte-identically to folding the materialized
         report.  The fold keeps at most
         :data:`~repro.epa.aggregate.DEFAULT_MAX_MINIMAL_SETS` minimal
         violating sets.
 
         ``checkpoint`` names a file that periodically (every
-        ``checkpoint_every`` completed cubes) receives a compact resume
+        ``checkpoint_every`` completed cubes) receives a JSON resume
         token — completed cube ids plus the partial aggregate — so a
         killed sweep restarts where it left off: call again with the
         same configuration and the same path.  A checkpoint written by
@@ -633,9 +633,7 @@ class EpaEngine:
                 cubes=len(completed),
                 total=len(cubes),
             ):
-                write_checkpoint(
-                    checkpoint, config_digest, completed, assemble().dumps()
-                )
+                write_checkpoint(checkpoint, config_digest, completed, assemble())
 
         def drop(cube_id: int) -> None:
             part = buffers.pop(cube_id, None)
@@ -652,7 +650,7 @@ class EpaEngine:
                 # will re-stream the whole cube
                 drop(cube_id)
             elif kind == "agg":
-                chunk = ScenarioAggregate.loads(value[1])
+                chunk = value[1]
                 if cube_id in buffers:
                     buffers[cube_id].merge(chunk)
                 else:
@@ -763,7 +761,7 @@ class EpaEngine:
                 % checkpoint
             )
         self._stats.incr("epa.aggregate.resumed_cubes", len(state.completed))
-        return set(state.completed), ScenarioAggregate.loads(state.aggregate)
+        return set(state.completed), state.aggregate
 
     def analyze_scenario(
         self,
@@ -1303,15 +1301,17 @@ def _sweep_worker(
     solver, assuming the sweep's assumptions plus the cube and bounding
     it by the sweep's ``max_true``, and every ``context.chunk``
     scenarios passes a partial to ``emit`` — ``("outcomes", [...])``
-    when ``context.fold`` is ``None``, else ``("agg", blob)``, a
+    when ``context.fold`` is ``None``, else ``("agg", part)``, a
     :class:`ScenarioAggregate` over ``fold = (requirements, magnitudes,
-    antichain cap)`` in its RAG1 form — so parent-side memory tracks the
-    fold, not the model count.  If the projected enumeration reports
-    :class:`ProjectionIncomplete` (a leaf propagation could not
-    settle), the worker ships ``("reset",)`` (the parent drops the
-    cube's buffered partials) and re-streams the cube from the complete
-    CDCL enumeration of the sweep's bounded program, ground in the
-    worker on its first fallback — slower, never wrong.
+    antichain cap)`` — so parent-side memory tracks the fold, not the
+    model count.  The pool pickles a partial only across a process
+    boundary; an in-process sweep encodes nothing.  If the projected
+    enumeration reports :class:`ProjectionIncomplete` (a leaf
+    propagation could not settle), the worker ships ``("reset",)``
+    (the parent drops the cube's buffered partials) and re-streams the
+    cube from the complete CDCL enumeration of the sweep's bounded
+    program, ground in the worker on its first fallback — slower,
+    never wrong.
 
     Returns the envelope ``(stats, trace events)``: ``stats`` carries
     ``solving.models``, the cube's SAT counters and
@@ -1337,7 +1337,7 @@ def _sweep_worker(
             part = ScenarioAggregate(*fold)
             for outcome in batch:
                 part.add(outcome)
-            emit(("agg", part.dumps()))
+            emit(("agg", part))
         batch = []
 
     def on_model(assignment: Sequence[int]) -> None:

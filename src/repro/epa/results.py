@@ -136,7 +136,9 @@ class EpaReport:
         """
         from .aggregate import ScenarioAggregate
 
-        return ScenarioAggregate.from_report(self, magnitudes)
+        return ScenarioAggregate.from_outcomes(
+            self.outcomes, self.requirements, magnitudes
+        )
 
     def single_points_of_failure(self) -> List[FaultRef]:
         """Single faults that alone violate some requirement."""

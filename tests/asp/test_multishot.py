@@ -10,6 +10,7 @@ programs.  Any divergence means solver reuse leaked state (a blocking
 clause or optimum pin that outlived its solve), not just saved time.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.asp import Control, atom
@@ -137,10 +138,31 @@ class TestRetraction:
         assert len(first) == 4
         assert first == second
 
-    def test_limited_solve_does_not_poison_the_next(self):
+    @pytest.mark.parametrize("limit", [1, 2, 3, 4, 5])
+    def test_limited_solve_does_not_poison_the_next(self, limit):
         control = Control(self.CHOICES, multishot=True)
-        assert len(control.solve(limit=2)) == 2
+        assert len(control.solve(limit=limit)) == min(limit, 4)
+        assert model_sets(control.solve()) == model_sets(
+            Control(self.CHOICES).solve()
+        )
+
+    def test_first_model_probes_take_no_guard(self):
+        """A one-model call records no blocking clause, so it needs no
+        guard variable: a persistent solver's variable count stays at
+        its encoding's however many probes it answers."""
+        control = Control(self.CHOICES, multishot=True)
+        control.first_model()
+        variables = control.statistics["solving"]["variables"]
+        for _ in range(50):
+            assert control.is_satisfiable([(atom("c"), True)])
+            assert control.first_model([(atom("a"), False)]) is not None
+            assert not control.is_satisfiable(
+                [(atom("c"), True), (atom("b"), False)]
+            )
+        assert control.statistics["solving"]["variables"] == variables
         assert len(control.solve()) == 4
+        # an enumeration past one model still takes its guard
+        assert control.statistics["solving"]["variables"] == variables + 1
 
     def test_assumptions_do_not_persist(self):
         control = Control(self.CHOICES, multishot=True)

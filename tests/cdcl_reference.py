@@ -5,8 +5,8 @@ all run one projected cube sweep, so comparing them with one another
 would compare that sweep with itself.  ``EpaEngine.analyze_stream``
 enumerates the same scenario space with the CDCL enumerator instead —
 conflict-driven search, projected blocking clauses, outcomes read off
-full models — which makes the RAG1 fold of its outcomes an independent
-oracle for every variant.
+full models — which makes the canonical bytes of its outcomes' fold
+(``ScenarioAggregate.dumps``) an independent oracle for every variant.
 """
 
 from repro.epa import EpaReport, ScenarioAggregate
@@ -17,8 +17,8 @@ def magnitudes(engine):
 
 
 def cdcl_reference(engine, **kwargs):
-    """RAG1 bytes of the CDCL enumeration (``kwargs`` as for
-    ``analyze_stream``)."""
+    """Canonical aggregate bytes of the CDCL enumeration (``kwargs`` as
+    for ``analyze_stream``)."""
     return ScenarioAggregate.from_outcomes(
         engine.analyze_stream(**kwargs),
         [r.name for r in engine.requirements],
@@ -26,17 +26,18 @@ def cdcl_reference(engine, **kwargs):
     ).dumps()
 
 
-def rag1(engine, result):
-    """RAG1 bytes of a sweep result: an ``EpaReport`` (folded) or a
-    ``ScenarioAggregate``."""
+def canonical_bytes(engine, result):
+    """Canonical aggregate bytes of a sweep result: an ``EpaReport``
+    (folded) or a ``ScenarioAggregate``."""
     if isinstance(result, EpaReport):
         result = result.to_aggregate(magnitudes(engine))
     return result.dumps()
 
 
 def cdcl_outcomes(engine, **kwargs):
-    """The CDCL enumeration's outcomes in report order, for what RAG1
-    does not record: erroneous components, detection points, paths."""
+    """The CDCL enumeration's outcomes in report order, for what an
+    aggregate does not record: erroneous components, detection points,
+    paths."""
     return EpaReport(
         list(engine.analyze_stream(**kwargs)),
         [r.name for r in engine.requirements],

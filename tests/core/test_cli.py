@@ -462,6 +462,48 @@ class TestStreamingCli:
             == 0
         )
 
+    def _refused(self, capsys, tmp_path, model_file, token):
+        """Run a checkpointed analyze on ``token`` and return its one
+        stderr line, checking exit code 2, an empty stdout and an
+        ``error`` entry in the ledger."""
+        from repro.observability.ledger import list_runs
+
+        root = str(tmp_path / "runs")
+        code = main(
+            ["analyze", model_file, "-r", REQUIREMENT, "--max-faults", "1"]
+            + ["--checkpoint", str(token), "--runs-root", root]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert str(token) in lines[0]
+        assert [entry["status"] for entry in list_runs(root)] == ["error"]
+        return lines[0]
+
+    def test_garbage_token_is_one_error_line(self, capsys, tmp_path, model_file):
+        token = tmp_path / "garbage.ckpt"
+        token.write_bytes(b"RCK1\x40not a checkpoint")
+        line = self._refused(capsys, tmp_path, model_file, token)
+        assert "torn checkpoint" in line
+
+    def test_other_configuration_is_one_error_line(
+        self, capsys, tmp_path, model_file
+    ):
+        token = tmp_path / "sweep.ckpt"
+        assert (
+            main(
+                ["analyze", model_file, "-r", REQUIREMENT, "--max-faults", "2"]
+                + ["--checkpoint", str(token)]
+            )
+            == 0
+        )
+        capsys.readouterr()
+        line = self._refused(capsys, tmp_path, model_file, token)
+        assert "different sweep configuration" in line
+
     def test_cube_factor_flag_is_gone(self, capsys, model_file):
         # a sweep cuts a fixed 4 cubes per worker: the retired flag is
         # an error

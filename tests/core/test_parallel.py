@@ -19,7 +19,7 @@ from repro.epa import engine as engine_module
 from repro.observability.metrics import get_registry
 from repro.parallel import ParallelError, WorkStealingPool
 from repro.modeling import RelationshipType, SystemModel, standard_cps_library
-from tests.cdcl_reference import cdcl_outcomes, cdcl_reference, rag1
+from tests.cdcl_reference import canonical_bytes, cdcl_outcomes, cdcl_reference
 
 REQ = [
     StaticRequirement("rv", "err(v, K), hazardous_kind(K)", focus="v", magnitude="VH"),
@@ -397,7 +397,7 @@ class TestParallelByteIdentity:
         engine, result = _sweep(
             monkeypatch, chain, variant, warm_up=warm_up, **arguments
         )
-        assert rag1(engine, result) == reference
+        assert canonical_bytes(engine, result) == reference
         if SWEEPS[variant][2]:
             assert engine.statistics["epa"]["parallel"]["fallbacks"] > 0
 
@@ -409,7 +409,9 @@ class TestParallelByteIdentity:
         self, monkeypatch, variant, factory, max_faults
     ):
         engine, result = _sweep(monkeypatch, factory, variant, max_faults=max_faults)
-        assert rag1(engine, result) == _model_reference(factory, max_faults)
+        assert canonical_bytes(engine, result) == _model_reference(
+            factory, max_faults
+        )
 
     def test_restricted_sweep_matches_sequential(self):
         restrict = CHAIN_CASES["restriction"]["restrict_faults"]

@@ -9,7 +9,7 @@ no atom and recomputes no shortest path; the choice space a deployment
 and a restriction leave equals the per-call derivation the index
 replaced (kept below as the reference), in order; and the memoized
 propagation paths equal a fresh ``nx.shortest_path`` recomputation.
-The projection order fixes the cube layout, RAG1 bytes and checkpoint
+The projection order fixes the cube layout, aggregate bytes and checkpoint
 digests, so CI also runs this module under fixed hash seeds.
 """
 

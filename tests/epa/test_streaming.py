@@ -1,17 +1,21 @@
 """Tests for the streaming sweep spine (``docs/streaming.md``).
 
-Four contracts:
+Five contracts:
 
 * **byte identity** — the swept aggregate and report (in-process and
   sharded, under deployments and restrictions) fold byte-for-byte to
-  the RAG1 fold of the CDCL reference enumeration
+  the canonical bytes of the CDCL reference enumeration's fold
   (:mod:`tests.cdcl_reference`);
 * **bounded residency** — :meth:`~repro.epa.EpaEngine.analyze_stream`
   never accumulates outcomes: at any point only a handful of yielded
   objects are alive;
+* **canonical form** — an aggregate's state is pinned JSON, a
+  checkpoint is one JSON document, and malformed input raises
+  :class:`SerializeError`; an in-process sweep encodes nothing;
 * **checkpoint/resume** — a killed sweep resumes from its token to the
   same bytes, also in another process under another hash seed; a token
-  from a different configuration, or cut at any byte, is refused;
+  from a different configuration, cut at any byte or in the old binary
+  format, is refused;
 * **channel plumbing** — the ``emit`` the pool passes each task and its
   ``on_partial``/``on_retry``/``on_result`` callbacks behave
   identically in-process and across worker processes, and drop stale
@@ -19,6 +23,7 @@ Four contracts:
 """
 
 import gc
+import json
 import os
 import subprocess
 import sys
@@ -41,14 +46,14 @@ from repro.epa import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.epa.aggregate import CHECKPOINT_MAGIC, AggregateError, SerializeError
+from repro.epa.aggregate import CHECKPOINT_FORMAT, AggregateError, SerializeError
 from repro.epa.engine import CUBE_FACTOR
 from repro.epa.results import ScenarioOutcome
 from repro.modeling import RelationshipType, SystemModel, standard_cps_library
 from repro.observability import MemoryTraceSink
 from repro.parallel import WorkStealingPool
 from repro.security.fleet import FleetSpec, fleet_engine
-from tests.cdcl_reference import cdcl_reference, rag1
+from tests.cdcl_reference import canonical_bytes, cdcl_reference
 
 REQ = [
     StaticRequirement(
@@ -82,7 +87,7 @@ class TestStreamedByteIdentity:
     def test_analyze_stream_fold_matches(self):
         engine = EpaEngine(chain_model(), REQ)
         materialized = engine.analyze(max_faults=2)
-        assert rag1(engine, materialized) == _reference(max_faults=2)
+        assert canonical_bytes(engine, materialized) == _reference(max_faults=2)
 
     @pytest.mark.parametrize("payload", ["aggregate", "models"])
     def test_sharded_stream_matches(self, payload, monkeypatch):
@@ -97,7 +102,7 @@ class TestStreamedByteIdentity:
             swept = engine.aggregate(max_faults=2)
         else:
             swept = engine.analyze(max_faults=2)
-        assert rag1(engine, swept) == _reference(max_faults=2)
+        assert canonical_bytes(engine, swept) == _reference(max_faults=2)
 
     def test_deployment_and_restriction_match(self):
         deployment = {"s": ("redundancy",)}
@@ -145,7 +150,8 @@ class TestStreamedByteIdentity:
         assert ScenarioAggregate.loads(reference).scenarios == (
             spec.scenario_count(max_faults)
         )
-        assert rag1(engine, engine.analyze(max_faults=max_faults)) == reference
+        materialized = engine.analyze(max_faults=max_faults)
+        assert canonical_bytes(engine, materialized) == reference
         streamed = fleet_engine(spec).aggregate(max_faults=max_faults)
         assert streamed.dumps() == reference
 
@@ -212,8 +218,146 @@ class TestAggregateFold:
         aggregate = engine.aggregate(max_faults=2)
         clone = ScenarioAggregate.loads(aggregate.dumps())
         assert clone == aggregate
-        assert clone.to_dict() == aggregate.to_dict()
+        assert clone.state() == aggregate.state()
+        assert clone.criticality() == aggregate.criticality()
+        assert clone.summary() == aggregate.summary()
         assert "scenarios analyzed" in clone.summary()
+        assert ScenarioAggregate.from_state(aggregate.state()) == aggregate
+        assert aggregate.copy().dumps() == aggregate.dumps()
+
+
+def _outcome(faults, violated, rank):
+    return ScenarioOutcome(
+        frozenset(FaultRef.parse(fault) for fault in faults),
+        frozenset(violated),
+        {},
+        severity_rank=rank,
+    )
+
+
+#: the canonical bytes of :func:`_small_aggregate`: sorted keys, no
+#: spaces, integer-keyed tables and risk cells as sorted rows, the
+#: minimal sets by size then name, the requirement order kept
+SMALL_AGGREGATE_BYTES = (
+    b'{"component_criticality":{"c":2,"s":2,"v":1},'
+    b'"fault_count_hist":[[0,1],[1,2],[2,2]],'
+    b'"magnitudes":{"rv":"VH"},"max_minimal_sets":8,'
+    b'"minimal_truncated":false,'
+    b'"minimal_violating":[["s.no_signal"],["c.crash","v.stuck"]],'
+    b'"requirements":["rv","ra"],'
+    b'"risk_cells":[["L","M",1],["L","VH",1],["M","VH",1]],'
+    b'"scenarios":5,"severity_hist":[[0,1],[2,2],[3,1],[4,1]],'
+    b'"violating":3,"violation_counts":{"ra":2,"rv":2},'
+    b'"worst_component_grade":{"c":4,"s":4,"v":2}}'
+)
+
+
+def _small_aggregate(order=(0, 1, 2, 3, 4)):
+    outcomes = [
+        _outcome([], [], 0),
+        _outcome(["v.stuck", "c.crash"], ["ra"], 2),
+        _outcome(["s.no_signal"], ["rv"], 3),
+        _outcome(["c.crash", "s.no_signal"], ["rv", "ra"], 4),
+        _outcome(["c.crash"], [], 2),
+    ]
+    aggregate = ScenarioAggregate(["rv", "ra"], {"rv": "VH"}, max_minimal_sets=8)
+    for index in order:
+        aggregate.add(outcomes[index])
+    return aggregate
+
+
+#: a checkpoint in the binary format this module wrote before its
+#: tokens became JSON (magic ``RCK1``, varint fields, an ``RAG1``
+#: aggregate), as its last codec wrote it for a one-scenario aggregate
+BINARY_TOKEN = (
+    b"RCK1@" + b"ab" * 32 + b"\x02\x00\x026RAG1\x01\x02rv\x02VH\x00\x80 "
+    b"\x01\x01\x01\x02rv\x01\x01\x01\x01\x01\x00\x01\x01\x01s\x01\x00"
+    b"\x01\x01M\x02VH\x01\x01\x01\x0bs.no_signal\x00"
+)
+
+
+def _field_edit(change):
+    """A token edit: decode the JSON, apply ``change`` to the document,
+    re-encode it canonically (sorted keys, no spaces)."""
+
+    def edit(data):
+        token = json.loads(data)
+        change(token)
+        return json.dumps(token, sort_keys=True, separators=(",", ":")).encode()
+
+    return edit
+
+
+class TestCanonicalForm:
+    def test_canonical_bytes_are_pinned(self):
+        aggregate = _small_aggregate()
+        assert aggregate.dumps() == SMALL_AGGREGATE_BYTES
+        assert _small_aggregate((4, 3, 2, 1, 0)).dumps() == SMALL_AGGREGATE_BYTES
+        assert json.loads(SMALL_AGGREGATE_BYTES) == aggregate.state()
+        assert ScenarioAggregate.loads(SMALL_AGGREGATE_BYTES) == aggregate
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            SMALL_AGGREGATE_BYTES + b" {}",
+            SMALL_AGGREGATE_BYTES[:-1],
+            SMALL_AGGREGATE_BYTES.replace(b'"scenarios":5,', b""),
+            SMALL_AGGREGATE_BYTES.replace(b'"scenarios":5', b'"scenarios":"5"'),
+            SMALL_AGGREGATE_BYTES.replace(b"[[0,1],[1,2]", b"[[1,2],[0,1]"),
+            SMALL_AGGREGATE_BYTES.replace(b'"ra":2,', b""),
+            SMALL_AGGREGATE_BYTES.replace(b"[0,1],[1,2]", b"[0,1],[1]"),
+            SMALL_AGGREGATE_BYTES.replace(b'"s.no_signal"]', b'"no_signal"]'),
+            SMALL_AGGREGATE_BYTES.replace(b"false", b"0"),
+            SMALL_AGGREGATE_BYTES[:-1] + b',"extra":1}',
+            b"[]",
+            b"\xff\xfe",
+            BINARY_TOKEN,
+        ],
+        ids=[
+            "trailing-data",
+            "cut-short",
+            "missing-field",
+            "string-count",
+            "rows-out-of-order",
+            "missing-requirement-count",
+            "short-row",
+            "fault-without-component",
+            "int-flag",
+            "extra-field",
+            "array",
+            "not-utf8",
+            "binary-token",
+        ],
+    )
+    def test_malformed_state_raises_serialize_error(self, data):
+        with pytest.raises(SerializeError):
+            ScenarioAggregate.loads(data)
+
+    def test_in_process_sweep_encodes_nothing(self, monkeypatch):
+        import repro.epa.engine as engine_module
+
+        calls = []
+        real_dumps = ScenarioAggregate.dumps
+        real_loads = ScenarioAggregate.loads.__func__
+
+        def counted_dumps(aggregate):
+            calls.append("dumps")
+            return real_dumps(aggregate)
+
+        def counted_loads(cls, data):
+            calls.append("loads")
+            return real_loads(cls, data)
+
+        monkeypatch.setattr(ScenarioAggregate, "dumps", counted_dumps)
+        monkeypatch.setattr(ScenarioAggregate, "loads", classmethod(counted_loads))
+        # chunks smaller than a cube, so every cube ships several
+        monkeypatch.setattr(engine_module, "CHUNK_SIZE", 3)
+        swept = EpaEngine(chain_model(), REQ).aggregate(max_faults=2)
+        assert calls == []
+        # the wrappers do count: the comparison below calls both
+        assert ScenarioAggregate.loads(swept.dumps()) == swept
+        assert calls == ["dumps", "loads"]
+        assert real_dumps(swept) == _reference(max_faults=2)
 
 
 #: one checkpointed water-tank sweep at ``max_faults=2`` (4 cubes) in a
@@ -273,21 +417,81 @@ def _run_tank_sweep(path, mode, hash_seed):
 
 class TestCheckpointResume:
     def test_token_roundtrip(self, tmp_path):
-        path = str(tmp_path / "token.ckpt")
-        aggregate = ScenarioAggregate(["rv"], {"rv": "VH"})
-        write_checkpoint(path, "cafe" * 16, [3, 1, 2], aggregate.dumps())
-        state = read_checkpoint(path)
+        path = tmp_path / "token.ckpt"
+        aggregate = _small_aggregate()
+        written = write_checkpoint(str(path), "cafe" * 16, [3, 1, 2, 1], aggregate)
+        # one canonical JSON document: format, digest, sorted cube ids
+        # and the aggregate's state
+        assert path.read_bytes() == (
+            b'{"aggregate":' + SMALL_AGGREGATE_BYTES + b',"completed":[1,2,3],'
+            b'"digest":"' + b"cafe" * 16 + b'","format":"repro-checkpoint/1"}'
+        )
+        assert written == len(path.read_bytes())
+        state = read_checkpoint(str(path))
         assert state.digest == "cafe" * 16
-        assert list(state.completed) == [1, 2, 3]
-        assert ScenarioAggregate.loads(state.aggregate) == aggregate
+        assert sorted(state.completed) == [1, 2, 3]
+        assert state.aggregate == aggregate
+        assert state.aggregate.dumps() == aggregate.dumps()
 
     def test_torn_token_rejected(self, tmp_path):
         path = tmp_path / "torn.ckpt"
         aggregate = ScenarioAggregate(["rv"], {})
-        write_checkpoint(str(path), "00" * 32, [0], aggregate.dumps())
+        write_checkpoint(str(path), "00" * 32, [0], aggregate)
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(SerializeError):
             read_checkpoint(str(path))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _field_edit(lambda token: token.update(format="repro-checkpoint/0")),
+            _field_edit(lambda token: token.pop("digest")),
+            _field_edit(lambda token: token["aggregate"].pop("violating")),
+            _field_edit(lambda token: token.update(completed=[0, "1"])),
+            _field_edit(lambda token: token.update(completed=[0, 1.0])),
+            _field_edit(lambda token: token.update(completed=[True])),
+            _field_edit(lambda token: token.update(completed=[1, 0])),
+            _field_edit(lambda token: token.update(digest=7)),
+            _field_edit(lambda token: token.update(extra=1)),
+            lambda data: data + b"{}",
+            lambda data: data + b"\n",
+            lambda data: BINARY_TOKEN,
+        ],
+        ids=[
+            "wrong-format",
+            "missing-field",
+            "missing-aggregate-field",
+            "string-cube-id",
+            "float-cube-id",
+            "bool-cube-id",
+            "unsorted-cube-ids",
+            "integer-digest",
+            "extra-field",
+            "trailing-data",
+            "trailing-newline",
+            "binary-token",
+        ],
+    )
+    def test_malformed_token_rejected(self, tmp_path, edit):
+        path = tmp_path / "token.ckpt"
+        write_checkpoint(str(path), "00" * 32, [0, 1], _small_aggregate())
+        token = path.read_bytes()
+        # the canonical re-encoding the edits start from reads back
+        assert _field_edit(lambda token: None)(token) == token
+        path.write_bytes(edit(token))
+        with pytest.raises(SerializeError) as excinfo:
+            read_checkpoint(str(path))
+        assert str(path) in str(excinfo.value)
+
+    def test_sweep_refuses_a_binary_token(self, tmp_path):
+        # before any cube runs, and without overwriting the token
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(BINARY_TOKEN)
+        with pytest.raises(SerializeError):
+            EpaEngine(chain_model(), REQ).aggregate(
+                max_faults=2, checkpoint=str(path)
+            )
+        assert path.read_bytes() == BINARY_TOKEN
 
     def test_every_cut_of_a_real_token_is_refused(self, tmp_path):
         path = tmp_path / "sweep.ckpt"
@@ -295,13 +499,13 @@ class TestCheckpointResume:
             max_faults=2, checkpoint=str(path)
         )
         token = path.read_bytes()
+        assert json.loads(token)["format"] == CHECKPOINT_FORMAT
         torn = tmp_path / "torn.ckpt"
         for cut in range(len(token)):
             torn.write_bytes(token[:cut])
             with pytest.raises(SerializeError) as excinfo:
                 read_checkpoint(str(torn))
-            if cut >= len(CHECKPOINT_MAGIC):
-                assert "torn checkpoint" in str(excinfo.value)
+            assert "torn checkpoint" in str(excinfo.value)
 
     def test_resume_across_processes_and_hash_seeds(self, tmp_path):
         # the template digest must not depend on the process or on
@@ -315,13 +519,17 @@ class TestCheckpointResume:
         )
         assert _run_tank_sweep(path, "kill", "0") == ["[1, 2]"]
         assert sorted(read_checkpoint(path).completed) == [0, 1]
-        blob, resumed_cubes = _run_tank_sweep(path, "resume", "3")
-        assert bytes.fromhex(blob) == reference.dumps()
+        printed, resumed_cubes = _run_tank_sweep(path, "resume", "3")
+        assert bytes.fromhex(printed) == reference.dumps()
         assert resumed_cubes == "2"
-        # the token is exactly its RCK1 fields (digest, cube ids, RAG1
-        # aggregate): re-encoding them reproduces every byte
+        # the token is exactly its fields (digest, cube ids, aggregate
+        # state) as one canonical JSON document: re-encoding them
+        # reproduces every byte
         state = read_checkpoint(path)
-        assert ScenarioAggregate.loads(state.aggregate) == reference
+        assert state.aggregate == reference
+        assert state.aggregate.dumps() == reference.dumps()
+        with open(path, "rb") as original:
+            assert json.loads(original.read())["aggregate"] == reference.state()
         rewritten = str(tmp_path / "rewritten.ckpt")
         write_checkpoint(rewritten, state.digest, state.completed, state.aggregate)
         with open(path, "rb") as original, open(rewritten, "rb") as copy:
@@ -355,8 +563,9 @@ class TestCheckpointResume:
             max_faults=2, checkpoint=path, checkpoint_every=1
         )
         assert resumed.dumps() == reference.dumps()
-        stats = read_checkpoint(path)
-        assert ScenarioAggregate.loads(stats.aggregate) == reference
+        state = read_checkpoint(path)
+        assert state.aggregate == reference
+        assert state.aggregate.dumps() == reference.dumps()
 
     def test_completed_token_short_circuits(self, tmp_path):
         path = str(tmp_path / "done.ckpt")

@@ -9,6 +9,9 @@ optimizer cores.
 
 import pytest
 
+from benchmarks.test_bench_multishot import MITIGATIONS as TANK_MITIGATIONS
+from benchmarks.test_bench_multishot import deployment_grid
+from repro.casestudy import build_system_model, static_requirements
 from repro.epa import EpaEngine, FaultRef, StaticRequirement, scenario_proof
 from repro.mitigation import BlockingProblem, optimality_core, optimize_asp
 from repro.modeling import RelationshipType, SystemModel, standard_cps_library
@@ -93,6 +96,59 @@ class TestBlockingCore:
         assert [o.key() for o in again.outcomes] == [
             o.key() for o in baseline.outcomes
         ]
+
+
+def one_shield_short(engine):
+    """The full shield deployment, then each variant one shield short:
+    some still block every violation (a core), some do not (``None``)."""
+    full = full_deployment(engine)
+    pairs = [(c, m) for c, ms in full.items() for m in ms]
+    variants = [full]
+    for dropped in pairs:
+        variant = {}
+        for component, mitigation in pairs:
+            if (component, mitigation) != dropped:
+                variant.setdefault(component, []).append(mitigation)
+        variants.append(variant)
+    return variants
+
+
+def tank_engine():
+    return EpaEngine(
+        build_system_model(),
+        static_requirements(),
+        fault_mitigations=TANK_MITIGATIONS,
+    )
+
+
+class TestLongCoreSession:
+    """Every probe of a blocking core is a first-model solve on the
+    bound's persistent control, which records no clause and takes no
+    guard variable — so a long what-if session's core control keeps
+    the size of its first call, and its answers stay a fresh engine's."""
+
+    @pytest.mark.parametrize(
+        "build, deployments",
+        [
+            (tank_engine, deployment_grid),
+            (shielded_engine, lambda: one_shield_short(shielded_engine())),
+        ],
+        ids=["tank-grid", "shielded-chain"],
+    )
+    def test_core_control_does_not_grow(self, build, deployments):
+        deployments = deployments()
+        fresh = [build().blocking_core(d, max_faults=2) for d in deployments]
+        engine = build()
+        calls = 512
+        answers = []
+        variables = []
+        for call in range(calls):
+            deployment = deployments[call % len(deployments)]
+            answers.append(engine.blocking_core(deployment, max_faults=2))
+            control = engine._core_controls[2]
+            variables.append(control.statistics["solving"]["variables"])
+        assert variables == [variables[0]] * calls
+        assert answers == [fresh[call % len(deployments)] for call in range(calls)]
 
 
 class TestScenarioProof:

@@ -85,12 +85,10 @@ class TestScenarioCounting:
         assert aggregate.scenarios == SMALL.scenario_count()
 
     def test_streamed_fleet_sweep_is_byte_identical(self):
-        from repro.epa import ScenarioAggregate
-
         engine = fleet_engine(SMALL)
         report = engine.analyze(max_faults=SMALL.max_faults)
         magnitudes = {r.name: r.magnitude for r in engine.requirements}
-        reference = ScenarioAggregate.from_report(report, magnitudes)
+        reference = report.to_aggregate(magnitudes)
         streamed = fleet_engine(SMALL).aggregate(max_faults=SMALL.max_faults)
         assert streamed.dumps() == reference.dumps()
 

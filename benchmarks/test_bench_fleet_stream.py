@@ -126,16 +126,15 @@ def test_fleet_checkpoint_kill_resume(tmp_path, monkeypatch):
         return written
 
     monkeypatch.setattr(engine_module, "write_checkpoint", dying_write)
+    monkeypatch.setattr(engine_module, "CHECKPOINT_EVERY", 1)
     with pytest.raises((KeyboardInterrupt, EpaError)):
-        fleet_engine(spec).aggregate(
-            max_faults=spec.max_faults, checkpoint=path, checkpoint_every=1
-        )
+        fleet_engine(spec).aggregate(max_faults=spec.max_faults, checkpoint=path)
     monkeypatch.setattr(engine_module, "write_checkpoint", real_write)
 
     # the kill left a valid token covering a strict subset of the cubes
     assert writes == [1, 2]
     resumed = fleet_engine(spec).aggregate(
-        max_faults=spec.max_faults, checkpoint=path, checkpoint_every=1
+        max_faults=spec.max_faults, checkpoint=path
     )
     assert resumed.dumps() == reference.dumps()
     # a mismatched configuration must refuse the token, not mis-merge

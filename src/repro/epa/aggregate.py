@@ -163,6 +163,11 @@ class ScenarioAggregate:
                 self.worst_component_grade[component] = rank
         self._insert_minimal(outcome.active_faults)
 
+    def extend(self, outcomes: Iterable[ScenarioOutcome]) -> None:
+        """Fold every outcome of ``outcomes``, like ``list.extend``."""
+        for outcome in outcomes:
+            self.add(outcome)
+
     def _insert_minimal(self, candidate: FrozenSet[FaultRef]) -> None:
         """Antichain insert: drop the candidate when a kept set subsumes
         it, drop kept supersets otherwise.  Insertion order does not
@@ -223,8 +228,7 @@ class ScenarioAggregate:
         max_minimal_sets: int = DEFAULT_MAX_MINIMAL_SETS,
     ) -> "ScenarioAggregate":
         aggregate = cls(requirements, magnitudes, max_minimal_sets)
-        for outcome in outcomes:
-            aggregate.add(outcome)
+        aggregate.extend(outcomes)
         return aggregate
 
     def copy(self) -> "ScenarioAggregate":

@@ -39,11 +39,12 @@ runs the propagation-driven projected enumeration
 outcomes straight off the assignment through the probe tables; a cube
 whose leaves propagation cannot settle (:class:`ProjectionIncomplete`)
 is redone on the CDCL enumerator over the sweep's bounded program,
-ground where the cube runs.  The parent folds the shipped chunks
-into the outcome list of an :class:`EpaReport` (``analyze``) or into a
-:class:`~repro.epa.aggregate.ScenarioAggregate` (``aggregate``).  Cubes
-partition the scenario space, so the result is the same for every
-worker count (see ``docs/parallelism.md``).
+ground where the cube runs.  A cube task returns its whole result:
+the cube's outcome list (``analyze``) or the one
+:class:`~repro.epa.aggregate.ScenarioAggregate` its outcomes were folded
+into (``aggregate``), which the parent concatenates or merges in cube
+order.  Cubes partition the scenario space, so the result is the same
+for every worker count (see ``docs/parallelism.md``).
 :meth:`EpaEngine.analyze_stream` enumerates the same space lazily with
 the CDCL enumerator alone — the independent reference the differential
 tests compare the sweep against.
@@ -72,7 +73,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import networkx as nx
 
@@ -108,8 +109,14 @@ from .rules import epa_rule_base, scenario_choice
 #: even out its lanes, few enough that per-cube setup stays negligible
 CUBE_FACTOR = 4
 
-#: scenarios an ``aggregate`` worker folds into each chunk it ships
-CHUNK_SIZE = 512
+#: completed cubes between two checkpoint writes of a checkpointed
+#: ``aggregate`` (the last write follows the last cube)
+CHECKPOINT_EVERY = 8
+
+#: outcomes a cube task extracts before it folds them into the cube's
+#: part in one loop: adding each outcome to an aggregate as the search
+#: finds it ran the ``fleet-stream`` sweep slower
+FOLD_BLOCK = 512
 
 
 class EpaError(Exception):
@@ -167,8 +174,8 @@ class EpaEngine:
         that share of its scenarios (or
         :data:`~repro.asp.cubes.FLOOR`).  ``progress``
         attaches a :class:`~repro.observability.ProgressTracker` fed
-        per shipped chunk and per completed cube — results are
-        identical with or without it."""
+        per completed cube — results are identical with or without
+        it."""
         names = [r.name for r in requirements]
         if len(set(names)) != len(names):
             raise EpaError("duplicate requirement names")
@@ -481,26 +488,26 @@ class EpaEngine:
         max_faults: int = 0,
         restrict_faults: Optional[Iterable[FaultRef]] = None,
         checkpoint: Optional[str] = None,
-        checkpoint_every: int = 8,
     ) -> ScenarioAggregate:
         """Sweep the scenario space into a bounded-memory aggregate.
 
         The full-sweep engine for fleet-scale workloads: the same cube
-        sweep as :meth:`analyze`, but workers fold their models into
-        :class:`~repro.epa.aggregate.ScenarioAggregate` chunks of
-        :data:`CHUNK_SIZE` scenarios and ship those as objects, so the
-        model list never exists.  The parent merges them
-        cube-ordered, byte-identically to folding the materialized
-        report.  The fold keeps at most
-        :data:`~repro.epa.aggregate.DEFAULT_MAX_MINIMAL_SETS` minimal
-        violating sets.
+        sweep as :meth:`analyze`, but each cube task folds its models
+        into one :class:`~repro.epa.aggregate.ScenarioAggregate` and
+        returns that object, so the model list never exists.  The
+        parent merges the cubes' aggregates in cube order,
+        byte-identically to folding the materialized report.  The fold
+        keeps at most :data:`~repro.epa.aggregate.DEFAULT_MAX_MINIMAL_SETS`
+        minimal violating sets.
 
         ``checkpoint`` names a file that periodically (every
-        ``checkpoint_every`` completed cubes) receives a JSON resume
-        token — completed cube ids plus the partial aggregate — so a
-        killed sweep restarts where it left off: call again with the
-        same configuration and the same path.  A checkpoint written by
-        a different sweep configuration is refused.
+        :data:`CHECKPOINT_EVERY` completed cubes, and after the last)
+        receives a JSON resume token — completed cube ids plus the
+        partial aggregate — so a killed sweep restarts where it left
+        off: call again with the same configuration and the same path.
+        A checkpoint written by a different sweep configuration is
+        refused, and one that cannot be read or written raises
+        :class:`EpaError` naming the path.
         """
         self._check_thread()
         deployment = _deployment(active_mitigations)
@@ -517,7 +524,6 @@ class EpaEngine:
                     DEFAULT_MAX_MINIMAL_SETS,
                 ),
                 checkpoint=checkpoint,
-                checkpoint_every=checkpoint_every,
             )
             span.update(
                 scenarios=result.scenarios, violating=result.violating
@@ -533,7 +539,6 @@ class EpaEngine:
         restrict_faults: Optional[Iterable[FaultRef]],
         into: Optional[ScenarioAggregate] = None,
         checkpoint: Optional[str] = None,
-        checkpoint_every: int = 8,
     ) -> Union[List[ScenarioOutcome], ScenarioAggregate]:
         """The one enumeration path: a cube sweep on a work-stealing pool.
 
@@ -552,18 +557,19 @@ class EpaEngine:
         worker state into the pool task as
         ``functools.partial(_sweep_worker, context)`` (see
         :class:`_SweepContext`); :func:`_sweep_worker` then enumerates
-        each ``(cube id, cube)`` item and ships chunks through the
-        pool's ``emit``.  The progress tracker, if any, is told the
-        layout and the exact scenario total.  Without ``into`` the
-        chunks are outcome lists and the sweep returns every outcome;
-        with ``into`` (an empty aggregate fixing the requirement order,
-        magnitudes and antichain cap) they are pre-folded aggregates and
-        the sweep returns ``into`` with every chunk merged.  The parent
-        keeps an in-progress buffer per cube, promotes it to a completed
-        part when the cube's envelope arrives, and assembles results by
-        merging completed parts in cube order on top of the resumed
-        checkpoint — crash-retried and fallen-back cubes discard their
-        buffered partials, so nothing is ever double counted.
+        each ``(cube id, cube)`` item and returns the cube's part.  The
+        progress tracker, if any, is told the layout and the exact
+        scenario total, and advances as each cube's part arrives.
+        Without ``into`` the parts are outcome lists and the sweep
+        returns every outcome; with ``into`` (an empty aggregate fixing
+        the requirement order, magnitudes and antichain cap) each part
+        is its cube's aggregate and the sweep returns ``into`` with
+        every part merged.  Either way the parts are assembled in cube
+        order, on top of the resumed checkpoint, whatever order the
+        cubes finished in.  A checkpointed sweep keeps the token's
+        aggregate beside the result and extends it, every
+        :data:`CHECKPOINT_EVERY` cubes, with only the parts completed
+        since its last write, so each part is merged at most twice.
         """
         template = self._sweep_template()
         workers = self._workers
@@ -591,7 +597,6 @@ class EpaEngine:
                 if into is None
                 else (into.requirements, into.magnitudes, into.max_minimal_sets)
             ),
-            chunk=CHUNK_SIZE,
             traced=self._trace is not NULL_SINK,
         )
         completed: Set[int] = set()
@@ -601,6 +606,10 @@ class EpaEngine:
             )
             if os.path.exists(checkpoint):
                 completed, into = self._resume(checkpoint, config_digest)
+            # the aggregate of the token on disk, and the parts
+            # completed since it was written, by cube id
+            saved = into.copy()
+            fresh: Dict[int, ScenarioAggregate] = {}
         resumed = into.scenarios if into is not None else 0
         pending = [
             index for index in range(len(cubes)) if index not in completed
@@ -612,20 +621,7 @@ class EpaEngine:
             if resumed:
                 self._progress.preseed_scenarios(resumed)
 
-        parts: Dict[int, object] = {}
-        buffers: Dict[int, object] = {}
-        finished = 0
-
-        def assemble():
-            chunks = [parts[cube_id] for cube_id in sorted(parts)]
-            if into is None:
-                return [outcome for chunk in chunks for outcome in chunk]
-            total = into.copy()
-            for chunk in chunks:
-                total.merge(chunk)
-            return total
-
-        def snapshot() -> None:
+        def snapshot(aggregate: ScenarioAggregate) -> None:
             with self._tracer.span(
                 "epa.checkpoint",
                 path=checkpoint,
@@ -633,50 +629,30 @@ class EpaEngine:
                 cubes=len(completed),
                 total=len(cubes),
             ):
-                write_checkpoint(checkpoint, config_digest, completed, assemble())
+                try:
+                    write_checkpoint(
+                        checkpoint, config_digest, completed, aggregate
+                    )
+                except OSError as error:
+                    raise EpaError(
+                        "cannot write checkpoint %s: %s" % (checkpoint, error)
+                    ) from error
 
-        def drop(cube_id: int) -> None:
-            part = buffers.pop(cube_id, None)
-            if part is not None:
-                self._progress_scenarios(
-                    -(len(part) if into is None else part.scenarios)
-                )
-
-        def on_partial(position: int, value: Tuple[str, object]) -> None:
+        def on_result(position: int, envelope: tuple) -> None:
+            part = envelope[0]
             cube_id = pending[position]
-            kind = value[0]
-            if kind == "reset":
-                # the worker fell back to the CDCL enumeration and
-                # will re-stream the whole cube
-                drop(cube_id)
-            elif kind == "agg":
-                chunk = value[1]
-                if cube_id in buffers:
-                    buffers[cube_id].merge(chunk)
-                else:
-                    buffers[cube_id] = chunk
-                self._progress_scenarios(chunk.scenarios)
-            else:  # "outcomes"
-                buffers.setdefault(cube_id, []).extend(value[1])
-                self._progress_scenarios(len(value[1]))
-
-        def on_retry(position: int) -> None:
-            drop(pending[position])
-
-        def on_result(position: int, _envelope: object) -> None:
-            nonlocal finished
-            cube_id = pending[position]
-            if cube_id in buffers:
-                parts[cube_id] = buffers.pop(cube_id)
             completed.add(cube_id)
-            finished += 1
+            self._progress_scenarios(
+                len(part) if into is None else part.scenarios
+            )
             self._progress_cube_done()
-            if (
-                checkpoint is not None
-                and checkpoint_every > 0
-                and finished % checkpoint_every == 0
-            ):
-                snapshot()
+            if checkpoint is not None:
+                fresh[cube_id] = part
+                if len(fresh) == CHECKPOINT_EVERY:
+                    for done in sorted(fresh):
+                        saved.merge(fresh[done])
+                    fresh.clear()
+                    snapshot(saved)
 
         pool = WorkStealingPool(workers, on_stall=self._on_stall)
         started = time.perf_counter()
@@ -684,15 +660,20 @@ class EpaEngine:
             envelopes = pool.map(
                 functools.partial(_sweep_worker, context),
                 [(cube_id, cubes[cube_id]) for cube_id in pending],
-                on_partial=on_partial,
-                on_retry=on_retry,
                 on_result=on_result,
             )
         except ParallelError as error:
             raise EpaError("EPA sweep failed: %s" % error) from error
         searched_s = time.perf_counter() - started
         lanes = pool.last_assignments
-        for position, (shard_stats, events) in enumerate(envelopes):
+        # ``pending`` lists cube ids in ascending order, and the pool
+        # returns results in input order: this loop folds in cube order
+        result = [] if into is None else into
+        for position, (part, shard_stats, events) in enumerate(envelopes):
+            if into is None:
+                result.extend(part)
+            else:
+                into.merge(part)
             self._stats.merge(shard_stats)
             # replay the cube's trace stream on the parent sink, tagged
             # with the worker lane it actually ran in
@@ -700,9 +681,8 @@ class EpaEngine:
                 payload = dict(event_payload)
                 payload.setdefault("worker", lanes.get(position, position))
                 self._trace.emit(name, **payload)
-        result = assemble()
         if checkpoint is not None:
-            snapshot()
+            snapshot(into)
         scenarios = len(result) if into is None else result.scenarios - resumed
         self._stats.incr("epa.parallel.shards", len(pending))
         self._stats.set("epa.parallel.workers", workers)
@@ -751,7 +731,12 @@ class EpaEngine:
         """The completed cube ids and partial aggregate of a checkpoint,
         refused unless the same sweep configuration wrote it."""
         with self._tracer.span("epa.checkpoint", path=checkpoint, mode="read"):
-            state = read_checkpoint(checkpoint)
+            try:
+                state = read_checkpoint(checkpoint)
+            except OSError as error:
+                raise EpaError(
+                    "cannot read checkpoint %s: %s" % (checkpoint, error)
+                ) from error
         if state.digest != config_digest:
             raise EpaError(
                 "checkpoint %s was written by a different sweep "
@@ -795,20 +780,15 @@ class EpaEngine:
                     None,
                     fallback=(self._assemble_base_program(), deployment, 0, faults),
                     fold=None,
-                    chunk=1,
                     traced=False,
                 )
-                shipped: List[tuple] = []
                 started = time.perf_counter()
-                stats, _events = _sweep_worker(
-                    context, (0, [(a, True) for a in requested]), shipped.append
+                outcomes, stats, _events = _sweep_worker(
+                    context, (0, [(a, True) for a in requested])
                 )
                 self._stats.merge(stats)
-                models = stats["solving"]["models"]
-                self._note_analysis(models, time.perf_counter() - started)
-                # the last chunk shipped holds the one outcome (a
-                # fallback ships ("reset",) before it)
-                outcome = shipped[-1][1][0] if models else None
+                self._note_analysis(len(outcomes), time.perf_counter() - started)
+                outcome = outcomes[0] if outcomes else None
             else:
                 control = self._base_control(deployment)
                 for fault in faults:
@@ -1122,9 +1102,9 @@ class _SweepContext:
     fault bound (``max_true``, ``None`` = unbounded), what the CDCL
     fallback grounds (``fallback``: base program, deployment, bound,
     restriction — see :meth:`bounded_program`), the fold spec
-    (``None`` for outcome chunks, else ``(requirements, magnitudes,
-    antichain cap)``), the chunk size and whether cubes record trace
-    events.  :meth:`EpaEngine._sweep` binds it into the pool task as
+    (``None`` for outcome lists, else ``(requirements, magnitudes,
+    antichain cap)``; see :meth:`new_part`) and whether cubes record
+    trace events.  :meth:`EpaEngine._sweep` binds it into the pool task as
     ``functools.partial(_sweep_worker, context)``: fork-started workers
     inherit it with the process, copy-on-write; spawn-started workers
     unpickle it once per process (the template rebuilding its solver
@@ -1145,7 +1125,6 @@ class _SweepContext:
             Optional[Sequence[FaultRef]],
         ],
         fold: Optional[Tuple[Sequence[str], Mapping[str, str], int]],
-        chunk: int,
         traced: bool,
     ):
         self.template = template
@@ -1154,7 +1133,6 @@ class _SweepContext:
         self.max_true = max_true
         self.fallback = fallback
         self.fold = fold
-        self.chunk = chunk
         self.traced = traced
         self._bounded: Optional[GroundProgram] = None
 
@@ -1164,6 +1142,11 @@ class _SweepContext:
         if self._bounded is None:
             self._bounded = _scenario_space(*self.fallback).ground()
         return self._bounded
+
+    def new_part(self) -> Union[List[ScenarioOutcome], ScenarioAggregate]:
+        """An empty cube part: an outcome list without a fold spec,
+        else an aggregate over it (both take outcomes by ``extend``)."""
+        return [] if self.fold is None else ScenarioAggregate(*self.fold)
 
 
 def _probe_extract(
@@ -1290,60 +1273,52 @@ def _sweep_digest(
 def _sweep_worker(
     context: _SweepContext,
     item: Tuple[int, Sequence[Tuple[Atom, bool]]],
-    emit: Callable[[object], None],
-) -> Tuple[Dict[str, object], List[Tuple[str, float, Dict[str, object]]]]:
-    """Enumerate one ``(cube id, cube)`` item, shipping results as they
-    are found.
+) -> Tuple[
+    Union[List[ScenarioOutcome], ScenarioAggregate],
+    Dict[str, object],
+    List[Tuple[str, float, Dict[str, object]]],
+]:
+    """Enumerate one ``(cube id, cube)`` item and return its result.
 
-    Runs in a pool worker (in-process for a one-worker sweep) with the
-    sweep's :class:`_SweepContext` bound in: runs the
-    propagation-driven projected enumeration on the engine's template
-    solver, assuming the sweep's assumptions plus the cube and bounding
-    it by the sweep's ``max_true``, and every ``context.chunk``
-    scenarios passes a partial to ``emit`` — ``("outcomes", [...])``
-    when ``context.fold`` is ``None``, else ``("agg", part)``, a
-    :class:`ScenarioAggregate` over ``fold = (requirements, magnitudes,
-    antichain cap)`` — so parent-side memory tracks the fold, not the
-    model count.  The pool pickles a partial only across a process
-    boundary; an in-process sweep encodes nothing.  If the projected
-    enumeration reports :class:`ProjectionIncomplete` (a leaf
-    propagation could not settle), the worker ships ``("reset",)``
-    (the parent drops the cube's buffered partials) and re-streams the
-    cube from the complete CDCL enumeration of the sweep's bounded
-    program, ground in the worker on its first fallback — slower,
-    never wrong.
+    Runs in a pool worker (in-process for a one-worker sweep and a
+    point query) with the sweep's :class:`_SweepContext` bound in: runs
+    the propagation-driven projected enumeration on the engine's
+    template solver, assuming the sweep's assumptions plus the cube and
+    bounding it by the sweep's ``max_true``, and keeps the outcomes in
+    the cube's *part* (:meth:`_SweepContext.new_part`) — a list when
+    ``context.fold`` is ``None``, else one :class:`ScenarioAggregate`
+    over ``fold = (requirements, magnitudes, antichain cap)`` that
+    folds them, :data:`FOLD_BLOCK` at a time, so a worker holds the
+    fold and one block, not the models.  If the projected enumeration
+    reports :class:`ProjectionIncomplete` (a leaf propagation could not
+    settle), the worker drops the part, outcomes already kept
+    included, and redoes the cube from the complete CDCL enumeration
+    of the sweep's bounded program, ground in the worker on its first
+    fallback — slower, never wrong.
 
-    Returns the envelope ``(stats, trace events)``: ``stats`` carries
+    Returns ``(part, stats, trace events)``: ``stats`` carries
     ``solving.models``, the cube's SAT counters and
     ``epa.parallel.fallbacks`` (1 when the cube fell back); the parent
     replays the ``epa.cube`` events on its own sink tagged
     ``worker=<i>``, so ``--trace`` composes with ``--workers N``.  The
-    pool ships the task's metrics itself.
+    pool pickles the result only across a process boundary (an
+    in-process sweep encodes nothing) and ships the task's metrics
+    itself.
     """
     cube_id, cube = item
     solver = context.template.solver
     probes = context.template.probes
-    chunk = context.chunk
-    fold = context.fold
-    batch: List[ScenarioOutcome] = []
+    part = context.new_part()
+    block: List[ScenarioOutcome] = []
 
-    def flush() -> None:
-        nonlocal batch
-        if not batch:
-            return
-        if fold is None:
-            emit(("outcomes", batch))
-        else:
-            part = ScenarioAggregate(*fold)
-            for outcome in batch:
-                part.add(outcome)
-            emit(("agg", part))
-        batch = []
+    def keep(outcome: ScenarioOutcome) -> None:
+        block.append(outcome)
+        if len(block) == FOLD_BLOCK:
+            part.extend(block)
+            block.clear()
 
     def on_model(assignment: Sequence[int]) -> None:
-        batch.append(_probe_extract(assignment, probes))
-        if len(batch) >= chunk:
-            flush()
+        keep(_probe_extract(assignment, probes))
 
     start = time.perf_counter()
     before = solver.statistics["solvers"]
@@ -1360,22 +1335,18 @@ def _sweep_worker(
             for key, value in solver.statistics["solvers"].items()
         }
     except ProjectionIncomplete:
-        # tell the parent to discard everything streamed so far, then
-        # redo the cube on the reference path
+        # drop what the projected search kept, then redo the cube on
+        # the reference path
         fallback = True
-        emit(("reset",))
-        batch = []
+        part = context.new_part()
+        block.clear()
         reference = StableModelSolver(context.bounded_program())
         count = 0
         for model in reference.models(assumptions=cube, project=context.project):
-            batch.append(
-                _model_extract(model, context.template.requirement_names)
-            )
+            keep(_model_extract(model, context.template.requirement_names))
             count += 1
-            if len(batch) >= chunk:
-                flush()
         searched = reference.statistics["solvers"]
-    flush()
+    part.extend(block)
     elapsed = time.perf_counter() - start
     events: List[Tuple[str, float, Dict[str, object]]] = []
     if context.traced:
@@ -1396,7 +1367,7 @@ def _sweep_worker(
         "solving": {"models": count, "solvers": searched},
         "epa": {"parallel": {"fallbacks": int(fallback)}},
     }
-    return stats, events
+    return part, stats, events
 
 
 def _deployed_control(

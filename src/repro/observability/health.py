@@ -8,9 +8,13 @@ the respawn path cannot see: a worker that is *alive but silent*
 (stuck solve, livelock, swapping) while holding a task.
 
 Heartbeats piggyback on the pool's result channel — every message a
-worker ships (``partial``/``done``/``error``) refreshes its
+worker ships (``done``/``error``, one per task) refreshes its
 :meth:`~WorkerHealth.beat` timestamp, so there is no extra IPC and no
-worker-side code at all.  The pool's idle loop calls
+worker-side code at all.  A worker therefore beats once per finished
+cube, so the stall timeout must outlast the longest cube; it does by
+far (the largest cube of the 210,043-scenario fleet sweep, 52,463
+scenarios, took 5.4 s; see ``docs/observability.md``).  The pool's
+idle loop calls
 :meth:`~WorkerHealth.check`; a worker silent longer than the stall
 timeout while holding a task triggers a warning (once per task
 attempt) through ``on_stall`` and increments

@@ -3,30 +3,31 @@
 A fleet-scale sweep (``docs/streaming.md``) is silent until it
 finishes; this module is the progress surface the ROADMAP's
 analysis-as-a-service item needs.  :class:`ProgressTracker` is a cheap
-parent-side accumulator the EPA engine feeds from the streaming hooks
-it already has — the work-stealing pool's partial channel
-(``on_partial``/``on_result``) on sharded sweeps, the per-model fold on
-sequential ones — and periodically converts into a
+parent-side accumulator the EPA engine feeds from the hooks it already
+has — the work-stealing pool's ``on_result`` callback, once per
+finished cube, on every cube sweep, and the per-model loop of the
+lazy CDCL stream — and periodically converts into a
 :class:`ProgressSnapshot`: scenarios folded so far, throughput, cubes
 done/total, an ETA extrapolated from the scenarios folded so far (or
 from completed cubes when the scenario total is unknown), all
 published as ``repro_progress_*`` gauges so a scrape mid-sweep sees
-the same numbers the terminal does.
+the same numbers the terminal does.  On a sweep the counts advance a
+whole cube at a time: a cube holds at most ``1/(workers × 4)`` of the
+sweep's scenarios (``docs/parallelism.md``).
 
 :class:`ProgressRenderer` is the terminal face (CLI ``--progress``): a
 throttled, carriage-return live line on stderr that never interleaves
 with the report the command prints on stdout.
 
 Everything here runs in the parent process, on the thread driving the
-sweep — the pool delivers ``on_partial`` callbacks there — so there is
+sweep — the pool delivers ``on_result`` callbacks there — so there is
 no locking and no overhead in the workers.  Counter updates are O(1)
 attribute arithmetic; the time check and gauge export happen at most
 every ``min_interval`` seconds, which is what keeps the
-``SPEEDUP_FLOORS`` benches indifferent to progress being on.
-
-Crash-retried cubes roll their buffered counts back via negative
-:meth:`ProgressTracker.add_scenarios` deltas, mirroring the engine's
-buffer-discard bookkeeping, so the live line never over-reports.
+``SPEEDUP_FLOORS`` benches indifferent to progress being on.  A cube
+counts only once it has finished — after its retry when its worker
+died, after its CDCL redo when it fell back — so the live line never
+over-reports.
 """
 
 from __future__ import annotations
@@ -78,8 +79,8 @@ class ProgressSnapshot:
 class ProgressTracker:
     """Accumulates sweep progress and publishes it as gauges.
 
-    Feed it from the streaming hooks (:meth:`add_scenarios` per folded
-    model or partial aggregate, :meth:`cube_done` per completed cube);
+    Feed it from the sweep's hooks (:meth:`add_scenarios` per folded
+    model or finished cube, :meth:`cube_done` per finished cube);
     it throttles itself: at most every ``min_interval`` seconds the
     ``repro_progress_*`` gauges are refreshed and ``on_update`` (the
     renderer, a service push, a test probe) receives a fresh
@@ -144,8 +145,8 @@ class ProgressTracker:
             self._sweep_todo -= int(count)
 
     def add_scenarios(self, count: int = 1) -> None:
-        """Fold ``count`` scenarios (negative = crash-retry rollback)."""
-        self.scenarios = max(0, self.scenarios + int(count))
+        """Fold ``count`` scenarios."""
+        self.scenarios += int(count)
         self._maybe_update()
 
     def cube_done(self, count: int = 1) -> None:

@@ -17,8 +17,8 @@ pool runs in-process, so serial evaluation is simply the one-worker
 case.
 
 **Tasks and their state.**  :meth:`WorkStealingPool.map` calls each
-task as ``function(item, emit)``.  State shared by every task of one
-call travels with ``function`` itself — bind it with
+task as ``function(item)``.  State shared by every task of one call
+travels with ``function`` itself — bind it with
 :func:`functools.partial`: fork-started workers inherit it through the
 ``Process`` arguments (respawned workers included), spawn-started
 workers unpickle it once per process, and the in-process case just
@@ -26,20 +26,14 @@ calls the function.  Nothing crosses through module globals, so maps
 driven from separate threads do not see each other's state (forking a
 pool from several threads at once is still unsupported).
 
-**Streaming result channel.**  ``emit(value)`` ships an intermediate
-result any number of times before the task returns: from a pool worker
-the value is pickled and sent on the worker's result pipe immediately;
-in-process it reaches the callback synchronously.  Either way the
-parent invokes the ``on_partial(task_index, value)`` callback passed to
-:meth:`WorkStealingPool.map` — the mechanism behind bounded-memory
-streaming sweeps, where workers ship models (or pre-folded partial
-aggregates) as they are found instead of one pickled batch per cube.
-``emit`` is a no-op when the caller passed no ``on_partial``.  Two
-companion callbacks keep crash recovery honest: ``on_retry(task_index)``
-fires when a worker died mid-task and the task is re-queued, so the
-caller discards the partials the dead attempt already shipped;
-``on_result(task_index, value)`` fires when a task finishes, marking
-its partials final.
+**One result per task.**  A task ships exactly one message, its
+return value (or the exception it raised), when it finishes; the
+parent hands each result to the ``on_result(task_index, value)``
+callback passed to :meth:`WorkStealingPool.map` as it arrives, which is
+how a sweep checkpoints and reports progress cube by cube.  A worker
+that dies mid-task ships nothing, so a re-queued task has nothing to
+roll back: ``on_result`` fires once per task, for the attempt that
+finished.
 
 **Metrics ride the result channel.**  A pool worker zeroes its metrics
 registry before each task and ships a
@@ -59,7 +53,6 @@ worker traceback when they crossed a process boundary).
 
 from __future__ import annotations
 
-import functools
 import gc
 import multiprocessing
 import pickle
@@ -86,16 +79,6 @@ _Result = TypeVar("_Result")
 MAX_TASK_ATTEMPTS = 3
 
 
-def _discard(_value) -> None:
-    """``emit`` for a :meth:`WorkStealingPool.map` without ``on_partial``."""
-
-
-def _ship_partial(results, task_index, worker_index, attempt, value) -> None:
-    """``emit`` inside a pool worker: one attempt-tagged partial message."""
-    payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    results.send(("partial", task_index, worker_index, attempt, payload))
-
-
 class ParallelError(RuntimeError):
     """A worker pool failed (crashed worker, unpicklable payload).
 
@@ -115,7 +98,7 @@ class ParallelError(RuntimeError):
         self.worker_traceback = worker_traceback
 
 
-def _pool_worker(index, function, tasks, results, streaming):
+def _pool_worker(index, function, tasks, results):
     """Worker-process loop: one task at a time, results pre-pickled.
 
     Pre-pickling the result in the worker turns an unpicklable return
@@ -125,8 +108,7 @@ def _pool_worker(index, function, tasks, results, streaming):
     frame.  The metrics registry is zeroed before each task (a
     fork-started worker inherits the parent's counts) and its snapshot
     rides the ``done`` message, so each message carries exactly that
-    task's metrics.  ``streaming`` says whether the parent listens for
-    partials; without it ``emit`` discards them.
+    task's metrics.
 
     ``results`` is this worker's own pipe, written synchronously: a
     worker that dies mid-message leaves a truncated message in its own
@@ -148,16 +130,11 @@ def _pool_worker(index, function, tasks, results, streaming):
         message = tasks.get()
         if message is None:
             return
-        task_index, attempt, item = message
-        emit = (
-            functools.partial(_ship_partial, results, task_index, index, attempt)
-            if streaming
-            else _discard
-        )
+        task_index, item = message
         registry.reset()
         start = time.perf_counter()
         try:
-            value = function(item, emit)
+            value = function(item)
             payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         except BaseException as error:  # ship SystemExit/KeyboardInterrupt too
             trace = traceback_module.format_exc()
@@ -221,38 +198,29 @@ class WorkStealingPool:
 
     def map(
         self,
-        function: Callable[[_Item, Callable[[object], None]], _Result],
+        function: Callable[[_Item], _Result],
         items: Iterable[_Item],
-        on_partial: Optional[Callable[[int, object], None]] = None,
-        on_retry: Optional[Callable[[int], None]] = None,
-        on_result: Optional[Callable[[int, object], None]] = None,
+        on_result: Optional[Callable[[int, _Result], None]] = None,
     ) -> List[_Result]:
-        """Evaluate ``function(item, emit)`` over ``items``; results in
-        input order.
+        """Evaluate ``function(item)`` over ``items``; results in input
+        order.
 
         After the call, :attr:`last_assignments` maps each item index to
         the worker lane that executed it (all ``0`` for the in-process
         degenerate case) — callers use it to tag per-item telemetry with
         the lane it actually ran in.
 
-        ``on_partial(task_index, value)`` receives every value a task
-        passes to ``emit`` before finishing; ``on_retry(task_index)``
-        fires when a crashed worker's task is re-queued (discard that
-        task's partials); ``on_result`` fires on task completion, before
-        the pool moves on.  All three run in the parent process, on the
-        thread driving :meth:`map`.
+        ``on_result(task_index, value)`` fires once per task, in
+        completion order, as its result arrives and before the pool
+        moves on; it runs in the parent process, on the thread driving
+        :meth:`map`.
         """
         batch = list(items)
         if self.workers <= 1 or len(batch) <= 1:
             self.last_assignments = {index: 0 for index in range(len(batch))}
             collected = []
             for index, item in enumerate(batch):
-                emit = (
-                    _discard
-                    if on_partial is None
-                    else functools.partial(on_partial, index)
-                )
-                value = function(item, emit)
+                value = function(item)
                 if on_result is not None:
                     on_result(index, value)
                 collected.append(value)
@@ -262,8 +230,6 @@ class WorkStealingPool:
             self.workers,
             function,
             batch,
-            on_partial=on_partial,
-            on_retry=on_retry,
             on_result=on_result,
             on_stall=self.on_stall,
         )
@@ -271,16 +237,7 @@ class WorkStealingPool:
         return results
 
 
-def _run_pool(
-    context,
-    workers,
-    function,
-    batch,
-    on_partial=None,
-    on_retry=None,
-    on_result=None,
-    on_stall=None,
-):
+def _run_pool(context, workers, function, batch, on_result=None, on_stall=None):
     registry = get_registry()
     health = WorkerHealth(on_stall=on_stall)
     cubes_total = registry.counter(
@@ -315,9 +272,7 @@ def _run_pool(
         reader, writer = context.Pipe(duplex=False)
         process = context.Process(
             target=_pool_worker,
-            args=(
-                worker_index, function, task_queue, writer, on_partial is not None
-            ),
+            args=(worker_index, function, task_queue, writer),
             daemon=True,
         )
         process.start()
@@ -349,9 +304,7 @@ def _run_pool(
         pending.remove(task_index)
         attempts[task_index] += 1
         in_flight[worker_index] = task_index
-        task_queues[worker_index].put(
-            (task_index, attempts[task_index], batch[task_index])
-        )
+        task_queues[worker_index].put((task_index, batch[task_index]))
 
     def receive():
         """The next worker message, or ``None`` after 50 ms of silence."""
@@ -411,8 +364,6 @@ def _run_pool(
                                     attempts[task_index],
                                 )
                             )
-                        if on_retry is not None:
-                            on_retry(task_index)
                         pending.appendleft(task_index)
                     in_flight[worker_index] = None
                     if pending or len(results) < len(batch):
@@ -426,19 +377,6 @@ def _run_pool(
             kind = message[0]
             # every message a worker ships is a heartbeat
             health.beat(message[2])
-            if kind == "partial":
-                _, task_index, worker_index, attempt, payload = message
-                # Partials are attempt-tagged and only honoured while
-                # their attempt is the one currently in flight on the
-                # emitting worker; anything else is a stale straggler
-                # from a crashed (or already completed) attempt.
-                if (
-                    task_index not in results
-                    and attempt == attempts[task_index]
-                    and in_flight.get(worker_index) == task_index
-                ):
-                    on_partial(task_index, pickle.loads(payload))
-                continue
             if kind == "done":
                 _, task_index, worker_index, busy, payload, metrics = message
                 registry.merge(metrics)

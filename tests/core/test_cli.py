@@ -504,6 +504,20 @@ class TestStreamingCli:
         line = self._refused(capsys, tmp_path, model_file, token)
         assert "different sweep configuration" in line
 
+    def test_directory_token_is_one_error_line(self, capsys, tmp_path, model_file):
+        token = tmp_path / "tokens"
+        token.mkdir()
+        line = self._refused(capsys, tmp_path, model_file, token)
+        assert "cannot read checkpoint" in line
+
+    def test_token_in_a_missing_directory_is_one_error_line(
+        self, capsys, tmp_path, model_file
+    ):
+        token = tmp_path / "missing" / "sweep.ckpt"
+        line = self._refused(capsys, tmp_path, model_file, token)
+        assert "cannot write checkpoint" in line
+        assert not token.parent.exists()
+
     def test_cube_factor_flag_is_gone(self, capsys, model_file):
         # a sweep cuts a fixed 4 cubes per worker: the retired flag is
         # an error

@@ -44,19 +44,51 @@ def chain_model():
     return model
 
 
-def _square(value, emit):  # must be module-level: pool workers pickle it
+def _square(value):  # must be module-level: pool workers pickle it
     return value * value
 
 
-def _die(item, emit):  # simulates a worker killed by the OS (OOM, signal)
+def _die(item):  # simulates a worker killed by the OS (OOM, signal)
     os._exit(1)
 
 
-def _die_on_cube(context, item, emit):  # a ``_sweep_worker`` stand-in
-    _die(item, emit)
+def _die_on_cube(context, item):  # a ``_sweep_worker`` stand-in
+    _die(item)
 
 
-def _count_task(value, emit):  # records one metric in its own process
+#: the engine's cube task, for stand-ins that wrap it
+_SWEEP_WORKER = engine_module._sweep_worker
+
+
+def _die_once_mid_cube(flag, context, item):
+    """A ``_sweep_worker`` stand-in whose worker dies once in the middle
+    of cube 1, after its search reported three models; the retry runs
+    the real task (the flag file makes the crash happen exactly once
+    across the respawned workers)."""
+    cube_id, _cube = item
+    if cube_id == 1 and not os.path.exists(flag):
+        with open(flag, "w"):
+            pass
+        solver = context.template.solver
+        search = solver.project_models
+
+        def dying(project, on_model, **options):
+            reported = []
+
+            def report_then_die(assignment):
+                on_model(assignment)
+                reported.append(assignment)
+                if len(reported) == 3:
+                    os._exit(1)
+
+            return search(project, report_then_die, **options)
+
+        # an instance attribute: only this doomed worker's solver
+        solver.project_models = dying
+    return _SWEEP_WORKER(context, item)
+
+
+def _count_task(value):  # records one metric in its own process
     get_registry().counter(
         "repro_test_pool_tasks_total", "tasks run by the pool metrics test"
     ).inc()
@@ -84,6 +116,31 @@ class TestShardedAnalyze:
         with pytest.raises(EpaError):
             engine.analyze(max_faults=1)
 
+    @pytest.mark.parametrize("method", ["analyze", "aggregate"])
+    def test_worker_death_mid_cube_gives_the_serial_bytes(
+        self, monkeypatch, tmp_path, method
+    ):
+        # the dead attempt's models never reach the result: the retried
+        # cube is counted once
+        respawns = get_registry().counter(
+            "repro_parallel_respawns_total",
+            "worker processes respawned after dying mid-task",
+        )
+        serial_engine = _tank()
+        serial = getattr(serial_engine, method)(max_faults=2)
+        monkeypatch.setattr(
+            engine_module,
+            "_sweep_worker",
+            functools.partial(_die_once_mid_cube, str(tmp_path / "died-once")),
+        )
+        before = respawns.value
+        engine = _tank(workers=2)
+        sharded = getattr(engine, method)(max_faults=2)
+        assert respawns.value > before
+        assert canonical_bytes(engine, sharded) == canonical_bytes(
+            serial_engine, serial
+        )
+
     def test_serial_sweep_accounts_cubes_in_stats(self):
         engine = EpaEngine(chain_model(), REQ)
         aggregate = engine.aggregate(max_faults=1)
@@ -94,7 +151,7 @@ class TestShardedAnalyze:
         assert stats["solving"]["models"] == aggregate.scenarios == 10
 
 
-def _sleep_square(payload, emit):  # skewed task cost: (seconds, value)
+def _sleep_square(payload):  # skewed task cost: (seconds, value)
     seconds, value = payload
     import time
 
@@ -102,7 +159,7 @@ def _sleep_square(payload, emit):  # skewed task cost: (seconds, value)
     return value * value
 
 
-def _die_once(payload, emit):  # crashes the first time only (flag-file trick)
+def _die_once(payload):  # crashes the first time only (flag-file trick)
     flag, value = payload
     if os.path.exists(flag):
         return value * value
@@ -111,24 +168,26 @@ def _die_once(payload, emit):  # crashes the first time only (flag-file trick)
     os._exit(1)
 
 
-def _raise_tagged(value, emit):
+def _raise_tagged(value):
     raise KeyError("nope-%d" % value)
 
 
-def _die_while_shipping(payload, emit):
-    """Item 1's first attempt dies while a large partial is in flight:
-    the parent is still busy with the small partial before it."""
+def _die_while_shipping(payload):
+    """Item 1's first attempt returns a 1 MiB result and dies 0.1 s
+    later, while that result is still in flight: the parent is busy
+    with item 0's result and does not read the pipe."""
+    import threading
     import time
 
     flag, value = payload
-    emit(("small", value))
-    emit(("large", value, b"x" * (1 << 20)))
-    if value == 1 and not os.path.exists(flag):
+    if value != 1:
+        return value
+    time.sleep(0.05)  # item 0's result reaches the parent first
+    if not os.path.exists(flag):
         with open(flag, "w"):
             pass
-        time.sleep(0.1)
-        os._exit(1)
-    return value
+        threading.Timer(0.1, os._exit, (1,)).start()
+    return (value, b"x" * (1 << 20))
 
 
 class TestWorkStealingPool:
@@ -166,11 +225,18 @@ class TestWorkStealingPool:
 
     def test_crashed_worker_retries_and_recovers(self, tmp_path):
         # the task kills its worker once, then succeeds on the retry:
-        # the pool must respawn the worker and still return every result
+        # the pool must respawn the worker and still return every
+        # result, reporting each task once (never the dead attempt)
         flag = str(tmp_path / "died-once")
         items = [(flag, value) for value in range(4)]
-        results = WorkStealingPool(2).map(_die_once, items)
+        done = []
+        results = WorkStealingPool(2).map(
+            _die_once,
+            items,
+            on_result=lambda index, value: done.append((index, value)),
+        )
         assert results == [value * value for value in range(4)]
+        assert sorted(done) == list(enumerate(results))
 
     def test_repeated_crashes_exhaust_attempts(self):
         from repro.parallel import MAX_TASK_ATTEMPTS
@@ -179,16 +245,16 @@ class TestWorkStealingPool:
             WorkStealingPool(2).map(_die, list(range(4)))
         assert str(MAX_TASK_ATTEMPTS) in str(excinfo.value)
 
-    def test_death_while_shipping_a_partial_does_not_wedge_the_pool(
+    def test_death_while_shipping_a_result_does_not_wedge_the_pool(
         self, tmp_path
     ):
         import threading
         import time
 
-        # the worker dies while its large partial is still being
+        # the worker dies while its large result is still being
         # written; the respawned worker's messages must get through
-        def on_partial(index, value):
-            if value[0] == "small" and index == 1:
+        def on_result(index, value):
+            if index == 0:
                 time.sleep(0.5)
 
         flag = str(tmp_path / "died-once")
@@ -197,14 +263,27 @@ class TestWorkStealingPool:
 
         def run():
             outcome["results"] = WorkStealingPool(2).map(
-                _die_while_shipping, items, on_partial=on_partial
+                _die_while_shipping, items, on_result=on_result
             )
 
         runner = threading.Thread(target=run, daemon=True)
         runner.start()
         runner.join(timeout=30)
         assert not runner.is_alive(), "pool wedged after a worker death"
-        assert outcome["results"] == list(range(4))
+        assert os.path.exists(flag)
+        assert outcome["results"] == [0, (1, b"x" * (1 << 20)), 2, 3]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_on_result_fires_once_per_task(self, workers):
+        # in-process and across worker processes alike
+        done = []
+        results = WorkStealingPool(workers).map(
+            _square,
+            range(5),
+            on_result=lambda index, value: done.append((index, value)),
+        )
+        assert results == [value * value for value in range(5)]
+        assert sorted(done) == list(enumerate(results))
 
     def test_empty_batch(self):
         pool = WorkStealingPool(4)
@@ -286,14 +365,49 @@ def _force_fallback(monkeypatch):
     monkeypatch.setattr(StableModelSolver, "project_models", raiser)
 
 
-#: every way to run a full sweep, as ``(engine options, method, forced
-#: CDCL fallback)``
+def _fall_back_late(monkeypatch):
+    """Make every cube's projected enumeration report up to two models
+    and then give up, so the sweep must drop what the cube already
+    reported before redoing it on the CDCL enumerator."""
+    search = StableModelSolver.project_models
+
+    def late(self, project, on_model, assumptions=(), max_true=None):
+        reported = []
+
+        def report_then_give_up(assignment):
+            on_model(assignment)
+            reported.append(assignment)
+            if len(reported) == 2:
+                raise ProjectionIncomplete("forced by test after two models")
+
+        search(
+            self,
+            project,
+            report_then_give_up,
+            assumptions=assumptions,
+            max_true=max_true,
+        )
+        raise ProjectionIncomplete("forced by test")
+
+    monkeypatch.setattr(StableModelSolver, "project_models", late)
+
+
+#: every way to run a full sweep, as ``(engine options, method, what
+#: forces the CDCL fallback)``
 SWEEPS = {
-    "analyze": ({}, "analyze", False),
-    "analyze-2-workers": ({"workers": 2}, "analyze", False),
-    "aggregate": ({}, "aggregate", False),
-    "aggregate-2-workers": ({"workers": 2}, "aggregate", False),
-    "analyze-fallback": ({}, "analyze", True),
+    "analyze": ({}, "analyze", None),
+    "analyze-2-workers": ({"workers": 2}, "analyze", None),
+    "aggregate": ({}, "aggregate", None),
+    "aggregate-2-workers": ({"workers": 2}, "aggregate", None),
+    "analyze-fallback": ({}, "analyze", _force_fallback),
+    "analyze-late-fallback": ({}, "analyze", _fall_back_late),
+    "analyze-2-workers-late-fallback": ({"workers": 2}, "analyze", _fall_back_late),
+    "aggregate-late-fallback": ({}, "aggregate", _fall_back_late),
+    "aggregate-2-workers-late-fallback": (
+        {"workers": 2},
+        "aggregate",
+        _fall_back_late,
+    ),
 }
 
 #: chain-model sweep arguments the variants are checked under
@@ -374,8 +488,8 @@ def _sweep(monkeypatch, factory, variant, warm_up=None, **kwargs):
     """Run one sweep variant; ``warm_up`` (sweep arguments) runs a first
     sweep on the same engine, so the measured one reuses its template."""
     options, method, fallback = SWEEPS[variant]
-    if fallback:
-        _force_fallback(monkeypatch)
+    if fallback is not None:
+        fallback(monkeypatch)
     engine = factory(**options)
     if warm_up is not None:
         getattr(engine, method)(**warm_up)
@@ -398,7 +512,7 @@ class TestParallelByteIdentity:
             monkeypatch, chain, variant, warm_up=warm_up, **arguments
         )
         assert canonical_bytes(engine, result) == reference
-        if SWEEPS[variant][2]:
+        if SWEEPS[variant][2] is not None:
             assert engine.statistics["epa"]["parallel"]["fallbacks"] > 0
 
     @pytest.mark.parametrize(

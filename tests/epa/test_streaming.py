@@ -15,11 +15,13 @@ Five contracts:
 * **checkpoint/resume** — a killed sweep resumes from its token to the
   same bytes, also in another process under another hash seed; a token
   from a different configuration, cut at any byte or in the old binary
-  format, is refused;
-* **channel plumbing** — the ``emit`` the pool passes each task and its
-  ``on_partial``/``on_retry``/``on_result`` callbacks behave
-  identically in-process and across worker processes, and drop stale
-  partials from crashed attempts.
+  format, is refused, and so is a path that cannot be read or written;
+* **checkpoint cost** — each cube returns its whole aggregate once, and
+  a sweep that writes a token after every cube still merges each cube's
+  aggregate at most twice: once into the token's aggregate, once into
+  the result.  (The pool's ``on_result`` channel, worker deaths
+  mid-cube and cubes that fall back after reporting models are pinned
+  in ``tests/core/test_parallel.py``.)
 """
 
 import gc
@@ -51,7 +53,6 @@ from repro.epa.engine import CUBE_FACTOR
 from repro.epa.results import ScenarioOutcome
 from repro.modeling import RelationshipType, SystemModel, standard_cps_library
 from repro.observability import MemoryTraceSink
-from repro.parallel import WorkStealingPool
 from repro.security.fleet import FleetSpec, fleet_engine
 from tests.cdcl_reference import canonical_bytes, cdcl_reference
 
@@ -90,15 +91,11 @@ class TestStreamedByteIdentity:
         assert canonical_bytes(engine, materialized) == _reference(max_faults=2)
 
     @pytest.mark.parametrize("payload", ["aggregate", "models"])
-    def test_sharded_stream_matches(self, payload, monkeypatch):
-        """Both partial payloads workers ship: pre-folded aggregates
-        (``aggregate``, with a chunk smaller than a cube so each cube
-        ships several) and outcome chunks (``analyze``)."""
-        import repro.epa.engine as engine_module
-
+    def test_sharded_stream_matches(self, payload):
+        """Both parts a cube task returns: the cube's aggregate
+        (``aggregate``) and its outcome list (``analyze``)."""
         engine = EpaEngine(chain_model(), REQ, workers=2)
         if payload == "aggregate":
-            monkeypatch.setattr(engine_module, "CHUNK_SIZE", 3)
             swept = engine.aggregate(max_faults=2)
         else:
             swept = engine.analyze(max_faults=2)
@@ -334,8 +331,6 @@ class TestCanonicalForm:
             ScenarioAggregate.loads(data)
 
     def test_in_process_sweep_encodes_nothing(self, monkeypatch):
-        import repro.epa.engine as engine_module
-
         calls = []
         real_dumps = ScenarioAggregate.dumps
         real_loads = ScenarioAggregate.loads.__func__
@@ -350,8 +345,6 @@ class TestCanonicalForm:
 
         monkeypatch.setattr(ScenarioAggregate, "dumps", counted_dumps)
         monkeypatch.setattr(ScenarioAggregate, "loads", classmethod(counted_loads))
-        # chunks smaller than a cube, so every cube ships several
-        monkeypatch.setattr(engine_module, "CHUNK_SIZE", 3)
         swept = EpaEngine(chain_model(), REQ).aggregate(max_faults=2)
         assert calls == []
         # the wrappers do count: the comparison below calls both
@@ -383,14 +376,13 @@ def dying_write(target, digest, completed, aggregate):
 
 if mode == "kill":
     engine_module.write_checkpoint = dying_write
+engine_module.CHECKPOINT_EVERY = 1
 requirement = StaticRequirement(
     "r1", "err(water_tank, K), hazardous_kind(K)", "water_tank", "VH"
 )
 engine = EpaEngine(build_system_model(), [requirement])
 try:
-    aggregate = engine.aggregate(
-        max_faults=2, checkpoint=path, checkpoint_every=1
-    )
+    aggregate = engine.aggregate(max_faults=2, checkpoint=path)
 except KeyboardInterrupt:
     print(writes)
 else:
@@ -552,15 +544,14 @@ class TestCheckpointResume:
             return written
 
         monkeypatch.setattr(engine_module, "write_checkpoint", dying_write)
+        monkeypatch.setattr(engine_module, "CHECKPOINT_EVERY", 1)
         with pytest.raises(KeyboardInterrupt):
-            EpaEngine(chain_model(), REQ).aggregate(
-                max_faults=2, checkpoint=path, checkpoint_every=1
-            )
+            EpaEngine(chain_model(), REQ).aggregate(max_faults=2, checkpoint=path)
         monkeypatch.setattr(engine_module, "write_checkpoint", real_write)
         assert calls == [1, 2]
 
         resumed = EpaEngine(chain_model(), REQ).aggregate(
-            max_faults=2, checkpoint=path, checkpoint_every=1
+            max_faults=2, checkpoint=path
         )
         assert resumed.dumps() == reference.dumps()
         state = read_checkpoint(path)
@@ -598,16 +589,13 @@ class TestCheckpointResume:
             raise KeyboardInterrupt("simulated kill")
 
         monkeypatch.setattr(engine_module, "write_checkpoint", dying_write)
+        monkeypatch.setattr(engine_module, "CHECKPOINT_EVERY", 1)
         with pytest.raises(KeyboardInterrupt):
-            EpaEngine(chain_model(), REQ).aggregate(
-                max_faults=2, checkpoint=path, checkpoint_every=1
-            )
+            EpaEngine(chain_model(), REQ).aggregate(max_faults=2, checkpoint=path)
         monkeypatch.setattr(engine_module, "write_checkpoint", real_write)
         low = [replace(requirement, magnitude="L") for requirement in REQ]
         with pytest.raises(EpaError):
-            EpaEngine(chain_model(), low).aggregate(
-                max_faults=2, checkpoint=path, checkpoint_every=1
-            )
+            EpaEngine(chain_model(), low).aggregate(max_faults=2, checkpoint=path)
 
     def test_changed_antichain_cap_refused(self, tmp_path, monkeypatch):
         import repro.epa.engine as engine_module
@@ -617,6 +605,49 @@ class TestCheckpointResume:
         monkeypatch.setattr(engine_module, "DEFAULT_MAX_MINIMAL_SETS", 1)
         with pytest.raises(EpaError, match="antichain cap"):
             EpaEngine(chain_model(), REQ).aggregate(max_faults=2, checkpoint=path)
+
+    def test_unreadable_path_is_an_epa_error(self, tmp_path):
+        # a directory where the token should be: refused before any
+        # cube runs, naming the path
+        with pytest.raises(EpaError, match="cannot read checkpoint") as excinfo:
+            EpaEngine(chain_model(), REQ).aggregate(
+                max_faults=2, checkpoint=str(tmp_path)
+            )
+        assert str(tmp_path) in str(excinfo.value)
+        assert isinstance(excinfo.value.__cause__, OSError)
+
+    def test_unwritable_path_is_an_epa_error(self, tmp_path):
+        path = str(tmp_path / "missing" / "sweep.ckpt")
+        with pytest.raises(EpaError, match="cannot write checkpoint") as excinfo:
+            EpaEngine(chain_model(), REQ).aggregate(max_faults=2, checkpoint=path)
+        assert path in str(excinfo.value)
+        assert isinstance(excinfo.value.__cause__, OSError)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_checkpoints_merge_each_cube_at_most_twice(
+        self, tmp_path, monkeypatch, workers
+    ):
+        # a token after every cube: each write extends the token's
+        # aggregate with the one new cube instead of re-merging them all
+        import repro.epa.engine as engine_module
+
+        merges = []
+        real_merge = ScenarioAggregate.merge
+
+        def counted_merge(aggregate, other):
+            merges.append(other.scenarios)
+            return real_merge(aggregate, other)
+
+        monkeypatch.setattr(ScenarioAggregate, "merge", counted_merge)
+        monkeypatch.setattr(engine_module, "CHECKPOINT_EVERY", 1)
+        path = str(tmp_path / "sweep.ckpt")
+        engine = EpaEngine(chain_model(), REQ, workers=workers)
+        aggregate = engine.aggregate(max_faults=2, checkpoint=path)
+        cubes = engine.statistics["epa"]["parallel"]["shards"]
+        assert cubes >= 4
+        assert len(merges) <= 2 * cubes
+        assert aggregate.dumps() == _reference(max_faults=2)
+        assert read_checkpoint(path).aggregate.dumps() == aggregate.dumps()
 
 
 class TestCubeFactor:
@@ -649,107 +680,3 @@ class TestCubeFactor:
         assert max(models) <= bound
         # dispatched largest first
         assert models == sorted(models, reverse=True)
-
-
-def _emit_three(value, emit):
-    """Ship two partials then return (module-level: workers pickle it)."""
-    emit(("part", value, 1))
-    emit(("part", value, 2))
-    return value * 10
-
-
-def _emit_or_die(item, emit):
-    """Emit a partial, then crash on the first attempt of item 1.
-
-    The sentinel file makes the crash happen exactly once across the
-    retried worker processes: the first attempt creates it and dies,
-    the retry finds it and succeeds.
-    """
-    value, die_path = item
-    emit(("part", value))
-    if value == 1:
-        try:
-            with open(die_path, "x"):
-                pass
-        except FileExistsError:
-            pass
-        else:
-            os._exit(1)
-    return value
-
-
-class TestResultChannel:
-    def test_emit_partial_without_channel_is_noop(self):
-        # without on_partial, emit discards: tasks still finish and
-        # nothing but results reaches the parent, in-process and across
-        # worker processes alike
-        for workers, items in ((1, [5]), (2, [0, 1, 2, 3])):
-            done = []
-            results = WorkStealingPool(workers).map(
-                _emit_three,
-                items,
-                on_result=lambda index, value: done.append((index, value)),
-            )
-            assert results == [value * 10 for value in items]
-            assert sorted(done) == list(enumerate(results))
-
-    def test_in_process_channel(self):
-        pool = WorkStealingPool(1)
-        partials = []
-        order = []
-        results = pool.map(
-            _emit_three,
-            [5],
-            on_partial=lambda index, value: partials.append((index, value)),
-            on_result=lambda index, value: order.append((index, value)),
-        )
-        assert results == [50]
-        assert partials == [(0, ("part", 5, 1)), (0, ("part", 5, 2))]
-        assert order == [(0, 50)]
-
-    def test_subprocess_channel(self):
-        pool = WorkStealingPool(2)
-        partials = {}
-        done = []
-        results = pool.map(
-            _emit_three,
-            [0, 1, 2, 3],
-            on_partial=lambda index, value: partials.setdefault(
-                index, []
-            ).append(value),
-            on_result=lambda index, value: done.append(index),
-        )
-        assert results == [0, 10, 20, 30]
-        assert sorted(done) == [0, 1, 2, 3]
-        for index in range(4):
-            assert partials[index] == [
-                ("part", index, 1),
-                ("part", index, 2),
-            ]
-
-    def test_crash_retries_and_reports(self, tmp_path):
-        pool = WorkStealingPool(2)
-        retried = []
-        buffers = {}
-        die_path = str(tmp_path / "died.once")
-
-        def on_partial(index, value):
-            buffers.setdefault(index, []).append(value)
-
-        def on_retry(index):
-            # the client contract: a retry invalidates every partial
-            # buffered for that task (docs/streaming.md)
-            retried.append(index)
-            buffers.pop(index, None)
-
-        results = pool.map(
-            _emit_or_die,
-            [(value, die_path) for value in range(4)],
-            on_partial=on_partial,
-            on_retry=on_retry,
-        )
-        assert results == [0, 1, 2, 3]
-        # item 1 crashed at least once and was retried
-        assert 1 in retried
-        # only the successful attempt's partial survives the clears
-        assert buffers[1] == [("part", 1)]

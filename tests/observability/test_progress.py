@@ -113,14 +113,6 @@ class TestProgressTracker:
         # 100 of its 400 in the 2s since its layout was declared
         assert progress.snapshot().eta_seconds == 6.0
 
-    def test_negative_rollback_clamps_at_zero(self):
-        progress = tracker(FakeClock())
-        progress.add_scenarios(5)
-        progress.add_scenarios(-3)
-        assert progress.scenarios == 2
-        progress.add_scenarios(-10)
-        assert progress.scenarios == 0
-
     def test_updates_throttled_by_min_interval(self):
         clock = FakeClock()
         seen = []
